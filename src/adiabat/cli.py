@@ -8,7 +8,8 @@ Usage:
     adiabat check --all
 
 Exit codes: 0 on success, 1 when an embedded assertion fails, 2 on config
-errors.  ``ADIABAT_THREADS`` overrides the worker pool size.
+errors.  ``--workers``, or else ``ADIABAT_THREADS``, sets the worker pool
+size.
 
 Output files are deterministic for a fixed config and seed: rows are sorted
 by (gamma, T), floats are printed with 17 significant digits, and the only
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -35,11 +37,7 @@ from .errors import (
     ConfigInvalid,
     FrameDiscontinuity,
 )
-from .generators import (
-    ApproximateGenerator,
-    filtered_dissipator_superop,
-    lindblad_factorize,
-)
+from .generators import ApproximateGenerator, lindblad_factorize
 from .linalg import frobenius
 from .propagation import intensity_loss, propagate_piecewise_exp
 from .resonance import compute_resonance_tensor
@@ -77,10 +75,9 @@ class ExperimentConfig:
     seed: int = 7
     dim: int = 4
     outputs: str = "out"
-    checkpoints: int = 10
 
     _FIELDS = ("model", "gamma_list", "T_list", "dt", "initial_state", "path",
-               "gauge", "seed", "dim", "outputs", "checkpoints")
+               "gauge", "seed", "dim", "outputs")
 
     @classmethod
     def from_dict(cls, data):
@@ -123,34 +120,22 @@ class ExperimentConfig:
                                         field="initial_state")
             if "delta_phi" not in self.path:
                 raise ConfigInvalid("path needs delta_phi", field="path")
-        if self.checkpoints < 1:
-            raise ConfigInvalid("checkpoints must be >= 1", field="checkpoints")
 
-    def tasks(self, keep_states=False):
+    def tasks(self):
         """One runner task per T slot (gammas share the frame build)."""
-        out = []
-        for T in self.T_list:
-            if self.model == "holonomy":
-                out.append(dict(
-                    kind="holonomy",
-                    delta_phi=float(self.path["delta_phi"]),
-                    split=tuple(self.path.get("split", (0.4, 0.2, 0.4, 0.0))),
-                    gauge=_GAUGES[self.gauge],
-                    T=float(T), dt=float(self.dt),
-                    x=float(self.initial_state["x"]),
-                    y=float(self.initial_state["y"]),
-                    gamma_list=list(self.gamma_list),
-                    keep_states=keep_states,
-                ))
-            else:
-                out.append(dict(
-                    kind="random_rotating",
-                    seed=int(self.seed), dim=int(self.dim),
-                    T=float(T), dt=float(self.dt),
-                    gamma_list=list(self.gamma_list),
-                    keep_states=keep_states,
-                ))
-        return out
+        if self.model == "holonomy":
+            model = dict(
+                delta_phi=float(self.path["delta_phi"]),
+                split=tuple(self.path.get("split", (0.4, 0.2, 0.4, 0.0))),
+                gauge=_GAUGES[self.gauge],
+                x=float(self.initial_state["x"]),
+                y=float(self.initial_state["y"]),
+            )
+        else:
+            model = dict(seed=int(self.seed), dim=int(self.dim))
+        return [dict(model, kind=self.model, T=float(T), dt=float(self.dt),
+                     gamma_list=list(self.gamma_list))
+                for T in self.T_list]
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +155,18 @@ def _open_csv(path, timestamp):
     return fh
 
 
-def write_sweep_csv(rows, path, timestamp=True):
+def _write_table(rows, columns, path, timestamp):
+    """Header, then one line per row with the named columns; other keys of
+    a row are ignored."""
     with _open_csv(path, timestamp) as fh:
         writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(row[c]) for c in SWEEP_COLUMNS])
+            writer.writerow([_fmt(row[c]) for c in columns])
+
+
+def write_sweep_csv(rows, path, timestamp=True):
+    _write_table(rows, SWEEP_COLUMNS, path, timestamp)
 
 
 def write_trajectory_csv(trajectory, p_comp, path, timestamp=True):
@@ -217,10 +208,6 @@ def _assert_invariants(rows):
             _require(f"positivity[{tag}]", min_eig >= -1e-6, min_eig, -1e-6)
 
 
-def _strip_private(rows):
-    return [{k: v for k, v in row.items() if not k.startswith("_")} for row in rows]
-
-
 def _by_gamma(rows):
     out = {}
     for row in rows:
@@ -239,19 +226,38 @@ def _sweep_preset_config(T_list, model="holonomy", gamma_list=(0.0, 0.01, 0.1)):
                             T_list=tuple(T_list))
 
 
-def _preset_fig_element(cfg, out_dir, timestamp, workers):
-    rows = runner.sweep(cfg.tasks(), workers)
+def _sweep(cfg, out_dir, timestamp, workers, export=None):
+    """Integrate every point of ``cfg``, check the invariants, write
+    ``sweep.csv``; the step every sweep preset and config run share."""
+    rows = runner.sweep(cfg.tasks(), workers, export)
     _assert_invariants(rows)
-    write_sweep_csv(_strip_private(rows), os.path.join(out_dir, "sweep.csv"), timestamp)
+    write_sweep_csv(rows, os.path.join(out_dir, "sweep.csv"), timestamp)
+    return rows
+
+
+def _export_point(out_dir, timestamp, ctx, point):
+    """Trajectory CSVs of one point, once its invariants hold; runs in the
+    process that integrated the point."""
+    _assert_invariants([point.metrics])
+    for gen_name, traj in (("exact", point.exact), ("approx", point.approx)):
+        fname = f"trajectory_{gen_name}_g{point.gamma:g}_T{point.T:g}.csv"
+        write_trajectory_csv(traj, ctx.p_comp, os.path.join(out_dir, fname), timestamp)
+
+
+def _config_sweep(cfg, out_dir, timestamp, workers):
+    return _sweep(cfg, out_dir, timestamp, workers,
+                  export=functools.partial(_export_point, out_dir, timestamp))
+
+
+def _preset_fig_element(cfg, out_dir, timestamp, workers):
+    rows = _sweep(cfg, out_dir, timestamp, workers)
     expected = len(cfg.gamma_list) * len(cfg.T_list)
     _require("sweep-row-count", len(rows) == expected, len(rows), expected)
     return rows
 
 
 def _preset_fig_fidelity(cfg, out_dir, timestamp, workers):
-    rows = runner.sweep(cfg.tasks(), workers)
-    _assert_invariants(rows)
-    write_sweep_csv(_strip_private(rows), os.path.join(out_dir, "sweep.csv"), timestamp)
+    rows = _sweep(cfg, out_dir, timestamp, workers)
     for gamma, series in _by_gamma(rows).items():
         fids = [r["fidelity_norm"] for r in series]
         _require(f"fidelity-range[g={gamma}]",
@@ -262,9 +268,7 @@ def _preset_fig_fidelity(cfg, out_dir, timestamp, workers):
 
 
 def _preset_fig_loss(cfg, out_dir, timestamp, workers):
-    rows = runner.sweep(cfg.tasks(), workers)
-    _assert_invariants(rows)
-    write_sweep_csv(_strip_private(rows), os.path.join(out_dir, "sweep.csv"), timestamp)
+    rows = _sweep(cfg, out_dir, timestamp, workers)
     by_gamma = _by_gamma(rows)
     gammas = sorted(by_gamma)
     zero = [r for r in by_gamma.get(0.0, [])]
@@ -285,9 +289,7 @@ def _preset_fig_loss(cfg, out_dir, timestamp, workers):
 
 
 def _preset_fig_sweep_random(cfg, out_dir, timestamp, workers):
-    rows = runner.sweep(cfg.tasks(), workers)
-    _assert_invariants(rows)
-    write_sweep_csv(_strip_private(rows), os.path.join(out_dir, "sweep.csv"), timestamp)
+    rows = _sweep(cfg, out_dir, timestamp, workers)
     for gamma, series in _by_gamma(rows).items():
         errs = [r["max_hs_error"] for r in series]
         if gamma == 0.0:
@@ -302,42 +304,30 @@ def _preset_fig_sweep_random(cfg, out_dir, timestamp, workers):
 
 def _lindblad_check_rows():
     samples = np.linspace(0.05, 0.95, 10)
+    random_model = models.make_random_model(7)
+    cases = (
+        ("holonomy",
+         models.holonomy_family(models.build_orange_path(math.pi / 4, 100.0)),
+         models.holonomy_dissipator()),
+        ("random_rotating", random_model.family(), random_model.dissipator()),
+    )
     rows = []
-
-    path = models.build_orange_path(math.pi / 4, 100.0)
-    fam = models.holonomy_family(path)
-    diss = models.holonomy_dissipator()
-    tensor = compute_resonance_tensor(fam.spectrum, np.linspace(0, 1, 201))
-    for s in samples:
-        decomp = fam.spectrum(s)
-        fact = lindblad_factorize(diss, tensor, decomp, s)
-        err = fact.reconstruction_error(diss, tensor, decomp, s)
-        rows.append({"model": "holonomy", "s": float(s),
-                     "reconstruction_error": err,
-                     "lambda_min": float(fact.g_eigenvalues.min())})
-
-    model = models.make_random_model(7)
-    fam = model.family()
-    diss = model.dissipator()
-    tensor = compute_resonance_tensor(fam.spectrum, np.linspace(0, 1, 201))
-    for s in samples:
-        decomp = fam.spectrum(s)
-        fact = lindblad_factorize(diss, tensor, decomp, s)
-        err = fact.reconstruction_error(diss, tensor, decomp, s)
-        rows.append({"model": "random_rotating", "s": float(s),
-                     "reconstruction_error": err,
-                     "lambda_min": float(fact.g_eigenvalues.min())})
+    for model_id, fam, diss in cases:
+        tensor = compute_resonance_tensor(fam.spectrum, np.linspace(0, 1, 201))
+        for s in samples:
+            decomp = fam.spectrum(s)
+            fact = lindblad_factorize(diss, tensor, decomp, s)
+            err = fact.reconstruction_error(diss, tensor, decomp, s)
+            rows.append({"model": model_id, "s": float(s),
+                         "reconstruction_error": err,
+                         "lambda_min": float(fact.g_eigenvalues.min())})
     return rows
 
 
 def _preset_check_lindblad(cfg, out_dir, timestamp, workers):
     rows = _lindblad_check_rows()
-    with _open_csv(os.path.join(out_dir, "lindblad_check.csv"), timestamp) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "s", "reconstruction_error", "lambda_min"])
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in
-                             ("model", "s", "reconstruction_error", "lambda_min")])
+    _write_table(rows, ["model", "s", "reconstruction_error", "lambda_min"],
+                 os.path.join(out_dir, "lindblad_check.csv"), timestamp)
     for row in rows:
         tag = f"{row['model']} s={row['s']:.3f}"
         _require(f"lindblad-reconstruction[{tag}]",
@@ -410,11 +400,8 @@ def gauge_check_rows(T=2.0, gamma=0.1, dt=1e-4):
 
 def _preset_check_gauge(cfg, out_dir, timestamp, workers):
     rows = gauge_check_rows()
-    with _open_csv(os.path.join(out_dir, "gauge_check.csv"), timestamp) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["check", "value", "bound"])
-        for row in rows:
-            writer.writerow([_fmt(row["check"]), _fmt(row["value"]), _fmt(row["bound"])])
+    _write_table(rows, ["check", "value", "bound"],
+                 os.path.join(out_dir, "gauge_check.csv"), timestamp)
     for row in rows:
         if isinstance(row["bound"], float):
             _require(row["check"], row["value"] <= row["bound"],
@@ -440,23 +427,22 @@ PRESETS = {
     "check-gauge": (_preset_check_gauge, ExperimentConfig),
 }
 
+CHECKS = ("check-lindblad", "check-gauge")
 
-def run_preset(name, overrides=None):
-    """Execute a named preset; returns (exit_code, rows)."""
-    if name not in PRESETS:
-        raise ConfigInvalid(f"unknown preset {name!r}", field="preset")
-    func, make_cfg = PRESETS[name]
-    cfg = make_cfg()
+
+def _execute(func, cfg, overrides):
+    """Apply the command-line overrides to ``cfg``, validate it, run
+    ``func(cfg, out_dir, timestamp, workers)``; returns (exit_code, rows)."""
     overrides = overrides or {}
-    if "dt" in overrides and overrides["dt"] is not None:
+    if overrides.get("dt") is not None:
         cfg.dt = float(overrides["dt"])
-    if "seed" in overrides and overrides["seed"] is not None:
+    if overrides.get("seed") is not None:
         cfg.seed = int(overrides["seed"])
     cfg.validate()
+    workers = runner.worker_count(overrides.get("workers"))
     out_dir = overrides.get("out") or cfg.outputs
     os.makedirs(out_dir, exist_ok=True)
     timestamp = not overrides.get("no_timestamp", False)
-    workers = overrides.get("workers")
     try:
         rows = func(cfg, out_dir, timestamp, workers)
     except AssertionFailed as exc:
@@ -465,9 +451,20 @@ def run_preset(name, overrides=None):
     return 0, rows
 
 
+def run_preset(name, overrides=None):
+    """Execute a named preset; returns (exit_code, rows)."""
+    if name not in PRESETS:
+        raise ConfigInvalid(f"unknown preset {name!r}", field="preset")
+    func, make_cfg = PRESETS[name]
+    return _execute(func, make_cfg(), overrides)
+
+
 def run_config(path, overrides=None):
-    """Execute a user-specified JSON config; returns (exit_code, rows)."""
-    overrides = overrides or {}
+    """Execute a user-specified JSON config; returns (exit_code, rows).
+
+    Each point is integrated once; its trajectory CSVs are written as soon
+    as its invariants hold, so an assertion failure can leave the files of
+    points that passed."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -478,40 +475,7 @@ def run_config(path, overrides=None):
                             field="config")
     if not isinstance(data, dict):
         raise ConfigInvalid("config root must be a JSON object", field="config")
-    cfg = ExperimentConfig.from_dict(data)
-    if overrides.get("dt") is not None:
-        cfg.dt = float(overrides["dt"])
-    if overrides.get("seed") is not None:
-        cfg.seed = int(overrides["seed"])
-    cfg.validate()
-    out_dir = overrides.get("out") or cfg.outputs
-    os.makedirs(out_dir, exist_ok=True)
-    timestamp = not overrides.get("no_timestamp", False)
-
-    rows = runner.sweep(cfg.tasks(), overrides.get("workers"))
-    try:
-        _assert_invariants(rows)
-    except AssertionFailed as exc:
-        print(f"assertion failed: {exc}", file=sys.stderr)
-        return 1, None
-    write_sweep_csv(_strip_private(rows), os.path.join(out_dir, "sweep.csv"), timestamp)
-
-    # per-point trajectory exports
-    for T in cfg.T_list:
-        task = [t for t in cfg.tasks(keep_states=True) if t["T"] == float(T)][0]
-        if task["kind"] == "holonomy":
-            ctx = runner.holonomy_context(task["delta_phi"], task["split"],
-                                          task["gauge"], task["T"], task["dt"],
-                                          task["x"], task["y"])
-        else:
-            ctx = runner.random_context(task["seed"], task["T"], task["dt"], task["dim"])
-        for gamma in cfg.gamma_list:
-            point = runner.run_point(ctx, gamma, keep_states=True)
-            for gen_name, traj in (("exact", point.exact), ("approx", point.approx)):
-                fname = f"trajectory_{gen_name}_g{gamma:g}_T{T:g}.csv"
-                write_trajectory_csv(traj, ctx.p_comp,
-                                     os.path.join(out_dir, fname), timestamp)
-    return 0, rows
+    return _execute(_config_sweep, ExperimentConfig.from_dict(data), overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +500,8 @@ def _build_parser():
 
     check_p = sub.add_parser("check", help="run verification presets")
     check_p.add_argument("--all", action="store_true")
-    check_p.add_argument("names", nargs="*", choices=["check-lindblad", "check-gauge", []])
+    check_p.add_argument("names", nargs="*", metavar="NAME",
+                         help=f"one of {', '.join(CHECKS)} (default: all)")
     check_p.add_argument("--out", metavar="DIR", default=None)
     check_p.add_argument("--no-timestamp", action="store_true")
     return parser
@@ -545,6 +510,10 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "check":
+        unknown = [n for n in args.names if n not in CHECKS]
+        if unknown:
+            parser.error(f"unknown check {unknown[0]!r} (choose from {', '.join(CHECKS)})")
     overrides = {
         "out": getattr(args, "out", None),
         "dt": getattr(args, "dt", None),
@@ -561,7 +530,7 @@ def main(argv=None):
             return code
         names = list(args.names)
         if args.all or not names:
-            names = ["check-lindblad", "check-gauge"]
+            names = list(CHECKS)
         worst = 0
         for name in names:
             code, _ = run_preset(name, overrides)

@@ -111,3 +111,8 @@ class AssertionFailed(AdiabatError):
         self.name = name
         self.measured = measured
         self.bound = bound
+
+    def __reduce__(self):
+        # the default rebuilds from the message alone; a failure raised in a
+        # sweep worker must come back through the pool intact
+        return type(self), (self.name, self.measured, self.bound)

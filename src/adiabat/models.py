@@ -41,7 +41,6 @@ __all__ = [
     "holonomy_dissipator",
     "computational_projector",
     "initial_state",
-    "HolonomyModel",
     "approximate_block_matrix",
     "closed_form_output",
     "RandomRotatingModel",
@@ -273,21 +272,6 @@ def holonomy_family(path, gauge=Gauge.NORTH_POLE_REGULAR):
         n_eigenspaces=3,
         breakpoints=path.breakpoints,
     )
-
-
-@dataclass
-class HolonomyModel:
-    """Gate model bundle: path, decoherence strength and gauge choice."""
-
-    path: HolonomyPath
-    gamma: float = 0.0
-    gauge: Gauge = Gauge.NORTH_POLE_REGULAR
-
-    def family(self):
-        return holonomy_family(self.path, self.gauge)
-
-    def dissipator(self):
-        return holonomy_dissipator()
 
 
 def approximate_block_matrix(path, gamma, T, s):

@@ -16,6 +16,7 @@ this representation by the frame-equivalence tests.
 """
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
+from .errors import ConfigInvalid
 from .generators import sandwich_superop
 from .linalg import dag, frobenius
 from .propagation import (
@@ -66,7 +68,6 @@ class RunContext:
 
     def __post_init__(self):
         d = self.family.dim
-        c0 = self.frame.basis0
         labels = np.empty(d, dtype=int)
         for k, sl in enumerate(self.frame.block_slices):
             labels[sl] = k
@@ -77,21 +78,30 @@ class RunContext:
         self._delta_diag = np.diag(-1j * self.T * (e_ext[row] - e_ext[col]))
         self._mask = self.tensor.g[labels[row][:, None], labels[col][:, None],
                                    labels[row][None, :], labels[col][None, :]]
-        self._c0 = c0
-        self._labels = labels
         self._eye = np.eye(d, dtype=complex)
         # dissipator superoperator is s-independent for both shipped models
         self._dsup = self.dissipator.superoperator(0.0)
         self._du = self.frame.grid[1] - self.frame.grid[0]
 
     def _index(self, s):
-        i = int(round((s - self.frame.grid[0]) / self._du))
-        return min(max(i, 0), len(self.frame.grid) - 1)
+        """Frame sample at ``s``; O(1) on the uniform half-step grid, where
+        ``TransportFrame.index_of`` would search."""
+        grid = self.frame.grid
+        i = int(round((s - grid[0]) / self._du))
+        if not 0 <= i < len(grid) or abs(grid[i] - s) > 1e-9:
+            raise KeyError(f"s={s} is not a frame grid point")
+        return i
+
+    def rotation(self, i):
+        """``W = C0^dagger U(s_i)``: maps lab-frame operators at frame
+        sample ``i`` to frame components, ``rho_hat = W rho W^dagger``."""
+        return dag(self.frame.basis0) @ self.frame.U[i]
 
     def _pieces(self, s):
         i = self._index(s)
-        w = dag(self._c0) @ self.frame.U[i]
-        zhat = dag(self._c0) @ self.frame.Z[i] @ self._c0
+        c0 = self.frame.basis0
+        w = self.rotation(i)
+        zhat = dag(c0) @ self.frame.Z[i] @ c0
         dhat = (sandwich_superop(w, dag(w)) @ self._dsup
                 @ sandwich_superop(dag(w), w))
         return zhat, dhat
@@ -127,8 +137,7 @@ class RunContext:
         n = len(trajectory.grid)
         states = np.empty_like(trajectory.states)
         for i in range(n):
-            j = self._index(trajectory.grid[i])
-            w = dag(self._c0) @ self.frame.U[j]
+            w = self.rotation(self._index(trajectory.grid[i]))
             states[i] = dag(w) @ trajectory.states[i] @ w
         return Trajectory(grid=trajectory.grid, states=states,
                           metadata=dict(trajectory.metadata))
@@ -199,7 +208,7 @@ def run_point(ctx, gamma, keep_states=True):
     sweep metrics."""
     # initial state in frame components (U(0) need not be the identity for
     # a general basis permutation, so rotate explicitly)
-    w0 = dag(ctx._c0) @ ctx.frame.U[0]
+    w0 = ctx.rotation(0)
     rho0_hat = w0 @ ctx.rho0 @ dag(w0)
 
     exact_hat = propagate_piecewise_exp(
@@ -241,9 +250,14 @@ def run_point(ctx, gamma, keep_states=True):
 # sweep orchestration
 # ---------------------------------------------------------------------------
 
-def run_sweep_task(task):
+def run_sweep_task(task, export=None):
     """Process-pool entry point: build the context and run every gamma of
-    one T slot.  ``task`` is a plain dict so it pickles cheaply."""
+    one T slot.  ``task`` is a plain dict so it pickles cheaply.
+
+    ``export(ctx, point)``, when given, runs in the process that integrated
+    the point, right after ``run_point``; the point's states are dropped
+    afterwards, so only the metric rows travel back.
+    """
     kind = task["kind"]
     if kind == "holonomy":
         ctx = holonomy_context(task["delta_phi"], task["split"], task["gauge"],
@@ -254,30 +268,48 @@ def run_sweep_task(task):
         raise ValueError(f"unknown model kind {kind!r}")
     out = []
     for gamma in task["gamma_list"]:
-        point = run_point(ctx, gamma, keep_states=task.get("keep_states", False))
+        point = run_point(ctx, gamma, keep_states=export is not None)
+        if export is not None:
+            export(ctx, point)
         out.append(point.metrics)
     return out
 
 
-def worker_count():
-    env = os.environ.get("ADIABAT_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return os.cpu_count() or 1
+def worker_count(requested=None):
+    """Validated worker count: ``requested`` if given, else
+    ``ADIABAT_THREADS`` if set, else the CPU count."""
+    name = "workers"
+    if requested is None:
+        env = os.environ.get("ADIABAT_THREADS", "").strip()
+        if not env:
+            return os.cpu_count() or 1
+        name, requested = "ADIABAT_THREADS", env
+    try:
+        count = int(requested)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ConfigInvalid(f"{name} must be an integer >= 1, got {requested!r}",
+                            field=name)
+    return count
 
 
-def sweep(tasks, workers=None):
+def sweep(tasks, workers=None, export=None):
     """Run tasks (one per T slot), in a worker pool when available, and
-    return the metric rows sorted by (gamma, T) for stable output files."""
-    if workers is None:
-        workers = worker_count()
+    return the metric rows sorted by (gamma, T) for stable output files.
+
+    The pool never exceeds the task count or the CPU count.  ``export`` is
+    handed to :func:`run_sweep_task`; with a pool it must pickle.
+    """
+    workers = min(worker_count(workers), len(tasks), os.cpu_count() or 1)
+    run = functools.partial(run_sweep_task, export=export)
     rows = []
-    if workers <= 1 or len(tasks) <= 1:
+    if workers <= 1:
         for task in tasks:
-            rows.extend(run_sweep_task(task))
+            rows.extend(run(task))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(run_sweep_task, tasks):
+            for result in pool.map(run, tasks):
                 rows.extend(result)
     rows.sort(key=lambda r: (r["gamma"], r["T"]))
     return rows

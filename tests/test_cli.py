@@ -1,11 +1,12 @@
 import csv
 import json
 import math
+import pickle
 
 import pytest
 
-from adiabat import cli
-from adiabat.errors import ConfigInvalid
+from adiabat import cli, models, runner
+from adiabat.errors import AssertionFailed, ConfigInvalid
 
 
 def write_config(tmp_path, **overrides):
@@ -30,10 +31,12 @@ def read_rows(path):
 
 class TestConfigValidation:
     def test_unknown_field_named(self, tmp_path):
-        path = write_config(tmp_path, bogus=1)
-        with pytest.raises(ConfigInvalid) as err:
-            cli.run_config(str(path))
-        assert err.value.field == "bogus"
+        # checkpoints was a field once; nothing read it, so it is unknown now
+        for name in ("bogus", "checkpoints"):
+            path = write_config(tmp_path, **{name: 1})
+            with pytest.raises(ConfigInvalid) as err:
+                cli.run_config(str(path))
+            assert err.value.field == name
 
     def test_unknown_model(self):
         with pytest.raises(ConfigInvalid):
@@ -64,6 +67,31 @@ class TestConfigValidation:
     def test_unknown_preset(self):
         with pytest.raises(ConfigInvalid):
             cli.run_preset("fig-nonexistent")
+
+    def test_unknown_check_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["check", "bogus"])
+        assert err.value.code == 2
+        assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_thread_env_exits_two(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("ADIABAT_THREADS", value)
+        path = write_config(tmp_path)
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "ADIABAT_THREADS" in capsys.readouterr().err
+
+    def test_bad_worker_flag_exits_two(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert cli.main(["run", "--config", str(path), "--workers", "0"]) == 2
+        assert "workers" in capsys.readouterr().err
+
+    def test_errors_survive_pickling(self):
+        exc = pickle.loads(pickle.dumps(AssertionFailed("x", 1.0, 1e-7)))
+        assert (exc.name, exc.measured, exc.bound) == ("x", 1.0, 1e-7)
+        assert str(exc) == str(AssertionFailed("x", 1.0, 1e-7))
+        exc = pickle.loads(pickle.dumps(ConfigInvalid("bad dt", field="dt")))
+        assert exc.field == "dt" and str(exc) == "bad dt"
 
 
 @pytest.fixture(scope="module")
@@ -99,9 +127,10 @@ class TestRunConfig:
     def test_deterministic_output(self, run_dir, tmp_path):
         path = write_config(tmp_path, outputs=str(tmp_path / "o2"))
         assert cli.main(["run", "--config", str(path), "--no-timestamp"]) == 0
-        a = (run_dir / "sweep.csv").read_bytes()
-        b = (tmp_path / "o2" / "sweep.csv").read_bytes()
-        assert a == b
+        for name in ("sweep.csv", "trajectory_approx_g0.1_T2.csv"):
+            a = (run_dir / name).read_bytes()
+            b = (tmp_path / "o2" / name).read_bytes()
+            assert a == b
 
     def test_timestamp_header_togglable(self, tmp_path):
         path = write_config(tmp_path, T_list=[1.0], dt=0.1, gamma_list=[0.0],
@@ -122,6 +151,79 @@ class TestRunConfig:
         for a, b in zip(outputs["base"], outputs["half"]):
             for col in cli.SWEEP_COLUMNS[4:]:
                 assert abs(float(a[col]) - float(b[col])) <= 1e-4
+
+
+    def test_each_point_integrated_once(self, tmp_path, monkeypatch):
+        calls = []
+        propagate = runner.propagate_piecewise_exp
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["metadata"]["gamma"])
+            return propagate(*args, **kwargs)
+        monkeypatch.setattr(runner, "propagate_piecewise_exp", counting)
+        path = write_config(tmp_path, T_list=[1.0, 2.0], dt=0.1)
+        code, rows = cli.run_config(str(path), {"workers": 1, "no_timestamp": True})
+        assert code == 0 and len(rows) == 4
+        assert len(calls) == 2 * len(rows)
+        assert len(list((tmp_path / "out").glob("trajectory_*.csv"))) == 2 * len(rows)
+
+    def test_pool_writes_same_files(self, tmp_path):
+        # trajectories are written inside the workers
+        path = write_config(tmp_path, T_list=[1.0, 2.0], dt=0.1)
+        files = {}
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            assert cli.main(["run", "--config", str(path), "--out", str(out),
+                             "--no-timestamp", "--workers", str(workers)]) == 0
+            files[workers] = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert len(files[1]) == 9 and files[1] == files[2]
+
+    def test_invariant_failure_writes_no_sweep(self, tmp_path, monkeypatch):
+        def failing(rows):
+            raise AssertionFailed("trace[forced]", 1.0, 1e-7)
+        monkeypatch.setattr(cli, "_assert_invariants", failing)
+        path = write_config(tmp_path, T_list=[1.0], dt=0.1)
+        code, rows = cli.run_config(str(path), {"workers": 1, "no_timestamp": True})
+        assert code == 1 and rows is None
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+        assert not list((tmp_path / "out").glob("trajectory_*.csv"))
+
+
+class TestRunner:
+    def test_off_grid_s_raises(self):
+        ctx = runner.holonomy_context(math.pi / 4, (0.4, 0.2, 0.4, 0.0),
+                                      models.Gauge.NORTH_POLE_REGULAR, 1.0, 0.1,
+                                      math.pi / 5, 3 * math.pi / 4)
+        gen = ctx.exact_generator(0.1)
+        assert gen(0.05).shape == (16, 16)      # a step midpoint
+        for s in (0.07, -0.05, 1.05):
+            with pytest.raises(KeyError):
+                gen(s)
+
+    def test_pool_bounded_by_tasks_and_cpus(self, monkeypatch):
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [[] for _ in tasks]
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
+        runner.sweep([{}] * 3, workers=64)
+        runner.sweep([{}] * 10, workers=64)
+        runner.sweep([{}] * 10, workers=2)
+        monkeypatch.setenv("ADIABAT_THREADS", "1000")
+        runner.sweep([{}] * 10)
+        assert started == [3, 4, 2, 4]
 
 
 class TestRandomConfig:
