@@ -59,6 +59,59 @@ _GAUGES = {
 # configuration
 # ---------------------------------------------------------------------------
 
+def _number(name, value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigInvalid(f"{name} must be a number, got {value!r}", field=name)
+    try:
+        return float(value)
+    except OverflowError:   # an integer beyond the float range
+        raise ConfigInvalid(f"{name} is out of range", field=name) from None
+
+
+def _numbers(name, value):
+    if not isinstance(value, (list, tuple)):
+        raise ConfigInvalid(f"{name} must be a list of numbers, got {value!r}",
+                            field=name)
+    return tuple(_number(name, v) for v in value)
+
+
+def _integer(name, value):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigInvalid(f"{name} must be an integer, got {value!r}", field=name)
+    return value
+
+
+def _text(name, value):
+    if not isinstance(value, str):
+        raise ConfigInvalid(f"{name} must be a string, got {value!r}", field=name)
+    return value
+
+
+def _object(**parse):
+    """Parser of a JSON object whose listed keys are parsed by ``parse``."""
+    def parser(name, value):
+        if not isinstance(value, dict):
+            raise ConfigInvalid(f"{name} must be a JSON object, got {value!r}",
+                                field=name)
+        return {k: parse[k](name, v) if k in parse else v for k, v in value.items()}
+    return parser
+
+
+# JSON field -> parser raising ConfigInvalid on a badly typed value
+_PARSERS = {
+    "model": _text,
+    "gamma_list": _numbers,
+    "T_list": _numbers,
+    "dt": _number,
+    "initial_state": _object(x=_number, y=_number),
+    "path": _object(delta_phi=_number, split=_numbers),
+    "gauge": _text,
+    "seed": _integer,
+    "dim": _integer,
+    "outputs": _text,
+}
+
+
 @dataclass
 class ExperimentConfig:
     """Validated sweep description; see the README for the JSON schema."""
@@ -76,22 +129,15 @@ class ExperimentConfig:
     dim: int = 4
     outputs: str = "out"
 
-    _FIELDS = ("model", "gamma_list", "T_list", "dt", "initial_state", "path",
-               "gauge", "seed", "dim", "outputs")
-
     @classmethod
     def from_dict(cls, data):
-        unknown = set(data) - set(cls._FIELDS)
+        unknown = set(data) - set(_PARSERS)
         if unknown:
             name = sorted(unknown)[0]
             raise ConfigInvalid(f"unknown config field {name!r}", field=name)
         cfg = cls()
         for key, value in data.items():
-            if key in ("gamma_list", "T_list"):
-                value = tuple(float(v) for v in value)
-            if key == "path" and "split" in value:
-                value = dict(value, split=tuple(float(v) for v in value["split"]))
-            setattr(cfg, key, value)
+            setattr(cfg, key, _PARSERS[key](key, value))
         cfg.validate()
         return cfg
 
@@ -113,6 +159,10 @@ class ExperimentConfig:
             raise ConfigInvalid("dt must be positive and finite", field="dt")
         if self.dt > min(self.T_list) / 10.0:
             raise ConfigInvalid("dt must be at most min(T)/10", field="dt")
+        if self.seed < 0:
+            raise ConfigInvalid("seed must be >= 0", field="seed")
+        if self.dim < 2:
+            raise ConfigInvalid("dim must be >= 2", field="dim")
         if self.model == "holonomy":
             for key in ("x", "y"):
                 if key not in self.initial_state or not math.isfinite(self.initial_state[key]):

@@ -3,6 +3,9 @@
 Everything in the library passes plain ``numpy.ndarray`` values around;
 operators and density matrices are ``(d, d)`` complex arrays, superoperators
 are ``(d*d, d*d)`` complex arrays acting on column-stacked vectorizations.
+:func:`dag`, :func:`unvec`, :func:`sandwich_superop` and
+:func:`matrix_exponential` also take stacks ``(..., d, d)`` and act matrix
+by matrix, with the same floating-point operations as on one matrix.
 
 Vectorization convention (fixed project-wide, exposed in CSV dumps):
 column stacking, ``vec(rho)[j*d + i] = rho[i, j]``, so that
@@ -42,15 +45,16 @@ def vec(matrix):
 
 
 def unvec(vector, dim=None):
-    """Inverse of :func:`vec`. ``dim`` defaults to the square root of the size."""
+    """Inverse of :func:`vec`, vector by vector along the last axis.
+    ``dim`` defaults to the square root of its length."""
     vector = np.asarray(vector)
     if dim is None:
-        dim = int(round(np.sqrt(vector.size)))
-    return vector.reshape(dim, dim).T
+        dim = int(round(np.sqrt(vector.shape[-1])))
+    return np.swapaxes(vector.reshape(vector.shape[:-1] + (dim, dim)), -1, -2)
 
 
 def dag(a):
-    return np.conj(np.asarray(a).T)
+    return np.conj(np.swapaxes(np.asarray(a), -1, -2))
 
 
 def frobenius(a):
@@ -78,14 +82,23 @@ def is_psd(a, tol=1e-10):
 
 
 def sandwich_superop(x, y):
-    """Superoperator of ``rho -> X rho Y`` under column stacking: ``kron(Y.T, X)``."""
+    """Superoperator of ``rho -> X rho Y`` under column stacking: ``kron(Y.T, X)``.
+
+    ``x`` and ``y`` may be stacks ``(..., d, d)`` that broadcast against
+    each other.  The Kronecker product is a broadcast outer product,
+    ``out[..., j*d + i, l*d + k] = Y[..., l, j] * X[..., i, k]``: the same
+    products as ``np.kron``, without its per-call overhead.
+    """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    if x.shape != y.shape or x.shape[0] != x.shape[1]:
+    if (x.ndim < 2 or y.ndim < 2 or x.shape[-2:] != y.shape[-2:]
+            or x.shape[-1] != x.shape[-2]):
         raise DimensionMismatch(
             f"sandwich factors must be square and equal-sized, got {x.shape} and {y.shape}"
         )
-    return np.kron(y.T, x)
+    d = x.shape[-1]
+    out = np.swapaxes(y, -1, -2)[..., :, None, :, None] * x[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (d * d, d * d))
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +216,9 @@ _PADE_THETA = (
 
 
 def _pade_step(a, m):
-    n = a.shape[0]
+    """Order-``m`` diagonal Pade approximant of exp on a stack ``(k, n, n)``."""
     c = _PADE_COEFFS[m]
-    eye = np.eye(n, dtype=complex)
+    eye = np.eye(a.shape[-1], dtype=complex)
     a2 = a @ a
     if m == 13:
         a4 = a2 @ a2
@@ -228,28 +241,54 @@ def _pade_step(a, m):
     return np.linalg.solve(v - u, v + u)
 
 
-def matrix_exponential(a):
-    """exp(A) by scaling-and-squaring with diagonal Pade approximants.
-
-    Order and scaling follow the usual 1-norm thresholds; relative accuracy
-    is at the rounding level for ``|A| <~ 10``, which covers every generator
-    step this library takes.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise NonFinite("matrix contains NaN or Inf entries")
-
-    norm = np.linalg.norm(a, 1)
-    for m, theta in _PADE_THETA:
-        if norm <= theta:
-            return _pade_step(a, m)
-    squarings = max(0, int(np.ceil(np.log2(norm / _PADE_THETA[-1][1]))))
-    f = _pade_step(a / (2.0 ** squarings), 13)
+def _scaled_pade(a, m, squarings):
+    """exp(A) on a stack as the order-``m`` approximant of ``A / 2^squarings``,
+    squared back ``squarings`` times."""
+    f = _pade_step(a / 2.0 ** squarings if squarings else a, m)
     for _ in range(squarings):
         f = f @ f
     return f
+
+
+def matrix_exponential(a):
+    """exp(A) by scaling-and-squaring with diagonal Pade approximants
+    (Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179), for one matrix or
+    a stack ``(..., n, n)``.
+
+    Each matrix gets the lowest order whose 1-norm threshold it meets, or
+    order 13 after the fewest squarings that bring it under the last
+    threshold.  Matrices that share an (order, squarings) pair are evaluated
+    together (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31 (2009) 970);
+    a single matrix is the one-element stack, so a matrix gives the same
+    bits alone as inside any stack.  Relative accuracy is at the rounding
+    level for ``|A| <~ 10``, which covers every generator step this library
+    takes.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatch(
+            f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NonFinite("matrix contains NaN or Inf entries")
+
+    # one memory layout, so that a matrix gives the same bits however it
+    # is passed in
+    stack = np.ascontiguousarray(a.reshape((-1,) + a.shape[-2:]))
+    norms = np.abs(stack).sum(axis=-2).max(axis=-1)
+    thetas = np.array([theta for _, theta in _PADE_THETA])
+    pick = np.searchsorted(thetas, norms)       # first theta >= norm
+    orders = np.array([m for m, _ in _PADE_THETA] + [13])[pick]
+    squarings = np.zeros(len(stack), dtype=int)
+    scaled = pick == len(thetas)
+    squarings[scaled] = np.ceil(np.log2(norms[scaled] / thetas[-1]))
+    groups = sorted(set(zip(orders.tolist(), squarings.tolist())))
+    if len(groups) == 1:
+        return _scaled_pade(stack, *groups[0]).reshape(a.shape)
+    out = np.empty_like(stack)
+    for m, s in groups:
+        idx = np.flatnonzero((orders == m) & (squarings == s))
+        out[idx] = _scaled_pade(stack[idx], m, s)
+    return out.reshape(a.shape)
 
 
 def psd_sqrt(a, tol=1e-10):

@@ -78,68 +78,74 @@ class RunContext:
         self._delta_diag = np.diag(-1j * self.T * (e_ext[row] - e_ext[col]))
         self._mask = self.tensor.g[labels[row][:, None], labels[col][:, None],
                                    labels[row][None, :], labels[col][None, :]]
+        self._same_block = labels[:, None] == labels[None, :]
         self._eye = np.eye(d, dtype=complex)
         # dissipator superoperator is s-independent for both shipped models
         self._dsup = self.dissipator.superoperator(0.0)
         self._du = self.frame.grid[1] - self.frame.grid[0]
 
     def _index(self, s):
-        """Frame sample at ``s``; O(1) on the uniform half-step grid, where
-        ``TransportFrame.index_of`` would search."""
+        """Frame sample indices at ``s``, a number or an array; O(1) on the
+        uniform half-step grid, where ``TransportFrame.index_of`` would
+        search.  Raises ``KeyError`` if any ``s`` is off the grid."""
         grid = self.frame.grid
-        i = int(round((s - grid[0]) / self._du))
-        if not 0 <= i < len(grid) or abs(grid[i] - s) > 1e-9:
-            raise KeyError(f"s={s} is not a frame grid point")
+        s = np.asarray(s, dtype=float)
+        i = np.rint((s - grid[0]) / self._du).astype(int)
+        ok = (i >= 0) & (i < len(grid))
+        ok &= np.abs(grid[np.where(ok, i, 0)] - s) <= 1e-9
+        if not ok.all():
+            raise KeyError(f"s={np.ravel(s)[~np.ravel(ok)][0]} is not a frame grid point")
         return i
 
     def rotation(self, i):
         """``W = C0^dagger U(s_i)``: maps lab-frame operators at frame
-        sample ``i`` to frame components, ``rho_hat = W rho W^dagger``."""
+        sample ``i`` (an index or an index array) to frame components,
+        ``rho_hat = W rho W^dagger``."""
         return dag(self.frame.basis0) @ self.frame.U[i]
 
-    def _pieces(self, s):
+    def generator(self, s, gamma, approximate):
+        """Rotated-frame generator at ``s``; a ``(d*d, d*d)`` matrix, or a
+        stack of them when ``s`` is an array of frame grid points.
+
+        Exact: ``-iT[diag(E), .] - i[Z^, .] + Gamma T D^``, with
+        ``Z^ = C0^dagger Z(s) C0`` and ``D^ = S(W, W^dagger) D S(W^dagger, W)``
+        the dissipator conjugated into the frame.  Approximate: ``Z^``
+        keeps only its eigenspace blocks and ``D^`` only the couplings the
+        resonance tensor allows.
+        """
         i = self._index(s)
         c0 = self.frame.basis0
-        w = self.rotation(i)
         zhat = dag(c0) @ self.frame.Z[i] @ c0
-        dhat = (sandwich_superop(w, dag(w)) @ self._dsup
-                @ sandwich_superop(dag(w), w))
-        return zhat, dhat
+        if approximate:
+            zhat = np.where(self._same_block, zhat, 0.0)
+        out = self._delta_diag + (-1j) * (
+            sandwich_superop(zhat, self._eye) - sandwich_superop(self._eye, zhat)
+        )
+        if gamma != 0.0:
+            w = self.rotation(i)
+            dhat = (sandwich_superop(w, dag(w)) @ self._dsup
+                    @ sandwich_superop(dag(w), w))
+            if approximate:
+                dhat = np.where(self._mask, dhat, 0.0)
+            out = out + gamma * self.T * dhat
+        return out
+
+    def _generator_fn(self, gamma, approximate):
+        gen = functools.partial(self.generator, gamma=gamma, approximate=approximate)
+        gen.vectorized = True       # takes a chunk's array of midpoints
+        return gen
 
     def exact_generator(self, gamma):
-        def gen(s):
-            zhat, dhat = self._pieces(s)
-            out = self._delta_diag + (-1j) * (
-                sandwich_superop(zhat, self._eye) - sandwich_superop(self._eye, zhat)
-            )
-            if gamma != 0.0:
-                out = out + gamma * self.T * dhat
-            return out
-        return gen
+        return self._generator_fn(gamma, approximate=False)
 
     def approximate_generator(self, gamma):
-        def gen(s):
-            zhat, dhat = self._pieces(s)
-            zbd = np.zeros_like(zhat)
-            for sl in self.frame.block_slices:
-                zbd[sl, sl] = zhat[sl, sl]
-            out = self._delta_diag + (-1j) * (
-                sandwich_superop(zbd, self._eye) - sandwich_superop(self._eye, zbd)
-            )
-            if gamma != 0.0:
-                out = out + gamma * self.T * np.where(self._mask, dhat, 0.0)
-            return out
-        return gen
+        return self._generator_fn(gamma, approximate=True)
 
     def to_lab(self, trajectory):
         """Rotate a component-coordinate trajectory back to the lab frame."""
-        d = self.family.dim
-        n = len(trajectory.grid)
-        states = np.empty_like(trajectory.states)
-        for i in range(n):
-            w = self.rotation(self._index(trajectory.grid[i]))
-            states[i] = dag(w) @ trajectory.states[i] @ w
-        return Trajectory(grid=trajectory.grid, states=states,
+        w = self.rotation(self._index(trajectory.grid))
+        return Trajectory(grid=trajectory.grid,
+                          states=dag(w) @ trajectory.states @ w,
                           metadata=dict(trajectory.metadata))
 
 

@@ -86,6 +86,20 @@ class TestConfigValidation:
         assert cli.main(["run", "--config", str(path), "--workers", "0"]) == 2
         assert "workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, value", [
+        ("dt", "0.01"),
+        ("gamma_list", 0.1),
+        ("path", None),
+        ("seed", "x"),
+        ("dim", 0),
+        pytest.param("dt", 10 ** 400, id="dt-beyond-float"),
+    ])
+    def test_badly_typed_field_exits_two(self, tmp_path, capsys, name, value):
+        # the random model reads seed and dim, so a bad one cannot pass unused
+        path = write_config(tmp_path, model="random_rotating", **{name: value})
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert name in capsys.readouterr().err
+
     def test_errors_survive_pickling(self):
         exc = pickle.loads(pickle.dumps(AssertionFailed("x", 1.0, 1e-7)))
         assert (exc.name, exc.measured, exc.bound) == ("x", 1.0, 1e-7)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiabat.errors import DimensionMismatch, NonFinite, NotHermitian, NotPSD
 from adiabat.linalg import (
+    _PADE_THETA,
     dag,
     frobenius,
     hermitian_eigendecompose,
@@ -100,6 +103,51 @@ class TestMatrixExponential:
         a = np.array([[np.nan, 0.0], [0.0, 0.0]])
         with pytest.raises(NonFinite):
             matrix_exponential(a)
+        with pytest.raises(NonFinite):
+            matrix_exponential(np.stack([np.eye(2), a]))
+
+    def test_non_square_stack_raises(self):
+        with pytest.raises(DimensionMismatch):
+            matrix_exponential(np.zeros((3, 2, 4)))
+
+
+_THETAS = [theta for _, theta in _PADE_THETA]
+# 1-norms on both sides of every order threshold, and beyond the last one,
+# where the matrix is scaled and squared
+_NORMS = st.one_of(
+    st.tuples(st.sampled_from(_THETAS), st.floats(0.8, 1.25)).map(lambda t: t[0] * t[1]),
+    st.floats(_THETAS[-1], 300.0),
+)
+
+
+@st.composite
+def matrix_stacks(draw):
+    n = draw(st.sampled_from([1, 2, 3, 4, 9, 16]))
+    norms = np.array(draw(st.lists(_NORMS, min_size=1, max_size=8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = (rng.standard_normal((len(norms), n, n))
+         + 1j * rng.standard_normal((len(norms), n, n)))
+    return a * (norms / np.abs(a).sum(axis=1).max(axis=1))[:, None, None]
+
+
+class TestBatchedExponential:
+    @settings(max_examples=60, deadline=None)
+    @given(matrix_stacks())
+    def test_stack_equals_each_matrix(self, a):
+        # the batched call is bit for bit the 2-D call on every matrix,
+        # whatever order and squarings its neighbours need
+        expected = np.stack([matrix_exponential(m) for m in a])
+        assert np.array_equal(matrix_exponential(a), expected)
+        # any leading shape is a stack
+        assert np.array_equal(matrix_exponential(a[None, ::-1]), expected[None, ::-1])
+
+    def test_matches_series_across_orders(self, rng):
+        a = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+        a *= (np.array([0.01, 0.2, 0.9, 2.0, 4.0])
+              / np.abs(a).sum(axis=1).max(axis=1))[:, None, None]
+        e = matrix_exponential(a)
+        for m, em in zip(a, e):
+            assert frobenius(em - expm_series(m, terms=60)) <= 1e-13 * frobenius(em)
 
 
 class TestPsdSqrt:
@@ -179,6 +227,19 @@ class TestVectorization:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             sandwich_superop(np.eye(2), np.eye(3))
+
+    def test_stacked_sandwich_is_kron(self, rng):
+        x = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+        y = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        out = sandwich_superop(x, y)
+        assert out.shape == (5, 9, 9)
+        for xk, ok in zip(x, out):
+            assert np.array_equal(ok, np.kron(y.T, xk))
+
+    def test_stacked_unvec_and_dag(self, rng):
+        a = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        assert np.array_equal(unvec(np.stack([vec(m) for m in a])), a)
+        assert np.array_equal(dag(a), np.stack([m.conj().T for m in a]))
 
 
 class TestPredicates:

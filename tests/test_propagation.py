@@ -1,5 +1,12 @@
+import functools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adiabat import propagation, runner
 
 from adiabat.errors import (
     EmptySubspace,
@@ -7,9 +14,15 @@ from adiabat.errors import (
     InvalidInitialState,
     StepTooLarge,
 )
-from adiabat.generators import ExactGenerator, LindbladDissipator
-from adiabat.linalg import dag, frobenius, matrix_exponential
+from adiabat.generators import (
+    ExactGenerator,
+    LindbladDissipator,
+    cp_check,
+    hamiltonian_superop,
+)
+from adiabat.linalg import dag, frobenius, matrix_exponential, vec
 from adiabat.models import (
+    Gauge,
     build_orange_path,
     holonomy_dissipator,
     holonomy_family,
@@ -18,6 +31,7 @@ from adiabat.models import (
 )
 from adiabat.propagation import (
     Trajectory,
+    evolve_vector_piecewise_exp,
     hs_error_max,
     intensity_loss,
     normalized_fidelity,
@@ -119,6 +133,122 @@ class TestPiecewiseExp:
         for s, prop in checkpoints:
             i = int(np.argmin(np.abs(traj.grid - s)))
             assert frobenius(unvec(prop @ vec(rho0)) - traj.states[i]) <= 1e-12
+
+
+def step_by_step(generator, v0, dt, T, s_span=(0.0, 1.0)):
+    """The scheme one step at a time: the reference for the chunked engine."""
+    v = np.asarray(v0, dtype=complex)
+    s, out = s_span[0], [v]
+    for h in propagation._grid_steps(s_span, dt / T):
+        v = matrix_exponential(h * np.asarray(generator(s + 0.5 * h))) @ v
+        s += h
+        out.append(v)
+    return np.asarray(out)
+
+
+@functools.lru_cache(maxsize=None)
+def small_context(model, T=1.0, dt=0.1):
+    if model == "holonomy":
+        return runner.holonomy_context(math.pi / 4, (0.4, 0.2, 0.4, 0.0),
+                                       Gauge.NORTH_POLE_REGULAR, T, dt,
+                                       math.pi / 5, 3 * math.pi / 4)
+    return runner.random_context(3, T, dt)
+
+
+class TestChunkedSteps:
+    @pytest.mark.parametrize("model", ["holonomy", "random_rotating"])
+    def test_chunks_equal_step_by_step(self, model):
+        # 157 steps: two full chunks and a partial one
+        T, dt = 1.57, 0.01
+        ctx = small_context(model, T, dt)
+        gen = ctx.approximate_generator(0.1)
+        v0 = vec(ctx.rho0)
+        grid, vectors = evolve_vector_piecewise_exp(gen, v0, dt, T)
+        assert len(grid) == 158
+        assert np.array_equal(vectors, step_by_step(gen, v0, dt, T))
+        # a generator that takes one s at a time goes through the same steps
+        one_at_a_time = lambda s: gen(s)
+        assert np.array_equal(evolve_vector_piecewise_exp(one_at_a_time, v0, dt, T)[1],
+                              vectors)
+
+    def test_shortened_last_step_equals_step_by_step(self):
+        model = make_random_model(6)
+        gen = ExactGenerator(model.family(), model.dissipator(), 1.0, 0.2)
+        v0 = vec(model.initial_density())
+        grid, vectors = evolve_vector_piecewise_exp(gen, v0, 0.0127, 1.0)
+        assert len(grid) == 80 and grid[-1] == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(vectors, step_by_step(gen, v0, 0.0127, 1.0))
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_oversized_step_inside_chunk(self, qubit_rho, vectorized):
+        def gen(s):
+            s = np.asarray(s)
+            big = (s > 0.3)[..., None, None]
+            return np.where(big, 1e4 * np.eye(4), np.zeros((4, 4))) + 0j
+        gen.vectorized = vectorized
+        # step 30 of 100 is the first oversized one: inside the second chunk,
+        # which holds every step after the first
+        assert propagation._CHUNK_BYTES // (16 * 4 * 4) >= 99
+        with pytest.raises(StepTooLarge):
+            propagate_piecewise_exp(gen, qubit_rho, 0.01, 1.0)
+        with pytest.raises(StepTooLarge):
+            piecewise_exp_propagator(gen, 0.01, 1.0)
+
+    @pytest.mark.parametrize("dim, sizes", [(16, [1, 64, 64, 29]), (128, [1] * 5)])
+    def test_chunks_bounded_in_bytes(self, dim, sizes):
+        # 64 steps of a 16x16 generator per chunk, one step of a 128x128
+        seen = []
+
+        def gen(s):
+            seen.append(len(s))
+            return np.zeros((len(s), dim, dim), dtype=complex)
+        gen.vectorized = True
+        steps = sum(sizes)
+        piecewise_exp_propagator(gen, 1.0 / steps, 1.0)
+        assert seen == sizes
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["holonomy", "random_rotating"]), st.booleans(),
+           st.sampled_from([0.0, 0.01, 0.3]),
+           st.lists(st.integers(0, 20), min_size=1, max_size=12))
+    def test_run_context_generator_on_arrays(self, model, approximate, gamma, idx):
+        ctx = small_context(model)
+        gen = (ctx.approximate_generator if approximate else ctx.exact_generator)(gamma)
+        s = ctx.frame.grid[idx]
+        stack = gen(s)
+        assert stack.shape == (len(idx), 16, 16)
+        assert np.array_equal(stack, np.stack([gen(float(x)) for x in s]))
+
+    @pytest.mark.parametrize("off", [0.07, -0.05, 1.05])
+    def test_run_context_off_grid_entry_raises(self, off):
+        ctx = small_context("random_rotating")
+        gen = ctx.exact_generator(0.1)
+        with pytest.raises(KeyError):
+            gen(np.array([0.05, 0.15, off]))
+
+
+def random_lindbladian(rng, dim, n_jumps):
+    h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    jumps = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+             for _ in range(n_jumps)]
+    diss = LindbladDissipator.constant(jumps)
+    return hamiltonian_superop(h + dag(h)) + diss.superoperator(0.0)
+
+
+class TestCompletePositivity:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 3), st.integers(1, 3), st.floats(0.01, 15.0),
+           st.integers(0, 2**32 - 1))
+    def test_one_step_is_cptp(self, dim, n_jumps, size, seed):
+        gen = random_lindbladian(np.random.default_rng(seed), dim, n_jumps)
+        gen *= size / np.linalg.norm(gen)
+        # dt = T: one step over [0, 1]
+        [(s, prop)] = piecewise_exp_propagator(lambda s: gen, 1.0, 1.0)
+        assert s == 1.0
+        row = vec(np.eye(dim)).conj()
+        assert np.abs(row @ prop - row).max() <= 1e-12
+        min_eig, _ = cp_check(prop)
+        assert min_eig >= -1e-10
 
 
 class TestRk4:
