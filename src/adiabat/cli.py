@@ -41,13 +41,18 @@ from .generators import ApproximateGenerator, lindblad_factorize
 from .linalg import frobenius
 from .propagation import intensity_loss, propagate_piecewise_exp
 from .resonance import compute_resonance_tensor
-from .spectral import build_transport_frame, geometric_term
+from .spectral import build_transport_frame, geometric_term, vectorized
 
 __all__ = ["ExperimentConfig", "run_preset", "run_config", "main", "PRESETS"]
 
 SWEEP_COLUMNS = ["model", "gamma", "T", "dt", "elem11_exact", "elem11_approx",
                  "fidelity_norm", "loss_exact", "loss_approx", "end_hs_error",
                  "max_hs_error"]
+
+# largest Hilbert-space dimension a config may ask for
+_MAX_DIM = 16
+# run-time fractions of the orange-slice legs when a config gives none
+_DEFAULT_SPLIT = (0.4, 0.2, 0.4, 0.0)
 
 _GAUGES = {
     "north_pole": models.Gauge.NORTH_POLE_REGULAR,
@@ -123,7 +128,7 @@ class ExperimentConfig:
     initial_state: dict = field(default_factory=lambda: {"x": math.pi / 5,
                                                          "y": 3 * math.pi / 4})
     path: dict = field(default_factory=lambda: {"delta_phi": math.pi / 4,
-                                                "split": (0.4, 0.2, 0.4, 0.0)})
+                                                "split": _DEFAULT_SPLIT})
     gauge: str = "north_pole"
     seed: int = 7
     dim: int = 4
@@ -163,6 +168,9 @@ class ExperimentConfig:
             raise ConfigInvalid("seed must be >= 0", field="seed")
         if self.dim < 2:
             raise ConfigInvalid("dim must be >= 2", field="dim")
+        if self.dim > _MAX_DIM:
+            # superoperators are dim^2 x dim^2
+            raise ConfigInvalid(f"dim must be <= {_MAX_DIM}", field="dim")
         if self.model == "holonomy":
             for key in ("x", "y"):
                 if key not in self.initial_state or not math.isfinite(self.initial_state[key]):
@@ -170,13 +178,20 @@ class ExperimentConfig:
                                         field="initial_state")
             if "delta_phi" not in self.path:
                 raise ConfigInvalid("path needs delta_phi", field="path")
+            if not 0.0 <= self.path["delta_phi"] < 2.0 * math.pi:
+                raise ConfigInvalid("path delta_phi must lie in [0, 2*pi)", field="path")
+            split = self.path.get("split", _DEFAULT_SPLIT)
+            if (len(split) != 4 or not all(0.0 <= f < math.inf for f in split)
+                    or abs(sum(split) - 1.0) > 1e-12):
+                raise ConfigInvalid("path split must be four numbers >= 0 summing to 1",
+                                    field="path")
 
     def tasks(self):
         """One runner task per T slot (gammas share the frame build)."""
         if self.model == "holonomy":
             model = dict(
                 delta_phi=float(self.path["delta_phi"]),
-                split=tuple(self.path.get("split", (0.4, 0.2, 0.4, 0.0))),
+                split=tuple(self.path.get("split", _DEFAULT_SPLIT)),
                 gauge=_GAUGES[self.gauge],
                 x=float(self.initial_state["x"]),
                 y=float(self.initial_state["y"]),
@@ -408,9 +423,9 @@ def gauge_check_rows(T=2.0, gamma=0.1, dt=1e-4):
     point_eq = runner.run_point(ctx_eq, gamma)
 
     fam = ctx_np.family
+    q_of_s = vectorized(functools.partial(geometric_term, fam, h=1e-3, richardson=True))
     gen_lab = ApproximateGenerator(fam, ctx_np.dissipator, ctx_np.tensor, T, gamma,
-                                   q_of_s=lambda s: geometric_term(fam, s, h=1e-3,
-                                                                   richardson=True))
+                                   q_of_s=q_of_s)
     traj_lab = propagate_piecewise_exp(gen_lab, ctx_np.rho0, dt, T)
 
     n = len(traj_lab.grid) - 1

@@ -6,6 +6,16 @@ block form of the approximate equation, the factorization of the filtered
 dissipator back into Lindblad form, and Choi-matrix complete-positivity
 certification for propagators.
 
+The lab-frame pieces take a 1-D array of ``s`` as well as a number and
+then return ``(n, d^2, d^2)`` stacks: :meth:`LindbladDissipator.superoperator`,
+:func:`hamiltonian_superop` (of an operator stack),
+:func:`exact_generator`, :func:`filtered_dissipator_superop` (of a stacked
+decomposition) and :func:`approximate_generator`.  :class:`ExactGenerator`
+and :class:`ApproximateGenerator` are marked ``vectorized``, so the
+integrator hands them a chunk's midpoints at once.  Operator callables
+(jump operators, ``q_of_s``) marked :func:`.spectral.vectorized` are
+called once per array, any other once per sample.
+
 All superoperators use the column-stacking convention of :mod:`.linalg`.
 The rotated-frame machinery expresses operators in the component
 coordinates of the transport frame's initial eigenbasis (``frame.basis0``),
@@ -28,7 +38,7 @@ from .linalg import (
     unvec,
     vec,
 )
-from .spectral import geometric_term
+from .spectral import evaluate_on, geometric_term, vectorized
 
 __all__ = [
     "LindbladDissipator",
@@ -62,6 +72,8 @@ class LindbladDissipator:
                  - (1/2) {V_n^dag V_n, rho}``
 
     ``hamiltonian_part`` may be None for a purely dissipative process.
+    The operators are callables of ``s``; the ones of :meth:`constant` are
+    marked :func:`.spectral.vectorized`.
     """
 
     dim: int
@@ -73,10 +85,10 @@ class LindbladDissipator:
         """Dissipator with s-independent operators."""
         jumps = [np.asarray(v, dtype=complex) for v in jumps]
         dim = jumps[0].shape[0] if jumps else np.asarray(f).shape[0]
-        fham = None if f is None else (lambda s, f=np.asarray(f, dtype=complex): f)
+        fham = None if f is None else _constant(np.asarray(f, dtype=complex))
         return cls(dim=dim,
                    hamiltonian_part=fham,
-                   jump_operators=[(lambda s, v=v: v) for v in jumps])
+                   jump_operators=[_constant(v) for v in jumps])
 
     @classmethod
     def double_commutator(cls, a):
@@ -87,13 +99,14 @@ class LindbladDissipator:
 
     def f_at(self, s):
         if self.hamiltonian_part is None:
-            return np.zeros((self.dim, self.dim), dtype=complex)
-        return np.asarray(self.hamiltonian_part(s), dtype=complex)
+            return np.zeros(np.shape(s) + (self.dim, self.dim), dtype=complex)
+        return np.asarray(evaluate_on(self.hamiltonian_part, s), dtype=complex)
 
     def jumps_at(self, s):
-        return [np.asarray(v(s), dtype=complex) for v in self.jump_operators]
+        return [np.asarray(evaluate_on(v, s), dtype=complex) for v in self.jump_operators]
 
     def superoperator(self, s):
+        """``D_s`` as a ``(d^2, d^2)`` matrix; a stack for an array ``s``."""
         d = self.dim
         eye = np.eye(d, dtype=complex)
         out = hamiltonian_superop(self.f_at(s))
@@ -108,10 +121,15 @@ class LindbladDissipator:
         return unvec(self.superoperator(s) @ vec(rho), self.dim)
 
 
+def _constant(m):
+    """The callable ``s -> m``, broadcast to a stack for an array ``s``."""
+    return vectorized(lambda s: np.broadcast_to(m, np.shape(s) + m.shape))
+
+
 def hamiltonian_superop(h):
-    """Superoperator of ``rho -> -i[h, rho]``."""
+    """Superoperator of ``rho -> -i[h, rho]``; a stack for a stack ``h``."""
     h = np.asarray(h, dtype=complex)
-    eye = np.eye(h.shape[0], dtype=complex)
+    eye = np.eye(h.shape[-1], dtype=complex)
     return -1j * (sandwich_superop(h, eye) - sandwich_superop(eye, h))
 
 
@@ -127,7 +145,8 @@ def trace_preservation_defect(superop):
 # ---------------------------------------------------------------------------
 
 def exact_generator(family, dissipator, T, gamma, s):
-    """``-iT[H(s), .] + Gamma T D_s`` as a (d^2, d^2) matrix."""
+    """``-iT[H(s), .] + Gamma T D_s`` as a (d^2, d^2) matrix; a stack for
+    an array ``s``."""
     if family.dim != dissipator.dim:
         raise DimensionMismatch(
             f"Hamiltonian dim {family.dim} != dissipator dim {dissipator.dim}"
@@ -140,8 +159,8 @@ def exact_generator(family, dissipator, T, gamma, s):
 
 def filtered_dissipator_superop(dissipator, tensor, decomp, s):
     """Projector-filtered dissipator
-    ``sum_{klk'l'} g_klk'l' P_k D_s(P_k' . P_l') P_l`` as a superoperator."""
-    d = dissipator.dim
+    ``sum_{klk'l'} g_klk'l' P_k D_s(P_k' . P_l') P_l`` as a superoperator;
+    a stack for an array ``s`` with the decomposition stacked over it."""
     dsup = dissipator.superoperator(s)
     projs = decomp.projectors
     k = decomp.nspaces
@@ -150,7 +169,7 @@ def filtered_dissipator_superop(dissipator, tensor, decomp, s):
         for lp in range(k):
             if tensor.g[:, :, kp, lp].any():
                 right[(kp, lp)] = dsup @ sandwich_superop(projs[kp], projs[lp])
-    out = np.zeros((d * d, d * d), dtype=complex)
+    out = np.zeros(dsup.shape, dtype=complex)
     for a in range(k):
         for b in range(k):
             inner = None
@@ -175,7 +194,7 @@ def approximate_generator(family, dissipator, tensor, T, gamma, s, q_of_s=None):
         raise DimensionMismatch(
             f"Hamiltonian dim {family.dim} != dissipator dim {dissipator.dim}"
         )
-    q = geometric_term(family, s) if q_of_s is None else q_of_s(s)
+    q = geometric_term(family, s) if q_of_s is None else evaluate_on(q_of_s, s)
     g = hamiltonian_superop(T * family.hamiltonian(s) + q)
     if gamma != 0.0:
         decomp = family.spectrum(s)
@@ -185,7 +204,9 @@ def approximate_generator(family, dissipator, tensor, T, gamma, s, q_of_s=None):
 
 @dataclass
 class ExactGenerator:
-    """Callable ``s -> exact generator matrix``."""
+    """Callable ``s -> exact generator matrix``; takes an array of ``s``."""
+
+    vectorized = True
 
     family: object
     dissipator: LindbladDissipator
@@ -198,7 +219,10 @@ class ExactGenerator:
 
 @dataclass
 class ApproximateGenerator:
-    """Callable ``s -> approximate generator matrix`` (lab frame)."""
+    """Callable ``s -> approximate generator matrix`` (lab frame); takes an
+    array of ``s``."""
+
+    vectorized = True
 
     family: object
     dissipator: LindbladDissipator

@@ -16,6 +16,12 @@ of the bright-state splitting and times in its inverse; a run is always
 parametrized by ``s = t/T`` on [0, 1].
 
 Basis order for the holonomy model: ``|0>, |1>, |a>, |e>``.
+
+Arrays: :func:`holonomy_hamiltonian`, :func:`analytic_eigenbasis`,
+:meth:`HolonomyPath.angles` and :meth:`RandomRotatingModel.rotation` also
+take arrays of angles or of ``s`` and return stacks along the leading
+axes, and the families built here are marked
+:func:`.spectral.vectorized`.
 """
 from __future__ import annotations
 
@@ -27,7 +33,7 @@ import numpy as np
 from .errors import BadSplit, GaugeSingularity
 from .generators import LindbladDissipator
 from .linalg import dag, hermitian_eigendecompose
-from .spectral import HamiltonianFamily, SpectralDecomposition
+from .spectral import HamiltonianFamily, SpectralDecomposition, vectorized
 
 __all__ = [
     "Gauge",
@@ -66,14 +72,15 @@ class Gauge(enum.Enum):
 # ---------------------------------------------------------------------------
 
 def holonomy_hamiltonian(theta, phi):
-    """Four-level coupling Hamiltonian at sphere angles ``(theta, phi)``."""
+    """Four-level coupling Hamiltonian at sphere angles ``(theta, phi)``;
+    a stack ``(..., 4, 4)`` for arrays of angles."""
     w0 = np.sin(theta) * np.sin(phi)
     w1 = np.sin(theta) * np.cos(phi)
     wa = np.cos(theta)
-    h = np.zeros((4, 4), dtype=complex)
-    h[3, 0] = h[0, 3] = w0
-    h[3, 1] = h[1, 3] = w1
-    h[3, 2] = h[2, 3] = wa
+    h = np.zeros(np.shape(w0) + (4, 4), dtype=complex)
+    h[..., 3, 0] = h[..., 0, 3] = w0
+    h[..., 3, 1] = h[..., 1, 3] = w1
+    h[..., 3, 2] = h[..., 2, 3] = wa
     return h
 
 
@@ -87,21 +94,27 @@ def analytic_eigenbasis(theta, phi, gauge=Gauge.EQUATOR_REGULAR):
     column 3 energy -1.  In the north-pole-regular gauge the dark pair is
     rotated by ``-phi`` in its own plane, which makes the columns
     azimuth-independent at ``theta = 0``; that gauge is undefined at the
-    south pole.
+    south pole.  Arrays of angles give a stack ``(..., 4, 4)``.
     """
     st, ct = np.sin(theta), np.cos(theta)
     sp, cp = np.sin(phi), np.cos(phi)
-    chi1 = np.array([cp, -sp, 0.0, 0.0], dtype=complex)
-    chi2 = np.array([sp * ct, cp * ct, -st, 0.0], dtype=complex)
-    chi3 = np.array([sp * st, cp * st, ct, 1.0], dtype=complex) / np.sqrt(2.0)
-    chi4 = np.array([sp * st, cp * st, ct, -1.0], dtype=complex) / np.sqrt(2.0)
+    zero, one = np.zeros_like(ct), np.ones_like(ct)
+
+    def column(*entries):
+        return np.stack(entries, axis=-1).astype(complex)
+
+    chi1 = column(cp, -sp, zero, zero)
+    chi2 = column(sp * ct, cp * ct, -st, zero)
+    chi3 = column(sp * st, cp * st, ct, one) / np.sqrt(2.0)
+    chi4 = column(sp * st, cp * st, ct, -one) / np.sqrt(2.0)
     if gauge is Gauge.NORTH_POLE_REGULAR:
-        if abs(theta - np.pi) < _SOUTH_POLE_TOL:
+        if np.any(np.abs(theta - np.pi) < _SOUTH_POLE_TOL):
             raise GaugeSingularity(
                 "north-pole-regular gauge is undefined at the south pole"
             )
+        cp, sp = cp[..., None], sp[..., None]
         chi1, chi2 = cp * chi1 + sp * chi2, -sp * chi1 + cp * chi2
-    return np.column_stack([chi1, chi2, chi3, chi4])
+    return np.stack([chi1, chi2, chi3, chi4], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +179,22 @@ class HolonomyPath:
         return self._segment(s).phi_rate()
 
     def angles(self, s):
-        seg = self._segment(s)
-        return seg.theta(s), seg.phi(s)
+        """``(theta, phi)`` at ``s``; arrays of the shape of ``s`` for an
+        array, each sample on its own segment."""
+        if np.ndim(s) == 0:
+            seg = self._segment(s)
+            return seg.theta(s), seg.phi(s)
+        s = np.asarray(s, dtype=float)
+        # the first segment with s0 <= s < s1, else the last one
+        which = np.full(s.shape, len(self.segments) - 1)
+        for i in reversed(range(len(self.segments))):
+            seg = self.segments[i]
+            which[(seg.s0 <= s) & (s < seg.s1)] = i
+        theta, phi = np.empty_like(s), np.empty_like(s)
+        for i, seg in enumerate(self.segments):
+            on = which == i
+            theta[on], phi[on] = seg.theta(s[on]), seg.phi(s[on])
+        return theta, phi
 
 
 def build_orange_path(delta_phi, T, split=(0.4, 0.2, 0.4, 0.0)):
@@ -248,14 +275,15 @@ def initial_state(x, y):
 
 
 def _holonomy_spectrum(path):
+    @vectorized
     def spectrum(s):
         theta, phi = path.angles(s)
         c = analytic_eigenbasis(theta, phi, Gauge.EQUATOR_REGULAR)
-        dark = c[:, :2] @ dag(c[:, :2])
-        plus = np.outer(c[:, 2], np.conj(c[:, 2]))
-        minus = np.outer(c[:, 3], np.conj(c[:, 3]))
+        dark = c[..., :2] @ dag(c[..., :2])
+        plus = c[..., :, 2, None] * np.conj(c[..., None, :, 2])
+        minus = c[..., :, 3, None] * np.conj(c[..., None, :, 3])
         return SpectralDecomposition(
-            energies=np.array([-1.0, 0.0, 1.0]),
+            energies=np.broadcast_to([-1.0, 0.0, 1.0], np.shape(s) + (3,)).copy(),
             projectors=[minus, dark, plus],
             ranks=(1, 2, 1),
         )
@@ -266,9 +294,9 @@ def holonomy_family(path, gauge=Gauge.NORTH_POLE_REGULAR):
     """Hamiltonian family along a path, with analytic spectrum and basis."""
     return HamiltonianFamily(
         dim=4,
-        evaluate=lambda s: holonomy_hamiltonian(*path.angles(s)),
+        evaluate=vectorized(lambda s: holonomy_hamiltonian(*path.angles(s))),
         analytic_spectrum=_holonomy_spectrum(path),
-        analytic_basis=lambda s: analytic_eigenbasis(*path.angles(s), gauge),
+        analytic_basis=vectorized(lambda s: analytic_eigenbasis(*path.angles(s), gauge)),
         n_eigenspaces=3,
         breakpoints=path.breakpoints,
     )
@@ -338,21 +366,25 @@ class RandomRotatingModel:
         self._h0_eig = (w0, v0)
 
     def rotation(self, s):
+        """``exp(-isZ)``; a stack ``(..., d, d)`` for an array ``s``."""
         wz, vz = self._z_eig
-        return (vz * np.exp(-1j * s * wz)) @ dag(vz)
+        phase = np.exp((-1j * np.asarray(s))[..., None] * wz)
+        return (vz * phase[..., None, :]) @ dag(vz)
 
     def family(self):
         w0, v0 = self._h0_eig
         projs0 = [np.outer(v0[:, k], np.conj(v0[:, k])) for k in range(self.dim)]
 
+        @vectorized
         def evaluate(s):
             r = self.rotation(s)
             return r @ self.h0 @ dag(r)
 
+        @vectorized
         def spectrum(s):
             r = self.rotation(s)
             return SpectralDecomposition(
-                energies=w0.copy(),
+                energies=np.broadcast_to(w0, np.shape(s) + w0.shape).copy(),
                 projectors=[r @ p @ dag(r) for p in projs0],
                 ranks=(1,) * self.dim,
             )
@@ -361,7 +393,7 @@ class RandomRotatingModel:
             dim=self.dim,
             evaluate=evaluate,
             analytic_spectrum=spectrum,
-            analytic_basis=lambda s: self.rotation(s) @ v0,
+            analytic_basis=vectorized(lambda s: self.rotation(s) @ v0),
             n_eigenspaces=self.dim,
         )
 

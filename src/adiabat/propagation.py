@@ -15,10 +15,12 @@ the generators at a chunk's midpoints are built as one ``(n, D, D)`` stack, each
 checked against ``_STEP_NORM_BUDGET``, and the stack goes through one
 batched :func:`.linalg.matrix_exponential` before a plain loop of
 matrix-vector (or matrix-matrix) products applies the step maps in order.
-A generator marked ``vectorized`` (see :class:`.runner.RunContext`) takes
-the array of midpoints at once; any other callable ``s -> M(s)`` is called
-once per midpoint.  A classical fixed-step fourth-order Runge-Kutta
-integrator is provided as an independent cross-check.
+A generator marked ``vectorized`` (:class:`.runner.RunContext`'s and the
+lab-frame :class:`.generators.ExactGenerator` and
+:class:`.generators.ApproximateGenerator`) takes the array of midpoints at
+once; any other callable ``s -> M(s)`` is called once per midpoint.  A
+classical fixed-step fourth-order Runge-Kutta integrator is provided as an
+independent cross-check.
 """
 from __future__ import annotations
 
@@ -41,6 +43,7 @@ from .linalg import (
     unvec,
     vec,
 )
+from .spectral import evaluate_on
 
 __all__ = [
     "Trajectory",
@@ -122,13 +125,6 @@ def _check_density(rho, tol=1e-10):
     return rho
 
 
-def _generator_stack(generator, mids):
-    """Generators at the midpoints ``mids`` as one ``(n, D, D)`` stack."""
-    if getattr(generator, "vectorized", False):
-        return np.asarray(generator(mids))
-    return np.stack([np.asarray(generator(s)) for s in mids.tolist()])
-
-
 def _step_maps(generator, dt, T, s_span):
     """Grid of the midpoint scheme and an iterator over its step maps.
 
@@ -143,7 +139,7 @@ def _step_maps(generator, dt, T, s_span):
         k, n = 0, 1     # a first chunk of one step gives the generator's size
         while k < len(steps):
             h = steps[k:k + n]
-            m = _generator_stack(generator, grid[k:k + len(h)] + 0.5 * h)
+            m = np.asarray(evaluate_on(generator, grid[k:k + len(h)] + 0.5 * h))
             size = h * np.linalg.norm(m, axis=(-2, -1))
             # the first step over budget raises; a NaN norm goes on to the
             # exponential, which raises NonFinite

@@ -35,7 +35,7 @@ from .propagation import (
     propagate_piecewise_exp,
 )
 from .resonance import compute_resonance_tensor
-from .spectral import build_transport_frame
+from .spectral import build_transport_frame, vectorized
 
 __all__ = [
     "RunPoint",
@@ -131,9 +131,9 @@ class RunContext:
         return out
 
     def _generator_fn(self, gamma, approximate):
-        gen = functools.partial(self.generator, gamma=gamma, approximate=approximate)
-        gen.vectorized = True       # takes a chunk's array of midpoints
-        return gen
+        # takes a chunk's array of midpoints
+        return vectorized(functools.partial(self.generator, gamma=gamma,
+                                            approximate=approximate))
 
     def exact_generator(self, gamma):
         return self._generator_fn(gamma, approximate=False)

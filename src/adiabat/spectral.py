@@ -12,9 +12,20 @@ Labels: a single decomposition labels eigenspaces by ascending energy at
 the requested ``s``.  Cross-parameter label consistency is the job of
 :func:`decompose_on_grid` (overlap propagation) or of an analytic spectrum
 supplied by the model.
+
+Arrays of ``s``: :meth:`HamiltonianFamily.hamiltonian`,
+:meth:`HamiltonianFamily.spectrum`, :func:`projector_derivative` and
+:func:`geometric_term` also take a 1-D array of parameter values and return
+stacks along a leading axis (a stacked decomposition holds one ``(n, d, d)``
+stack per eigenspace), and :func:`build_transport_frame` evaluates an
+analytic basis on the whole grid at once.  A callable marked with
+:func:`vectorized` takes the array in one call; any other callable is
+called once per sample and the results are stacked.  Each sample of a
+stack gets the same floating-point operations as a scalar call.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -37,14 +48,34 @@ __all__ = [
     "projector_derivative",
     "geometric_term",
     "build_transport_frame",
+    "vectorized",
+    "evaluate_on",
 ]
 
 _HERMITICITY_TOL = 1e-12
 
 
+def vectorized(fn):
+    """Mark ``fn`` as taking a 1-D array of ``s`` and returning a stack."""
+    fn.vectorized = True
+    return fn
+
+
+def evaluate_on(fn, s):
+    """``fn`` at ``s``: a number, or a 1-D array whose results are stacked
+    along a leading axis.  A callable marked :func:`vectorized` gets the
+    array in one call; any other is called once per sample."""
+    if np.ndim(s) == 0 or getattr(fn, "vectorized", False):
+        return fn(s)
+    return np.stack([np.asarray(fn(x)) for x in np.asarray(s).tolist()])
+
+
 @dataclass
 class SpectralDecomposition:
-    """Clustered eigenstructure ``H = sum_k E_k P_k`` at one parameter value."""
+    """Clustered eigenstructure ``H = sum_k E_k P_k`` at one parameter value,
+    or at each of ``n`` values: then ``energies`` is ``(n, K)``, each
+    projector an ``(n, d, d)`` stack, and ``ranks`` an ``(n, K)`` array
+    where the samples' ranks differ."""
 
     energies: np.ndarray          # (K,) real, one value per eigenspace
     projectors: list              # K projectors, each (d, d)
@@ -52,11 +83,30 @@ class SpectralDecomposition:
 
     @property
     def nspaces(self):
-        return len(self.ranks)
+        return np.shape(self.ranks)[-1]
 
     @property
     def dim(self):
-        return self.projectors[0].shape[0]
+        return self.projectors[0].shape[-1]
+
+    def take(self, index):
+        """The samples ``index`` of a stacked decomposition."""
+        ranks = self.ranks if isinstance(self.ranks, tuple) else self.ranks[index]
+        return SpectralDecomposition(energies=self.energies[index],
+                                     projectors=[p[index] for p in self.projectors],
+                                     ranks=ranks)
+
+    @classmethod
+    def stack(cls, decomps):
+        """One stacked decomposition of per-sample ones."""
+        counts = {d.nspaces for d in decomps}
+        if len(counts) > 1:
+            raise DegeneracyChange(f"eigenspace count changed between samples: {sorted(counts)}")
+        ranks = {d.ranks for d in decomps}
+        return cls(energies=np.stack([d.energies for d in decomps]),
+                   projectors=[np.stack(p) for p in zip(*(d.projectors for d in decomps))],
+                   ranks=ranks.pop() if len(ranks) == 1
+                   else np.array([d.ranks for d in decomps]))
 
     def validate(self, tol=1e-10, degeneracy_tol=1e-8):
         """Check projector algebra, completeness, distinctness and rank sum."""
@@ -96,17 +146,24 @@ class HamiltonianFamily:
     degeneracy_tol: float = 1e-8
 
     def hamiltonian(self, s):
-        h = np.asarray(self.evaluate(s), dtype=complex)
-        defect = frobenius(h - dag(h))
-        if defect > _HERMITICITY_TOL:
-            raise NotHermitian(f"H({s}) deviates from Hermitian by {defect:.3e}")
+        """``H(s)``, or a stack of them for a 1-D array ``s``."""
+        h = np.asarray(evaluate_on(self.evaluate, s), dtype=complex)
+        defect = np.linalg.norm(h - dag(h), axis=(-2, -1))
+        bad = np.flatnonzero(defect > _HERMITICITY_TOL)
+        if bad.size:
+            raise NotHermitian(f"H({np.ravel(s)[bad[0]]}) deviates from Hermitian "
+                               f"by {np.ravel(defect)[bad[0]]:.3e}")
         return h
 
     def spectrum(self, s):
-        """Instantaneous decomposition, analytic when the model provides one."""
-        if self.analytic_spectrum is not None:
-            return self.analytic_spectrum(s)
-        return decompose_at(self, s, self.degeneracy_tol)
+        """Instantaneous decomposition, analytic when the model provides
+        one; stacked for a 1-D array ``s``."""
+        one = self.analytic_spectrum
+        if one is None:
+            one = functools.partial(decompose_at, self, degeneracy_tol=self.degeneracy_tol)
+        if np.ndim(s) == 0 or getattr(one, "vectorized", False):
+            return one(s)
+        return SpectralDecomposition.stack([one(x) for x in np.asarray(s).tolist()])
 
 
 def _cluster_eigenvalues(w, degeneracy_tol):
@@ -165,34 +222,40 @@ def decompose_at(family, s, degeneracy_tol=1e-8):
 
 def _match_order(decomp, reference):
     """Permutation aligning ``decomp`` labels to ``reference`` by maximal
-    projector overlap (greedy over the largest entries; K <= 4 here)."""
+    projector overlap (greedy over the largest entries; K <= 4 here); one
+    per sample, shape ``(..., K)``, for stacked decompositions."""
     k = reference.nspaces
     if decomp.nspaces != k:
         raise DegeneracyChange(
             f"eigenspace count changed from {k} to {decomp.nspaces}"
         )
-    overlap = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            overlap[i, j] = np.trace(reference.projectors[i] @ decomp.projectors[j]).real
-    order = np.full(k, -1, dtype=int)
-    taken = set()
-    for i, j in zip(*np.unravel_index(np.argsort(-overlap, axis=None), overlap.shape)):
-        if order[i] < 0 and j not in taken:
-            order[i] = j
-            taken.add(j)
-    if any(reference.ranks[i] != decomp.ranks[order[i]] for i in range(k)):
+    overlap = np.einsum("...iab,...jba->...ij", np.stack(reference.projectors, axis=-3),
+                        np.stack(decomp.projectors, axis=-3)).real
+    lead = overlap.shape[:-2]
+    ranking = np.argsort(-overlap.reshape(-1, k * k), axis=-1)
+    rows = np.arange(len(ranking))
+    order = np.full((len(ranking), k), -1)
+    taken = np.zeros((len(ranking), k), dtype=bool)
+    for i, j in zip(*np.divmod(ranking.T, k)):
+        free = (order[rows, i] < 0) & ~taken[rows, j]
+        order[rows[free], i[free]] = j[free]
+        taken[rows[free], j[free]] = True
+    ranks = np.broadcast_to(decomp.ranks, lead + (k,)).reshape(-1, k)
+    if (np.take_along_axis(ranks, order, -1) != np.reshape(reference.ranks, (-1, k))).any():
         raise DegeneracyChange("eigenspace ranks changed between samples")
-    return order
+    return order.reshape(lead + (k,))
 
 
 def _relabel(decomp, reference):
     """Permute ``decomp`` labels to maximize overlap with ``reference``."""
     order = _match_order(decomp, reference)
+    projectors = np.take_along_axis(np.stack(decomp.projectors, axis=-3),
+                                    order[..., None, None], axis=-3)
     return SpectralDecomposition(
-        energies=decomp.energies[order],
-        projectors=[decomp.projectors[j] for j in order],
-        ranks=tuple(decomp.ranks[j] for j in order),
+        energies=np.take_along_axis(
+            np.broadcast_to(decomp.energies, order.shape), order, -1),
+        projectors=list(np.moveaxis(projectors, -3, 0)),
+        ranks=reference.ranks,
     )
 
 
@@ -213,17 +276,25 @@ def decompose_on_grid(family, grid, degeneracy_tol=1e-8):
 # finite-difference derivatives
 # ---------------------------------------------------------------------------
 
-def _stencil_kind(family, s, h):
-    """Decide the stencil shape: central unless it would leave [0, 1] or
-    straddle a kink of the schedule."""
+_STENCILS = ("central", "forward", "backward")
+
+
+def _samples(s):
+    return np.atleast_1d(np.asarray(s, dtype=float))
+
+
+def _stencil_kinds(family, s, h):
+    """Stencil shape per sample of the 1-D array ``s``: central unless it
+    would leave [0, 1] or straddle a kink of the schedule."""
     lo, hi = s - h, s + h
-    crosses = any(lo < b < hi or abs(b - s) < 1e-15 for b in family.breakpoints)
-    if not crosses and lo >= 0.0 and hi <= 1.0:
-        return "central"
-    forward_ok = s + 2 * h <= 1.0 and not any(
-        s < b < s + 2 * h for b in family.breakpoints
-    )
-    return "forward" if forward_ok else "backward"
+    crosses = np.zeros(s.shape, dtype=bool)
+    kink_ahead = np.zeros(s.shape, dtype=bool)
+    for b in family.breakpoints:
+        crosses |= ((lo < b) & (b < hi)) | (np.abs(b - s) < 1e-15)
+        kink_ahead |= (s < b) & (b < s + 2 * h)
+    central = ~crosses & (lo >= 0.0) & (hi <= 1.0)
+    forward = ~central & (s + 2 * h <= 1.0) & ~kink_ahead
+    return np.where(central, "central", np.where(forward, "forward", "backward"))
 
 
 def _stencil_points(kind, s, h):
@@ -234,51 +305,76 @@ def _stencil_points(kind, s, h):
     return (s - 2 * h, s - h, s), (0.5 / h, -2.0 / h, 1.5 / h)
 
 
-def _projector_derivative_once(family, s, h, kind):
-    base = family.spectrum(s)
-    points, weights = _stencil_points(kind, s, h)
-    derivs = [np.zeros((family.dim, family.dim), dtype=complex) for _ in base.ranks]
-    for point, weight in zip(points, weights):
-        d = base if point == s else _relabel(family.spectrum(point), base)
-        for k, p in enumerate(d.projectors):
-            derivs[k] += weight * p
-    return base, derivs
-
-
 def _projector_derivatives(family, s, h, richardson):
-    # the stencil shape is fixed at step h so a Richardson pair shares the
-    # same truncation-error structure
-    kind = _stencil_kind(family, s, h)
-    base, derivs = _projector_derivative_once(family, s, h, kind)
-    if richardson:
-        _, fine = _projector_derivative_once(family, s, h / 2, kind)
-        derivs = [(4.0 * f - c) / 3.0 for f, c in zip(fine, derivs)]
+    """Spectra at the 1-D array ``s`` and their projector derivatives.
+
+    The spectra at every stencil point of every sample come from one
+    ``family.spectrum`` call and are relabeled against the spectra at
+    ``s`` at once.  The stencil shape is fixed at step ``h`` so a
+    Richardson pair shares the same truncation-error structure.
+    """
+    kinds = _stencil_kinds(family, s, h)
+    steps = (h, h / 2) if richardson else (h,)
+    groups = []         # (sample indices, samples, [(points, weights) per step])
+    moving = []         # stencil points other than s itself, with their samples
+    for kind in _STENCILS:
+        idx = np.flatnonzero(kinds == kind)
+        if idx.size:
+            si = s[idx]
+            stencils = [_stencil_points(kind, si, step) for step in steps]
+            groups.append((idx, si, stencils))
+            moving += [(idx, p) for points, _ in stencils for p in points if p is not si]
+    n = len(s)
+    spec = family.spectrum(np.concatenate([s] + [p for _, p in moving]))
+    base = spec.take(slice(0, n))
+    moved = _relabel(spec.take(slice(n, None)),
+                     base.take(np.concatenate([idx for idx, _ in moving])))
+    d = family.dim
+    derivs = [np.empty((n, d, d), dtype=complex) for _ in base.projectors]
+    offset = 0
+    for idx, si, stencils in groups:
+        coarse = None
+        for points, weights in stencils:
+            acc = [np.zeros((len(idx), d, d), dtype=complex) for _ in derivs]
+            for point, weight in zip(points, weights):
+                if point is si:
+                    at = base.take(idx)
+                else:
+                    at = moved.take(slice(offset, offset + len(idx)))
+                    offset += len(idx)
+                for k, p in enumerate(at.projectors):
+                    acc[k] += weight * p
+            coarse = acc if coarse is None else [(4.0 * f - c) / 3.0
+                                                 for f, c in zip(acc, coarse)]
+        for k, dp in enumerate(coarse):
+            derivs[k][idx] = dp
     return base, derivs
 
 
 def projector_derivative(family, s, h=1e-4, richardson=False):
     """Finite-difference eigenprojector derivatives with label-consistent
-    stencils.
+    stencils; ``(n, d, d)`` stacks for a 1-D array ``s``.
 
     Central differences (O(h^2)) away from endpoints and schedule kinks,
     second-order one-sided otherwise.  ``richardson=True`` combines steps
     ``h`` and ``h/2`` of the same stencil shape for two extra orders.
     """
-    _, derivs = _projector_derivatives(family, s, h, richardson)
-    return derivs
+    _, derivs = _projector_derivatives(family, _samples(s), h, richardson)
+    return [dp.reshape(np.shape(s) + dp.shape[1:]) for dp in derivs]
 
 
 def geometric_term(family, s, h=1e-4, richardson=False):
-    """The coherent correction ``Q(s) = i sum_k dP_k/ds P_k``.
+    """The coherent correction ``Q(s) = i sum_k dP_k/ds P_k``; an
+    ``(n, d, d)`` stack for a 1-D array ``s``.
 
     Hermitian up to the finite-difference truncation error; the residual is
     a useful self-check and is asserted (not enforced) by the test suite.
     """
-    base, derivs = _projector_derivatives(family, s, h, richardson)
-    q = np.zeros((family.dim, family.dim), dtype=complex)
+    base, derivs = _projector_derivatives(family, _samples(s), h, richardson)
+    q = np.zeros_like(derivs[0])
     for pd, p in zip(derivs, base.projectors):
         q += 1j * (pd @ p)
-    return q
+    return q.reshape(np.shape(s) + q.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +415,7 @@ class TransportFrame:
         return self.Z[self.index_of(s)]
 
     def max_jump(self):
-        return float(max(np.linalg.norm(self.U[i + 1] - self.U[i])
-                         for i in range(len(self.grid) - 1)))
+        return float(np.linalg.norm(np.diff(self.U, axis=0), axis=(1, 2)).max())
 
     def transport_defect(self, family, stride=None):
         """Worst deviation of ``U P_k(s) U^dagger`` from ``P_k(0)`` over the
@@ -382,28 +477,23 @@ def _continued_columns(family, grid, degeneracy_tol):
             projectors=[d.projectors[j] for j in order],
             ranks=tuple(d.ranks[j] for j in order),
         )
-    return energies0, frames
+    return energies0, np.stack([np.hstack(f) for f in frames]), ref.ranks
 
 
 def _grouped_analytic_columns(family, grid, basis, degeneracy_tol):
-    """Evaluate an analytic basis on the grid, grouping columns by the
-    eigenspace labels of the initial decomposition."""
-    s0 = grid[0]
-    h0 = family.hamiltonian(s0)
-    c0 = np.asarray(basis(s0), dtype=complex)
-    col_energy = np.real(np.einsum("ik,ik->k", np.conj(c0), h0 @ c0))
-    energies0, _ = _eigencolumns(family, s0, degeneracy_tol)
+    """Evaluate an analytic basis on the whole grid, its columns grouped by
+    the eigenspace labels of the initial decomposition."""
+    c = np.asarray(evaluate_on(basis, grid), dtype=complex)
+    h0 = family.hamiltonian(grid[0])
+    col_energy = np.real(np.einsum("ik,ik->k", np.conj(c[0]), h0 @ c[0]))
+    energies0, _ = _eigencolumns(family, grid[0], degeneracy_tol)
     groups = []
     for e in energies0:
         groups.append([j for j in range(family.dim)
                        if abs(col_energy[j] - e) < max(degeneracy_tol, 1e-6)])
     if sorted(j for g in groups for j in g) != list(range(family.dim)):
         raise ValueError("analytic basis columns do not match the eigenspace structure")
-    frames = []
-    for s in grid:
-        c = np.asarray(basis(s), dtype=complex)
-        frames.append([c[:, g] for g in groups])
-    return energies0, frames
+    return energies0, c[:, :, sum(groups, [])], tuple(len(g) for g in groups)
 
 
 def build_transport_frame(family, grid, basis=None, frame_jump_tol=0.5,
@@ -411,7 +501,8 @@ def build_transport_frame(family, grid, basis=None, frame_jump_tol=0.5,
     """Construct a transport frame ``U(s) = sum_k |chi_k(0)><chi_k(s)|``.
 
     ``basis`` is an optional callable returning the model's analytic
-    instantaneous eigenbasis as matrix columns; without it, a numerically
+    instantaneous eigenbasis as matrix columns (called once on the whole
+    grid when it is marked :func:`vectorized`); without it, a numerically
     phase/gauge-continued eigenbasis is built (successive samples aligned
     cluster-by-cluster via polar decomposition of the overlap).
 
@@ -423,23 +514,22 @@ def build_transport_frame(family, grid, basis=None, frame_jump_tol=0.5,
     if degeneracy_tol is None:
         degeneracy_tol = family.degeneracy_tol
     if basis is None:
-        energies0, frames = _continued_columns(family, grid, degeneracy_tol)
+        energies0, cols, ranks = _continued_columns(family, grid, degeneracy_tol)
     else:
-        energies0, frames = _grouped_analytic_columns(family, grid, basis, degeneracy_tol)
+        energies0, cols, ranks = _grouped_analytic_columns(family, grid, basis,
+                                                           degeneracy_tol)
 
-    c_list = [np.hstack(cols) for cols in frames]
-    c0 = c_list[0]
+    c0 = cols[0]
     n = len(grid)
-    u = np.empty((n, family.dim, family.dim), dtype=complex)
-    for i, c in enumerate(c_list):
-        u[i] = c0 @ dag(c)
-    for i in range(n - 1):
-        jump = np.linalg.norm(u[i + 1] - u[i])
-        if jump > frame_jump_tol:
-            raise FrameDiscontinuity(
-                f"frame jump {jump:.3e} between s={grid[i]:.6g} and "
-                f"s={grid[i + 1]:.6g} exceeds {frame_jump_tol}"
-            )
+    u = c0 @ dag(cols)
+    jumps = np.linalg.norm(np.diff(u, axis=0), axis=(1, 2))
+    over = np.flatnonzero(jumps > frame_jump_tol)
+    if over.size:
+        i = over[0]
+        raise FrameDiscontinuity(
+            f"frame jump {jumps[i]:.3e} between s={grid[i]:.6g} and "
+            f"s={grid[i + 1]:.6g} exceeds {frame_jump_tol}"
+        )
 
     du = np.gradient(u, grid, axis=0, edge_order=2)
     # near a schedule kink the symmetric stencil mixes two smooth pieces;
@@ -447,13 +537,12 @@ def build_transport_frame(family, grid, basis=None, frame_jump_tol=0.5,
     # forward value)
     if family.breakpoints and n >= 3:
         spacing = np.diff(grid)
-        for i in range(n):
-            lo = grid[i - 1] if i > 0 else grid[0]
-            hi = grid[i + 1] if i < n - 1 else grid[-1]
-            bad = [b for b in family.breakpoints if lo < b < hi or abs(b - grid[i]) < 1e-15]
-            if not bad:
-                continue
-            b = bad[0]
+        lo = np.concatenate((grid[:1], grid[:-1]))
+        hi = np.concatenate((grid[1:], grid[-1:]))
+        near = [((lo < b) & (b < hi)) | (np.abs(b - grid) < 1e-15)
+                for b in family.breakpoints]
+        for i in np.flatnonzero(np.any(near, axis=0)):
+            b = next(b for b, hit in zip(family.breakpoints, near) if hit[i])
             if grid[i] <= b and i >= 2:
                 h = spacing[i - 1]
                 du[i] = (3 * u[i] - 4 * u[i - 1] + u[i - 2]) / (2 * h)
@@ -465,7 +554,6 @@ def build_transport_frame(family, grid, basis=None, frame_jump_tol=0.5,
     # anti-Hermitian residue so downstream generators preserve Hermiticity
     z = 0.5 * (z + np.conj(np.transpose(z, (0, 2, 1))))
 
-    ranks = tuple(c.shape[1] for c in frames[0])
     offsets = np.cumsum((0,) + ranks)
     block_slices = tuple(slice(offsets[i], offsets[i + 1]) for i in range(len(ranks)))
     return TransportFrame(grid=grid, U=u, Z=z, basis0=c0,

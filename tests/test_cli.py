@@ -4,6 +4,8 @@ import math
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiabat import cli, models, runner
 from adiabat.errors import AssertionFailed, ConfigInvalid
@@ -100,12 +102,51 @@ class TestConfigValidation:
         assert cli.main(["run", "--config", str(path)]) == 2
         assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path", [
+        pytest.param({"delta_phi": 7.0}, id="delta-phi-beyond-2pi"),
+        pytest.param({"delta_phi": 0.5, "split": [0.5, 0.5, 0.5, 0]}, id="split-sum"),
+    ])
+    def test_bad_path_exits_two_before_running(self, tmp_path, capsys, monkeypatch, path):
+        # rejected by validate, not by the model once the run has started
+        monkeypatch.setattr(runner, "sweep", lambda *a, **k: pytest.fail("sweep ran"))
+        cfg = write_config(tmp_path, path=path)
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        assert "path" in capsys.readouterr().err
+
+    def test_dim_bounded(self, tmp_path, capsys):
+        cli.ExperimentConfig.from_dict({"model": "random_rotating", "dim": 16})
+        cfg = write_config(tmp_path, model="random_rotating", dim=17)
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        assert "dim" in capsys.readouterr().err
+
     def test_errors_survive_pickling(self):
         exc = pickle.loads(pickle.dumps(AssertionFailed("x", 1.0, 1e-7)))
         assert (exc.name, exc.measured, exc.bound) == ("x", 1.0, 1e-7)
         assert str(exc) == str(AssertionFailed("x", 1.0, 1e-7))
         exc = pickle.loads(pickle.dumps(ConfigInvalid("bad dt", field="dt")))
         assert exc.field == "dt" and str(exc) == "bad dt"
+
+
+_FIELDS = sorted(cli.ExperimentConfig().__dict__)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(10 ** 300, 10 ** 400)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(["x", "y", "delta_phi", "split", "other"]),
+                      inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(_FIELDS) | st.text(max_size=6), _JSON_VALUES,
+                       max_size=6))
+def test_config_fuzz_passes_or_names_field(data):
+    # validation alone: it either accepts or raises ConfigInvalid naming a
+    # known field or the unknown key, never anything else
+    try:
+        cli.ExperimentConfig.from_dict(data).validate()
+    except ConfigInvalid as exc:
+        assert exc.field in set(_FIELDS) | set(data)
 
 
 @pytest.fixture(scope="module")

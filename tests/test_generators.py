@@ -4,6 +4,7 @@ import pytest
 from adiabat.errors import BlockNotClosed, DimensionMismatch, NegativeGSpectrum
 from adiabat.generators import (
     ApproximateGenerator,
+    ExactGenerator,
     LindbladDissipator,
     approximate_generator,
     block_component_indices,
@@ -36,8 +37,14 @@ from adiabat.models import (
     holonomy_family,
     make_random_model,
 )
+from adiabat.propagation import propagate_piecewise_exp
 from adiabat.resonance import ResonanceTensor, compute_resonance_tensor
-from adiabat.spectral import HamiltonianFamily, build_transport_frame, geometric_term
+from adiabat.spectral import (
+    HamiltonianFamily,
+    build_transport_frame,
+    geometric_term,
+    vectorized,
+)
 
 from conftest import random_density, random_hermitian
 
@@ -190,6 +197,67 @@ def slanted():
                                   basis=fam.analytic_basis)
     tensor = compute_resonance_tensor(fam.spectrum, GRID)
     return path, fam, holonomy_dissipator(), tensor, frame
+
+
+def lab_case(model):
+    """Family, dissipator, tensor and samples crossing every breakpoint."""
+    if model == "random":
+        m = make_random_model(7)
+        fam = m.family()
+        diss = m.dissipator()
+    else:
+        fam = holonomy_family(build_orange_path(np.pi / 4, 10.0), Gauge(model))
+        diss = holonomy_dissipator()
+    s = np.unique(np.concatenate([np.linspace(0.0, 1.0, 21), [1e-4, 1.0 - 1e-4],
+                                  [b + d for b in fam.breakpoints
+                                   for d in (-5e-4, 0.0, 5e-4)]]))
+    return fam, diss, compute_resonance_tensor(fam.spectrum, GRID), s
+
+
+class TestLabGeneratorArrays:
+    """The lab-frame generators on an array equal the stack of scalar calls
+    bit for bit, and scalar-only families integrate to the same bits."""
+
+    @pytest.mark.parametrize("model", ["north_pole", "equator", "random"])
+    @pytest.mark.parametrize("gamma", [0.0, 0.05])
+    def test_generators_match_scalar(self, model, gamma):
+        fam, diss, tensor, s = lab_case(model)
+        q_of_s = vectorized(lambda x: geometric_term(fam, x, h=1e-3, richardson=True))
+        for gen in (ExactGenerator(fam, diss, 10.0, gamma),
+                    ApproximateGenerator(fam, diss, tensor, 10.0, gamma),
+                    ApproximateGenerator(fam, diss, tensor, 10.0, gamma, q_of_s=q_of_s)):
+            assert gen.vectorized
+            assert np.array_equal(gen(s), np.stack([gen(x) for x in s.tolist()]))
+
+    def test_filtered_dissipator_stack(self, holonomy_setup):
+        path, fam, diss, tensor = holonomy_setup
+        s = np.array([0.1, 0.45, 0.8])
+        stacked = filtered_dissipator_superop(diss, tensor, fam.spectrum(s), s)
+        for i, x in enumerate(s.tolist()):
+            assert np.array_equal(
+                stacked[i], filtered_dissipator_superop(diss, tensor, fam.spectrum(x), x))
+
+    @pytest.mark.parametrize("model", ["north_pole", "random"])
+    def test_unmarked_family_same_bits(self, model):
+        fam, diss, tensor, _ = lab_case(model)
+        plain = HamiltonianFamily(dim=fam.dim, evaluate=lambda x: fam.evaluate(x),
+                                  analytic_spectrum=lambda x: fam.analytic_spectrum(x),
+                                  n_eigenspaces=fam.n_eigenspaces,
+                                  breakpoints=fam.breakpoints)
+        plain_diss = LindbladDissipator(dim=diss.dim, jump_operators=[
+            (lambda x, v=v: v(x)) for v in diss.jump_operators])
+        rho0 = np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex)
+        q_plain = lambda x: geometric_term(plain, x, h=1e-3, richardson=True)
+        q_marked = vectorized(lambda x: geometric_term(fam, x, h=1e-3, richardson=True))
+        for gamma in (0.0, 0.1):
+            pairs = [(ExactGenerator(plain, plain_diss, 2.0, gamma),
+                      ExactGenerator(fam, diss, 2.0, gamma)),
+                     (ApproximateGenerator(plain, plain_diss, tensor, 2.0, gamma, q_plain),
+                      ApproximateGenerator(fam, diss, tensor, 2.0, gamma, q_marked))]
+            for gen_plain, gen_marked in pairs:
+                a = propagate_piecewise_exp(gen_plain, rho0, 0.02, 2.0)
+                b = propagate_piecewise_exp(gen_marked, rho0, 0.02, 2.0)
+                assert np.array_equal(a.states, b.states)
 
 
 class TestRotatedBlocks:

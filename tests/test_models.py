@@ -10,6 +10,7 @@ from adiabat.models import (
     build_orange_path,
     closed_form_output,
     computational_projector,
+    holonomy_family,
     holonomy_gate,
     holonomy_hamiltonian,
     initial_state,
@@ -274,6 +275,69 @@ class TestRandomModel:
         for s in np.linspace(0.0, 1.0, 20):
             e = np.linalg.eigvalsh(fam.hamiltonian(s))
             assert np.abs(e - e0).max() <= 1e-10
+
+
+def boundary_samples(path):
+    """A grid plus every segment boundary and points just around each."""
+    edges = [seg.s0 for seg in path.segments] + [1.0]
+    near = [e + d for e in edges for d in (-1e-3, -5e-4, -1e-12, 0.0, 1e-12, 5e-4, 1e-3)]
+    return np.unique(np.clip(np.concatenate([np.linspace(0.0, 1.0, 37), near]), 0.0, 1.0))
+
+
+PATHS = [build_orange_path(DPHI, 10.0), build_orange_path(DPHI, 10.0, (0.3, 0.2, 0.3, 0.2))]
+
+
+class TestArrays:
+    """Array calls equal the stack of scalar calls bit for bit."""
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_angles(self, path):
+        s = boundary_samples(path)
+        theta, phi = path.angles(s)
+        scalar = np.array([path.angles(x) for x in s.tolist()])
+        assert np.array_equal(theta, scalar[:, 0])
+        assert np.array_equal(phi, scalar[:, 1])
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("gauge", list(Gauge))
+    def test_hamiltonian_basis_spectrum(self, path, gauge):
+        s = boundary_samples(path)
+        theta, phi = path.angles(s)
+        scalar_angles = [path.angles(x) for x in s.tolist()]
+        assert np.array_equal(holonomy_hamiltonian(theta, phi),
+                              np.stack([holonomy_hamiltonian(*a) for a in scalar_angles]))
+        assert np.array_equal(analytic_eigenbasis(theta, phi, gauge),
+                              np.stack([analytic_eigenbasis(*a, gauge) for a in scalar_angles]))
+        fam = holonomy_family(path, gauge)
+        batched = fam.spectrum(s)
+        singles = [fam.spectrum(x) for x in s.tolist()]
+        assert batched.ranks == singles[0].ranks
+        assert np.array_equal(batched.energies, np.stack([d.energies for d in singles]))
+        for k in range(3):
+            assert np.array_equal(batched.projectors[k],
+                                  np.stack([d.projectors[k] for d in singles]))
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_random_model(self, seed):
+        m = make_random_model(seed)
+        fam = m.family()
+        s = np.linspace(0.0, 1.0, 29)
+        scalar = s.tolist()
+        assert np.array_equal(m.rotation(s), np.stack([m.rotation(x) for x in scalar]))
+        assert np.array_equal(fam.hamiltonian(s), np.stack([fam.hamiltonian(x) for x in scalar]))
+        assert np.array_equal(fam.analytic_basis(s),
+                              np.stack([fam.analytic_basis(x) for x in scalar]))
+        batched = fam.spectrum(s)
+        for k in range(4):
+            assert np.array_equal(batched.projectors[k],
+                                  np.stack([fam.spectrum(x).projectors[k] for x in scalar]))
+
+    def test_south_pole_in_array(self):
+        theta = np.array([0.2, np.pi, 1.0])
+        phi = np.zeros(3)
+        with pytest.raises(GaugeSingularity):
+            analytic_eigenbasis(theta, phi, Gauge.NORTH_POLE_REGULAR)
+        analytic_eigenbasis(theta, phi, Gauge.EQUATOR_REGULAR)
 
 
 class TestInitialState:

@@ -14,8 +14,10 @@ from adiabat.models import (
     holonomy_family,
     make_random_model,
 )
+from adiabat import spectral
 from adiabat.spectral import (
     HamiltonianFamily,
+    SpectralDecomposition,
     build_transport_frame,
     decompose_at,
     decompose_on_grid,
@@ -159,6 +161,64 @@ class TestDerivatives:
         assert frobenius(q - dag(q)) <= 1e-10
 
 
+def kink_samples(fam, h):
+    """A grid plus points that force every stencil shape at step ``h``."""
+    special = [0.0, 1.0, h / 2, 1.0 - h / 2]
+    for b in fam.breakpoints:
+        special += [b - 1.5 * h, b - h / 2, b, b + h / 2, b + 1.5 * h]
+    return np.unique(np.concatenate([np.linspace(0.0, 1.0, 23), special]))
+
+
+class TestArrayDerivatives:
+    """Array calls equal the stack of scalar calls bit for bit."""
+
+    @pytest.mark.parametrize("h", [1e-3, 1e-4])
+    @pytest.mark.parametrize("richardson", [False, True])
+    @pytest.mark.parametrize("model", ["north_pole", "equator", "random"])
+    def test_geometric_term_matches_scalar(self, h, richardson, model):
+        if model == "random":
+            fam = make_random_model(7).family()
+        else:
+            fam = holonomy_family(build_orange_path(np.pi / 4, 10.0, (0.3, 0.2, 0.3, 0.2)),
+                                  Gauge(model))
+        s = kink_samples(fam, h)
+        kinds = set(spectral._stencil_kinds(fam, s, h))
+        assert kinds == {"central", "forward", "backward"}
+        batched = geometric_term(fam, s, h=h, richardson=richardson)
+        assert np.array_equal(batched, np.stack(
+            [geometric_term(fam, x, h=h, richardson=richardson) for x in s.tolist()]))
+        derivs = projector_derivative(fam, s, h=h, richardson=richardson)
+        singles = [projector_derivative(fam, x, h=h, richardson=richardson)
+                   for x in s.tolist()]
+        for k, dp in enumerate(derivs):
+            assert np.array_equal(dp, np.stack([d[k] for d in singles]))
+
+    def test_unmarked_spectrum_is_stacked(self, rotating):
+        fam = rotating.family()
+        plain = HamiltonianFamily(dim=4, evaluate=lambda s: fam.evaluate(s),
+                                  analytic_spectrum=lambda s: fam.analytic_spectrum(s))
+        s = np.linspace(0.0, 1.0, 11)
+        assert np.array_equal(geometric_term(plain, s), geometric_term(fam, s))
+        assert np.array_equal(plain.hamiltonian(s), fam.hamiltonian(s))
+
+    def test_rank_change_in_relabel(self):
+        # the same projectors, but the declared ranks swap at s = 0.5
+        p = [np.diag([1.0, 1.0, 0.0]).astype(complex), np.diag([0.0, 0.0, 1.0]).astype(complex)]
+
+        def spectrum(s):
+            ranks = (2, 1) if s < 0.5 else (1, 2)
+            return SpectralDecomposition(energies=np.array([0.0, 1.0]), projectors=p,
+                                         ranks=ranks)
+
+        fam = HamiltonianFamily(dim=3, evaluate=lambda s: np.diag([0.0, 0.0, 1.0]),
+                                analytic_spectrum=spectrum)
+        geometric_term(fam, np.array([0.2, 0.3]), h=1e-3)
+        with pytest.raises(DegeneracyChange):
+            geometric_term(fam, np.array([0.2, 0.5 - 5e-4]), h=1e-3)
+        with pytest.raises(DegeneracyChange):
+            geometric_term(fam, 0.5 - 5e-4, h=1e-3)
+
+
 class TestTransportFrame:
     def test_constant_family(self):
         fam = constant_family(np.diag([0.0, 1.0, 2.0]))
@@ -217,3 +277,12 @@ class TestTransportFrame:
         fam_eq = holonomy_family(path, Gauge.EQUATOR_REGULAR)
         with pytest.raises(FrameDiscontinuity):
             build_transport_frame(fam_eq, grid, basis=fam_eq.analytic_basis)
+
+    @pytest.mark.parametrize("gauge", list(Gauge))
+    def test_unmarked_basis_gives_same_frame(self, gauge):
+        fam = holonomy_family(build_orange_path(np.pi / 4, 10.0), gauge)
+        grid = np.linspace(0.0, 1.0, 401)
+        marked = build_transport_frame(fam, grid, basis=fam.analytic_basis)
+        plain = build_transport_frame(fam, grid, basis=lambda s: fam.analytic_basis(s))
+        for name in ("U", "Z", "basis0"):
+            assert np.array_equal(getattr(marked, name), getattr(plain, name))
