@@ -20,7 +20,9 @@ All superoperators use the column-stacking convention of :mod:`.linalg`.
 The rotated-frame machinery expresses operators in the component
 coordinates of the transport frame's initial eigenbasis (``frame.basis0``),
 where eigenspace blocks are contiguous index ranges; this keeps the block
-structure of the approximate equation exact in floating point.
+structure of the approximate equation exact in floating point.  One
+assembly, :class:`RotatedFrameGenerator`, builds both rotated-frame
+generators, and one Lindblad formula serves every dissipator.
 """
 from __future__ import annotations
 
@@ -49,6 +51,7 @@ __all__ = [
     "filtered_dissipator_superop",
     "ExactGenerator",
     "ApproximateGenerator",
+    "RotatedFrameGenerator",
     "rotated_block_generator",
     "block_component_indices",
     "frame_components",
@@ -107,18 +110,27 @@ class LindbladDissipator:
 
     def superoperator(self, s):
         """``D_s`` as a ``(d^2, d^2)`` matrix; a stack for an array ``s``."""
-        d = self.dim
-        eye = np.eye(d, dtype=complex)
-        out = hamiltonian_superop(self.f_at(s))
-        for v in self.jumps_at(s):
-            vdv = dag(v) @ v
-            out += sandwich_superop(v, dag(v))
-            out -= 0.5 * sandwich_superop(vdv, eye)
-            out -= 0.5 * sandwich_superop(eye, vdv)
-        return out
+        # a zero F only when there is nothing else to build
+        f = None if self.hamiltonian_part is None and self.jump_operators else self.f_at(s)
+        return _lindblad_superop(f, self.jumps_at(s))
 
     def apply(self, s, rho):
         return unvec(self.superoperator(s) @ vec(rho), self.dim)
+
+
+def _lindblad_superop(f, jumps):
+    """Superoperator of ``rho -> -i[F, rho] + sum_n V_n rho V_n^dag
+    - (1/2) {V_n^dag V_n, rho}``, stacked for stacked operators; ``f`` None
+    skips the Hamiltonian part (then 0 if there are no jumps either)."""
+    out = 0.0 if f is None else hamiltonian_superop(f)
+    for v in jumps:
+        eye = np.eye(v.shape[-1], dtype=complex)
+        half = 0.5 * (dag(v) @ v)       # scaling by 0.5 is exact
+        jump = sandwich_superop(v, dag(v))
+        out = jump if np.ndim(out) == 0 else out + jump
+        out -= sandwich_superop(half, eye)
+        out -= sandwich_superop(eye, half)
+    return out
 
 
 def _constant(m):
@@ -240,13 +252,6 @@ class ApproximateGenerator:
 # rotated-frame block form
 # ---------------------------------------------------------------------------
 
-def _component_labels(frame):
-    labels = np.empty(frame.dim, dtype=int)
-    for k, sl in enumerate(frame.block_slices):
-        labels[sl] = k
-    return labels
-
-
 def _normalize_block_set(frame, block_set):
     k = len(frame.block_slices)
     if block_set == "all":
@@ -259,7 +264,7 @@ def _normalize_block_set(frame, block_set):
 def block_component_indices(frame, block_set):
     """Vectorization indices carrying the selected ``(k, l)`` blocks, in
     column-stacking order, for states expressed in ``frame.basis0``."""
-    labels = _component_labels(frame)
+    labels = frame.labels
     blocks = set(_normalize_block_set(frame, block_set))
     d = frame.dim
     return [p for p in range(d * d) if (labels[p % d], labels[p // d]) in blocks]
@@ -268,14 +273,64 @@ def block_component_indices(frame, block_set):
 def frame_components(frame, rho_lab, s):
     """Vectorized components ``<chi_k(0)| U rho U^dag |chi_l(0)>`` of a lab
     state; these are the instantaneous-eigenbasis matrix elements of rho."""
-    w = dag(frame.basis0) @ frame.u_at(s)
+    w = frame.rotation(s)
     return vec(w @ rho_lab @ dag(w))
 
 
 def frame_unpack(frame, component_vec, s):
     """Inverse of :func:`frame_components`."""
-    w = dag(frame.basis0) @ frame.u_at(s)
+    w = frame.rotation(s)
     return dag(w) @ unvec(component_vec, frame.dim) @ w
+
+
+@dataclass
+class RotatedFrameGenerator:
+    """Rotated-frame generators of one ``(family, dissipator, tensor, frame,
+    T)`` on the component vector of :func:`frame_components`, called as
+    ``(s, gamma, approximate)`` with ``s`` a frame grid point or an array.
+
+    Exact: ``-iT Delta - i[Z^, .] + Gamma T D~_s``, with ``Delta`` the gaps
+    at the frame's first sample (constant for the shipped models),
+    ``Z^ = C0^dagger Z(s) C0`` and ``D~_s`` the Lindblad superoperator of
+    ``W F W^dagger`` and ``W V_n W^dagger``, ``W = C0^dagger U(s)``.
+    Approximate: only the eigenspace blocks of ``Z^`` and the couplings of
+    ``D~_s`` the resonance tensor allows.  No dissipator at ``gamma = 0``.
+    """
+
+    vectorized = True
+
+    family: object
+    dissipator: LindbladDissipator
+    tensor: object
+    frame: object
+    T: float
+
+    def __post_init__(self):
+        d = self.frame.dim
+        labels = self.frame.labels
+        row = np.tile(np.arange(d), d)          # vec index p = col*d + row
+        col = np.repeat(np.arange(d), d)
+        e = self.family.spectrum(self.frame.grid[0]).energies[labels]
+        self._delta = np.diag(-1j * self.T * (e[row] - e[col]))
+        self._mask = self.tensor.g[labels[row][:, None], labels[col][:, None],
+                                   labels[row][None, :], labels[col][None, :]]
+        self._same_block = labels[:, None] == labels[None, :]
+
+    def __call__(self, s, gamma, approximate):
+        c0 = self.frame.basis0
+        zhat = dag(c0) @ self.frame.z_at(s) @ c0
+        if approximate:
+            zhat = np.where(self._same_block, zhat, 0.0)
+        out = self._delta + hamiltonian_superop(zhat)
+        if gamma != 0.0:
+            w = self.frame.rotation(s)
+            diss = self.dissipator
+            f = None if diss.hamiltonian_part is None else w @ diss.f_at(s) @ dag(w)
+            dhat = _lindblad_superop(f, [w @ v @ dag(w) for v in diss.jumps_at(s)])
+            if approximate:
+                dhat = np.where(self._mask, dhat, 0.0)
+            out = out + gamma * self.T * dhat
+        return out
 
 
 def rotated_block_generator(family, dissipator, tensor, frame, T, gamma, s,
@@ -291,8 +346,9 @@ def rotated_block_generator(family, dissipator, tensor, frame, T, gamma, s,
                         + Gamma T sum_{k'l'} g_klk'l' P_k(0) D~_s(rho^(k'l')) P_l(0)
 
     with ``Z_l`` the block-diagonal parts of the frame generator and
-    ``D~_s`` the dissipator conjugated into the rotated frame.  Couplings
-    forbidden by the tensor are structurally zero in the returned matrix.
+    ``D~_s`` the dissipator conjugated into the rotated frame: the
+    approximate :class:`RotatedFrameGenerator` with omitted blocks zeroed,
+    so couplings forbidden by the tensor are structurally zero.
 
     Raises :class:`BlockNotClosed` if the tensor couples a selected block to
     an omitted one.
@@ -308,35 +364,12 @@ def rotated_block_generator(family, dissipator, tensor, frame, T, gamma, s,
                         f"block ({a},{b}) couples to omitted block ({kp},{lp})"
                     )
 
-    d = frame.dim
-    labels = _component_labels(frame)
-    eye = np.eye(d, dtype=complex)
-
-    energies = family.spectrum(s).energies
-    e_ext = energies[labels]
-    row = np.tile(np.arange(d), d)          # vec index p = col*d + row
-    col = np.repeat(np.arange(d), d)
-    delta_diag = e_ext[row] - e_ext[col]
-
-    zhat = dag(frame.basis0) @ frame.z_at(s) @ frame.basis0
-    zbd = np.zeros_like(zhat)
-    for sl in frame.block_slices:
-        zbd[sl, sl] = zhat[sl, sl]
-
-    gen = np.diag(-1j * T * delta_diag).astype(complex)
-    gen += -1j * (sandwich_superop(zbd, eye) - sandwich_superop(eye, zbd))
-
-    if gamma != 0.0:
-        w = dag(frame.basis0) @ frame.u_at(s)
-        dhat = (sandwich_superop(w, dag(w)) @ dissipator.superoperator(s)
-                @ sandwich_superop(dag(w), w))
-        mask = tensor.g[labels[row][:, None], labels[col][:, None],
-                        labels[row][None, :], labels[col][None, :]]
-        gen += gamma * T * np.where(mask, dhat, 0.0)
-
-    keep = np.array([(labels[p % d], labels[p // d]) in bset for p in range(d * d)])
-    gen[~keep, :] = 0.0
-    gen[:, ~keep] = 0.0
+    gen = RotatedFrameGenerator(family, dissipator, tensor, frame, T)(
+        s, gamma, approximate=True)
+    keep = np.zeros(frame.dim ** 2, dtype=bool)
+    keep[block_component_indices(frame, blocks)] = True
+    gen[..., ~keep, :] = 0.0
+    gen[..., :, ~keep] = 0.0
     return gen
 
 
@@ -359,15 +392,7 @@ class LindbladFactorization:
     g_vectors: np.ndarray
 
     def superoperator(self):
-        d = self.effective_hamiltonian.shape[0]
-        eye = np.eye(d, dtype=complex)
-        out = hamiltonian_superop(self.effective_hamiltonian)
-        for m in self.lindblad_ops:
-            mdm = dag(m) @ m
-            out += sandwich_superop(m, dag(m))
-            out -= 0.5 * sandwich_superop(mdm, eye)
-            out -= 0.5 * sandwich_superop(eye, mdm)
-        return out
+        return _lindblad_superop(self.effective_hamiltonian, self.lindblad_ops)
 
     def reconstruction_error(self, dissipator, tensor, decomp, s):
         target = filtered_dissipator_superop(dissipator, tensor, decomp, s)

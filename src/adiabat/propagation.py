@@ -15,8 +15,10 @@ the generators at a chunk's midpoints are built as one ``(n, D, D)`` stack, each
 checked against ``_STEP_NORM_BUDGET``, and the stack goes through one
 batched :func:`.linalg.matrix_exponential` before a plain loop of
 matrix-vector (or matrix-matrix) products applies the step maps in order.
-A generator marked ``vectorized`` (:class:`.runner.RunContext`'s and the
-lab-frame :class:`.generators.ExactGenerator` and
+A generator marked ``vectorized`` (the rotated-frame ones that
+:class:`.runner.RunContext` hands out from its
+:class:`.generators.RotatedFrameGenerator`, and the lab-frame
+:class:`.generators.ExactGenerator` and
 :class:`.generators.ApproximateGenerator`) takes the array of midpoints at
 once; any other callable ``s -> M(s)`` is called once per midpoint.  A
 classical fixed-step fourth-order Runge-Kutta integrator is provided as an

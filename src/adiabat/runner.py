@@ -9,23 +9,26 @@ accurately and cheaply: the exact generator there is
     -iT [diag(E), .] - i [Z(s), .] + Gamma T D~(s)
 
 and the approximate one replaces ``Z`` by its block-diagonal part and masks
-the dissipator with the resonance tensor.  States are rotated back to the
-lab frame before metrics are taken; direct lab-frame integration of the
-same equations is available in :mod:`.generators` and is checked against
-this representation by the frame-equivalence tests.
+the dissipator with the resonance tensor.  Both come from the one
+assembly :class:`.generators.RotatedFrameGenerator`, which a
+:class:`RunContext` builds once; :func:`integrate` steps one equation and
+rotates the states back to the lab frame, where :func:`run_point` takes
+the metrics.  Direct lab-frame integration of the same equations is
+available in :mod:`.generators` and is checked against this
+representation by the frame-equivalence tests.
 """
 from __future__ import annotations
 
 import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import models
 from .errors import ConfigInvalid
-from .generators import sandwich_superop
+from .generators import RotatedFrameGenerator
 from .linalg import dag, frobenius
 from .propagation import (
     Trajectory,
@@ -41,6 +44,7 @@ __all__ = [
     "RunPoint",
     "RunContext",
     "holonomy_context",
+    "integrate",
     "random_context",
     "run_point",
     "run_sweep_task",
@@ -54,7 +58,8 @@ _TENSOR_GRID = np.linspace(0.0, 1.0, 201)
 @dataclass
 class RunContext:
     """Everything shared by runs at one (model, T, dt): family, frame on the
-    half-step grid, tensor, dissipator and frame-coordinate scaffolding."""
+    half-step grid, tensor, dissipator, and the rotated-frame generator
+    assembly built from them."""
 
     family: object
     dissipator: object
@@ -65,85 +70,22 @@ class RunContext:
     p_comp: np.ndarray
     rho0: np.ndarray
     model_id: str
+    generator: RotatedFrameGenerator = field(init=False, repr=False)
 
     def __post_init__(self):
-        d = self.family.dim
-        labels = np.empty(d, dtype=int)
-        for k, sl in enumerate(self.frame.block_slices):
-            labels[sl] = k
-        row = np.tile(np.arange(d), d)
-        col = np.repeat(np.arange(d), d)
-        energies = self.family.spectrum(0.0).energies
-        e_ext = energies[labels]
-        self._delta_diag = np.diag(-1j * self.T * (e_ext[row] - e_ext[col]))
-        self._mask = self.tensor.g[labels[row][:, None], labels[col][:, None],
-                                   labels[row][None, :], labels[col][None, :]]
-        self._same_block = labels[:, None] == labels[None, :]
-        self._eye = np.eye(d, dtype=complex)
-        # dissipator superoperator is s-independent for both shipped models
-        self._dsup = self.dissipator.superoperator(0.0)
-        self._du = self.frame.grid[1] - self.frame.grid[0]
+        self.generator = RotatedFrameGenerator(self.family, self.dissipator,
+                                               self.tensor, self.frame, self.T)
 
-    def _index(self, s):
-        """Frame sample indices at ``s``, a number or an array; O(1) on the
-        uniform half-step grid, where ``TransportFrame.index_of`` would
-        search.  Raises ``KeyError`` if any ``s`` is off the grid."""
-        grid = self.frame.grid
-        s = np.asarray(s, dtype=float)
-        i = np.rint((s - grid[0]) / self._du).astype(int)
-        ok = (i >= 0) & (i < len(grid))
-        ok &= np.abs(grid[np.where(ok, i, 0)] - s) <= 1e-9
-        if not ok.all():
-            raise KeyError(f"s={np.ravel(s)[~np.ravel(ok)][0]} is not a frame grid point")
-        return i
-
-    def rotation(self, i):
-        """``W = C0^dagger U(s_i)``: maps lab-frame operators at frame
-        sample ``i`` (an index or an index array) to frame components,
-        ``rho_hat = W rho W^dagger``."""
-        return dag(self.frame.basis0) @ self.frame.U[i]
-
-    def generator(self, s, gamma, approximate):
-        """Rotated-frame generator at ``s``; a ``(d*d, d*d)`` matrix, or a
-        stack of them when ``s`` is an array of frame grid points.
-
-        Exact: ``-iT[diag(E), .] - i[Z^, .] + Gamma T D^``, with
-        ``Z^ = C0^dagger Z(s) C0`` and ``D^ = S(W, W^dagger) D S(W^dagger, W)``
-        the dissipator conjugated into the frame.  Approximate: ``Z^``
-        keeps only its eigenspace blocks and ``D^`` only the couplings the
-        resonance tensor allows.
-        """
-        i = self._index(s)
-        c0 = self.frame.basis0
-        zhat = dag(c0) @ self.frame.Z[i] @ c0
-        if approximate:
-            zhat = np.where(self._same_block, zhat, 0.0)
-        out = self._delta_diag + (-1j) * (
-            sandwich_superop(zhat, self._eye) - sandwich_superop(self._eye, zhat)
-        )
-        if gamma != 0.0:
-            w = self.rotation(i)
-            dhat = (sandwich_superop(w, dag(w)) @ self._dsup
-                    @ sandwich_superop(dag(w), w))
-            if approximate:
-                dhat = np.where(self._mask, dhat, 0.0)
-            out = out + gamma * self.T * dhat
-        return out
-
-    def _generator_fn(self, gamma, approximate):
-        # takes a chunk's array of midpoints
-        return vectorized(functools.partial(self.generator, gamma=gamma,
-                                            approximate=approximate))
-
+    # the generators take a chunk's array of midpoints
     def exact_generator(self, gamma):
-        return self._generator_fn(gamma, approximate=False)
+        return vectorized(functools.partial(self.generator, gamma=gamma, approximate=False))
 
     def approximate_generator(self, gamma):
-        return self._generator_fn(gamma, approximate=True)
+        return vectorized(functools.partial(self.generator, gamma=gamma, approximate=True))
 
     def to_lab(self, trajectory):
         """Rotate a component-coordinate trajectory back to the lab frame."""
-        w = self.rotation(self._index(trajectory.grid))
+        w = self.frame.rotation(trajectory.grid)
         return Trajectory(grid=trajectory.grid,
                           states=dag(w) @ trajectory.states @ w,
                           metadata=dict(trajectory.metadata))
@@ -209,22 +151,25 @@ class RunPoint:
     metrics: dict
 
 
+def integrate(ctx, gamma, approximate):
+    """Integrate the exact or the approximate equation at one coupling
+    strength in the rotated frame; returns the lab-frame trajectory."""
+    # initial state in frame components (U(0) need not be the identity for
+    # a general basis permutation, so rotate explicitly)
+    w0 = ctx.frame.rotation(0.0)
+    name = "approximate" if approximate else "exact"
+    make = ctx.approximate_generator if approximate else ctx.exact_generator
+    trajectory = propagate_piecewise_exp(
+        make(gamma), w0 @ ctx.rho0 @ dag(w0), ctx.dt, ctx.T,
+        metadata={"generator": name, "model": ctx.model_id, "gamma": gamma})
+    return ctx.to_lab(trajectory)
+
+
 def run_point(ctx, gamma, keep_states=True):
     """Integrate both equations at one coupling strength and collect the
     sweep metrics."""
-    # initial state in frame components (U(0) need not be the identity for
-    # a general basis permutation, so rotate explicitly)
-    w0 = ctx.rotation(0)
-    rho0_hat = w0 @ ctx.rho0 @ dag(w0)
-
-    exact_hat = propagate_piecewise_exp(
-        ctx.exact_generator(gamma), rho0_hat, ctx.dt, ctx.T,
-        metadata={"generator": "exact", "model": ctx.model_id, "gamma": gamma})
-    approx_hat = propagate_piecewise_exp(
-        ctx.approximate_generator(gamma), rho0_hat, ctx.dt, ctx.T,
-        metadata={"generator": "approximate", "model": ctx.model_id, "gamma": gamma})
-    exact = ctx.to_lab(exact_hat)
-    approx = ctx.to_lab(approx_hat)
+    exact = integrate(ctx, gamma, approximate=False)
+    approx = integrate(ctx, gamma, approximate=True)
 
     rho_e, rho_a = exact.final_state(), approx.final_state()
     metrics = {

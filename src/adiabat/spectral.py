@@ -388,7 +388,8 @@ class TransportFrame:
 
     ``basis0`` holds the eigencolumns at ``grid[0]`` that generated the
     frame, grouped per eigenspace as recorded in ``block_slices``; rotated
-    component representations are expressed in these columns.
+    component representations are expressed in these columns.  The
+    lookups by ``s`` take a number or an array of grid points.
     """
 
     grid: np.ndarray
@@ -396,23 +397,40 @@ class TransportFrame:
     Z: np.ndarray                 # (n, d, d)
     basis0: np.ndarray            # (d, d) columns
     block_slices: tuple           # per-eigenspace column ranges in basis0
-    energies0: np.ndarray
 
     @property
     def dim(self):
         return self.U.shape[1]
 
+    @property
+    def labels(self):
+        """Eigenspace label of each column of ``basis0``."""
+        return np.repeat(np.arange(len(self.block_slices)),
+                         [sl.stop - sl.start for sl in self.block_slices])
+
     def index_of(self, s, tol=1e-9):
-        i = int(np.argmin(np.abs(self.grid - s)))
-        if abs(self.grid[i] - s) > tol:
-            raise KeyError(f"s={s} is not a frame grid point")
-        return i
+        """Index of the grid point at ``s``, or an index array for an array
+        ``s``.  Raises ``KeyError`` if an entry is more than ``tol`` from
+        every grid point (off the grid, out of range or NaN)."""
+        grid = self.grid
+        s = np.asarray(s, dtype=float)
+        hi = np.clip(np.searchsorted(grid, s), 1, len(grid) - 1)
+        i = np.where(s - grid[hi - 1] <= grid[hi] - s, hi - 1, hi)
+        bad = ~(np.abs(grid[i] - s) <= tol)
+        if bad.any():
+            raise KeyError(f"s={np.ravel(s)[np.ravel(bad)][0]} is not a frame grid point")
+        return i if i.ndim else int(i)
 
     def u_at(self, s):
         return self.U[self.index_of(s)]
 
     def z_at(self, s):
         return self.Z[self.index_of(s)]
+
+    def rotation(self, s):
+        """``W = basis0^dagger U(s)``: maps lab-frame operators at the grid
+        point(s) ``s`` to frame components, ``rho_hat = W rho W^dagger``."""
+        return dag(self.basis0) @ self.u_at(s)
 
     def max_jump(self):
         return float(np.linalg.norm(np.diff(self.U, axis=0), axis=(1, 2)).max())
@@ -448,9 +466,9 @@ def _polar_unitary(m):
 
 def _continued_columns(family, grid, degeneracy_tol):
     """Numerically gauge-continued eigencolumns along the grid."""
-    energies0, cols = _eigencolumns(family, grid[0], degeneracy_tol)
+    e0, cols = _eigencolumns(family, grid[0], degeneracy_tol)
     ref = SpectralDecomposition(
-        energies=energies0,
+        energies=e0,
         projectors=[c @ dag(c) for c in cols],
         ranks=tuple(c.shape[1] for c in cols),
     )
@@ -477,7 +495,7 @@ def _continued_columns(family, grid, degeneracy_tol):
             projectors=[d.projectors[j] for j in order],
             ranks=tuple(d.ranks[j] for j in order),
         )
-    return energies0, np.stack([np.hstack(f) for f in frames]), ref.ranks
+    return np.stack([np.hstack(f) for f in frames]), ref.ranks
 
 
 def _grouped_analytic_columns(family, grid, basis, degeneracy_tol):
@@ -486,14 +504,14 @@ def _grouped_analytic_columns(family, grid, basis, degeneracy_tol):
     c = np.asarray(evaluate_on(basis, grid), dtype=complex)
     h0 = family.hamiltonian(grid[0])
     col_energy = np.real(np.einsum("ik,ik->k", np.conj(c[0]), h0 @ c[0]))
-    energies0, _ = _eigencolumns(family, grid[0], degeneracy_tol)
+    e0, _ = _eigencolumns(family, grid[0], degeneracy_tol)
     groups = []
-    for e in energies0:
+    for e in e0:
         groups.append([j for j in range(family.dim)
                        if abs(col_energy[j] - e) < max(degeneracy_tol, 1e-6)])
     if sorted(j for g in groups for j in g) != list(range(family.dim)):
         raise ValueError("analytic basis columns do not match the eigenspace structure")
-    return energies0, c[:, :, sum(groups, [])], tuple(len(g) for g in groups)
+    return c[:, :, sum(groups, [])], tuple(len(g) for g in groups)
 
 
 def build_transport_frame(family, grid, basis=None, frame_jump_tol=0.5,
@@ -514,10 +532,9 @@ def build_transport_frame(family, grid, basis=None, frame_jump_tol=0.5,
     if degeneracy_tol is None:
         degeneracy_tol = family.degeneracy_tol
     if basis is None:
-        energies0, cols, ranks = _continued_columns(family, grid, degeneracy_tol)
+        cols, ranks = _continued_columns(family, grid, degeneracy_tol)
     else:
-        energies0, cols, ranks = _grouped_analytic_columns(family, grid, basis,
-                                                           degeneracy_tol)
+        cols, ranks = _grouped_analytic_columns(family, grid, basis, degeneracy_tol)
 
     c0 = cols[0]
     n = len(grid)
@@ -556,5 +573,4 @@ def build_transport_frame(family, grid, basis=None, frame_jump_tol=0.5,
 
     offsets = np.cumsum((0,) + ranks)
     block_slices = tuple(slice(offsets[i], offsets[i + 1]) for i in range(len(ranks)))
-    return TransportFrame(grid=grid, U=u, Z=z, basis0=c0,
-                          block_slices=block_slices, energies0=energies0)
+    return TransportFrame(grid=grid, U=u, Z=z, basis0=c0, block_slices=block_slices)

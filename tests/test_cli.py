@@ -255,6 +255,19 @@ class TestRunner:
             with pytest.raises(KeyError):
                 gen(s)
 
+    def test_gauge_check_integrates_only_the_approximate_equation(self, monkeypatch):
+        calls = []
+        propagate = runner.propagate_piecewise_exp
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["metadata"]["generator"])
+            return propagate(*args, **kwargs)
+        monkeypatch.setattr(runner, "propagate_piecewise_exp", counting)
+        rows = cli.gauge_check_rows(T=0.2, gamma=0.1, dt=1e-3)
+        assert calls == ["approximate", "approximate"]      # one per gauge
+        assert [r["check"] for r in rows][:2] == ["direct-vs-rotated",
+                                                  "gauge-equivalence"]
+
     def test_pool_bounded_by_tasks_and_cpus(self, monkeypatch):
         started = []
 

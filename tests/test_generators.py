@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+
+from adiabat import runner
 
 from adiabat.errors import BlockNotClosed, DimensionMismatch, NegativeGSpectrum
 from adiabat.generators import (
@@ -316,6 +320,41 @@ class TestRotatedBlocks:
         s = frame.grid[40000]
         out = frame_unpack(frame, frame_components(frame, rho, s), s)
         assert frobenius(out - rho) < 1e-12
+
+
+@functools.lru_cache(maxsize=None)
+def small_context(model):
+    if model == "holonomy":
+        return runner.holonomy_context(np.pi / 4, (0.4, 0.2, 0.4, 0.0),
+                                       Gauge.NORTH_POLE_REGULAR, 1.0, 0.1,
+                                       np.pi / 5, 3 * np.pi / 4)
+    return runner.random_context(3, 1.0, 0.1)
+
+
+class TestOneRotatedAssembly:
+    @pytest.mark.parametrize("model", ["holonomy", "random_rotating"])
+    @pytest.mark.parametrize("gamma", [0.0, 0.2])
+    def test_block_generator_is_the_context_generator(self, model, gamma):
+        ctx = small_context(model)
+        frame = ctx.frame
+        args = (ctx.family, ctx.dissipator, ctx.tensor, frame, ctx.T, gamma)
+        kept = block_component_indices(frame, "diagonal")
+        dropped = [p for p in range(16) if p not in kept]
+        for s in frame.grid[[1, 7, 20]]:
+            full = ctx.approximate_generator(gamma)(s)
+            assert np.array_equal(rotated_block_generator(*args, s, "all"), full)
+            diag = rotated_block_generator(*args, s, "diagonal")
+            assert np.array_equal(diag[np.ix_(kept, kept)], full[np.ix_(kept, kept)])
+            assert not diag[dropped, :].any() and not diag[:, dropped].any()
+
+    def test_block_generator_on_arrays(self):
+        ctx = small_context("holonomy")
+        args = (ctx.family, ctx.dissipator, ctx.tensor, ctx.frame, ctx.T, 0.2)
+        s = ctx.frame.grid[[1, 3, 19]]
+        for block_set in ("all", "diagonal"):
+            stack = rotated_block_generator(*args, s, block_set)
+            assert np.array_equal(stack, np.stack([
+                rotated_block_generator(*args, float(x), block_set) for x in s]))
 
 
 class TestFactorization:

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -20,7 +21,7 @@ from adiabat.generators import (
     cp_check,
     hamiltonian_superop,
 )
-from adiabat.linalg import dag, frobenius, matrix_exponential, vec
+from adiabat.linalg import dag, frobenius, matrix_exponential, sandwich_superop, vec
 from adiabat.models import (
     Gauge,
     build_orange_path,
@@ -225,6 +226,47 @@ class TestChunkedSteps:
         gen = ctx.exact_generator(0.1)
         with pytest.raises(KeyError):
             gen(np.array([0.05, 0.15, off]))
+
+
+def s_dependent_context(model):
+    """A small context whose dissipator has an s-dependent Hamiltonian part
+    and an s-dependent jump operator, called one s at a time."""
+    rng = np.random.default_rng(11)
+    a, b = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            for _ in range(2))
+    f = random_hermitian(rng, 4)
+    diss = LindbladDissipator(dim=4, hamiltonian_part=lambda s: (1.0 - s) * f,
+                              jump_operators=[lambda s: a + 3.0 * s * b])
+    return dataclasses.replace(small_context(model), dissipator=diss)
+
+
+class TestRotatedDissipator:
+    @pytest.mark.parametrize("model", ["holonomy", "random_rotating"])
+    def test_s_dependent_dissipator_in_frame(self, model):
+        # the dissipator part of both generators is D(s) conjugated into
+        # the frame, S(W, W^dag) D(s) S(W^dag, W) with W = C0^dag U(s)
+        ctx = s_dependent_context(model)
+        gamma = 0.3
+        lab = ctx.frame.labels
+        pair = [(lab[p % 4], lab[p // 4]) for p in range(16)]
+        mask = np.array([[ctx.tensor.g[pair[p] + pair[q]] for q in range(16)]
+                         for p in range(16)])
+        for i in (1, 5, 12, 19):
+            s = ctx.frame.grid[i]
+            w = dag(ctx.frame.basis0) @ ctx.frame.U[i]
+            conj = (sandwich_superop(w, dag(w)) @ ctx.dissipator.superoperator(s)
+                    @ sandwich_superop(dag(w), w))
+            for make, expected in ((ctx.exact_generator, conj),
+                                   (ctx.approximate_generator, np.where(mask, conj, 0.0))):
+                part = (make(gamma)(s) - make(0.0)(s)) / (gamma * ctx.T)
+                assert np.abs(part - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("approximate", [False, True])
+    def test_s_dependent_dissipator_on_arrays(self, approximate):
+        ctx = s_dependent_context("random_rotating")
+        gen = (ctx.approximate_generator if approximate else ctx.exact_generator)(0.3)
+        s = ctx.frame.grid[[1, 3, 4, 19]]
+        assert np.array_equal(gen(s), np.stack([gen(float(x)) for x in s]))
 
 
 def random_lindbladian(rng, dim, n_jumps):

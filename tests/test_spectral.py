@@ -286,3 +286,40 @@ class TestTransportFrame:
         plain = build_transport_frame(fam, grid, basis=lambda s: fam.analytic_basis(s))
         for name in ("U", "Z", "basis0"):
             assert np.array_equal(getattr(marked, name), getattr(plain, name))
+
+
+class TestFrameLookups:
+    @pytest.fixture(scope="class")
+    def uneven(self):
+        # a non-uniform grid: quadratic spacing, dense near s = 0
+        grid = np.linspace(0.0, 1.0, 41) ** 2
+        fam = make_random_model(3).family()
+        return build_transport_frame(fam, grid, basis=fam.analytic_basis)
+
+    def test_index_of_array_equals_scalar_calls(self, uneven):
+        grid = uneven.grid
+        idx = np.array([0, 40, 1, 2, 17, 17, 39, 5])
+        s = grid[idx] + np.array([0.0, 0.0, 4e-10, -4e-10, 0.0, 5e-10, 0.0, -1e-10])
+        got = uneven.index_of(s)
+        assert np.array_equal(got, idx)
+        assert [uneven.index_of(float(x)) for x in s] == idx.tolist()
+        assert isinstance(uneven.index_of(float(s[3])), int)
+        assert np.array_equal(uneven.index_of(s.reshape(2, 4)), idx.reshape(2, 4))
+
+    @pytest.mark.parametrize("bad", [0.5 * (0.0025 + 0.01), 1.0 + 1e-6, -1e-6, np.nan])
+    def test_index_of_raises_off_grid_and_out_of_range(self, uneven, bad):
+        with pytest.raises(KeyError):
+            uneven.index_of(bad)
+        with pytest.raises(KeyError):
+            uneven.index_of(np.array([0.0, 0.25, bad]))
+
+    def test_labels_and_rotation(self, uneven):
+        labels = uneven.labels
+        for k, sl in enumerate(uneven.block_slices):
+            assert (labels[sl] == k).all()
+        assert len(labels) == uneven.dim
+        s = uneven.grid[[3, 0, 40]]
+        w = uneven.rotation(s)
+        assert np.array_equal(w, np.stack([uneven.rotation(float(x)) for x in s]))
+        assert np.array_equal(w[1], dag(uneven.basis0) @ uneven.U[0])
+
