@@ -19,7 +19,7 @@ suppresses.
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import functools
 import json
 import math
@@ -164,6 +164,9 @@ class ExperimentConfig:
             raise ConfigInvalid("dt must be positive and finite", field="dt")
         if self.dt > min(self.T_list) / 10.0:
             raise ConfigInvalid("dt must be at most min(T)/10", field="dt")
+        for T in self.T_list:
+            if not runner.divides(self.dt, T):
+                raise ConfigInvalid(f"dt={self.dt:g} does not divide T={T:g}", field="dt")
         if self.seed < 0:
             raise ConfigInvalid("seed must be >= 0", field="seed")
         if self.dim < 2:
@@ -207,51 +210,40 @@ class ExperimentConfig:
 # CSV output
 # ---------------------------------------------------------------------------
 
-def _fmt(value):
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
-def _open_csv(path, timestamp):
-    fh = open(path, "w", newline="")
-    if timestamp:
-        fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
-    return fh
-
-
-def _write_table(rows, columns, path, timestamp):
-    """Header, then one line per row with the named columns; other keys of
-    a row are ignored."""
-    with _open_csv(path, timestamp) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
+def _write_table(columns, rows, path, timestamp):
+    """Write one CSV table: the optional ``# generated`` line, the header,
+    then one line per row of values in column order, each made by a single
+    ``%``-format.  Floats print as ``%.17g`` (enough digits to read back
+    exactly), anything else as ``str``; lines end in ``\\r\\n``, as
+    :mod:`csv` writes them.  No value may contain a comma or a quote."""
+    with open(path, "w", newline="") as fh:
+        if timestamp:
+            fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
+        fh.write(",".join(columns) + "\r\n")
         for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
+            fmt = ",".join("%.17g" if isinstance(v, float) else "%s" for v in row)
+            fh.write(fmt % tuple(row) + "\r\n")
+
+
+def _records(rows, columns):
+    return [[row[c] for c in columns] for row in rows]
 
 
 def write_sweep_csv(rows, path, timestamp=True):
-    _write_table(rows, SWEEP_COLUMNS, path, timestamp)
+    _write_table(SWEEP_COLUMNS, _records(rows, SWEEP_COLUMNS), path, timestamp)
 
 
 def write_trajectory_csv(trajectory, p_comp, path, timestamp=True):
     """One row per sample: s, trace, loss, purity, then Re/Im of the
     column-stacked state components."""
-    d = trajectory.dim
-    header = (["s", "trace", "loss", "purity"]
-              + [f"re_{i}" for i in range(d * d)]
-              + [f"im_{i}" for i in range(d * d)])
-    traces = trajectory.traces()
-    purities = trajectory.purities()
-    with _open_csv(path, timestamp) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, s in enumerate(trajectory.grid):
-            state = trajectory.states[i]
-            v = state.T.reshape(-1)
-            row = [s, traces[i], intensity_loss(state, p_comp), purities[i]]
-            row += list(v.real) + list(v.imag)
-            writer.writerow([_fmt(float(x)) for x in row])
+    states = trajectory.states
+    vecs = np.transpose(states, (0, 2, 1)).reshape(len(states), -1)
+    table = np.column_stack([trajectory.grid, trajectory.traces(),
+                             intensity_loss(states, p_comp),
+                             trajectory.purities(), vecs.real, vecs.imag])
+    header = ["s", "trace", "loss", "purity"] + [
+        f"{part}_{i}" for part in ("re", "im") for i in range(vecs.shape[1])]
+    _write_table(header, (row.tolist() for row in table), path, timestamp)
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +292,12 @@ def _sweep(cfg, out_dir, timestamp, workers, export=None):
     return rows
 
 
-def _export_point(out_dir, timestamp, ctx, point):
+def _export_point(out_dir, timestamp, ctx, metrics, exact, approx):
     """Trajectory CSVs of one point, once its invariants hold; runs in the
     process that integrated the point."""
-    _assert_invariants([point.metrics])
-    for gen_name, traj in (("exact", point.exact), ("approx", point.approx)):
-        fname = f"trajectory_{gen_name}_g{point.gamma:g}_T{point.T:g}.csv"
+    _assert_invariants([metrics])
+    for gen_name, traj in (("exact", exact), ("approx", approx)):
+        fname = f"trajectory_{gen_name}_g{metrics['gamma']:g}_T{metrics['T']:g}.csv"
         write_trajectory_csv(traj, ctx.p_comp, os.path.join(out_dir, fname), timestamp)
 
 
@@ -336,8 +328,7 @@ def _preset_fig_loss(cfg, out_dir, timestamp, workers):
     rows = _sweep(cfg, out_dir, timestamp, workers)
     by_gamma = _by_gamma(rows)
     gammas = sorted(by_gamma)
-    zero = [r for r in by_gamma.get(0.0, [])]
-    for row in zero:
+    for row in by_gamma.get(0.0, []):
         _require("loss-approx-vanishes[g=0]", abs(row["loss_approx"]) <= 1e-10,
                  row["loss_approx"], 1e-10)
     # ordering in gamma at the largest common T
@@ -391,7 +382,8 @@ def _lindblad_check_rows():
 
 def _preset_check_lindblad(cfg, out_dir, timestamp, workers):
     rows = _lindblad_check_rows()
-    _write_table(rows, ["model", "s", "reconstruction_error", "lambda_min"],
+    columns = ["model", "s", "reconstruction_error", "lambda_min"]
+    _write_table(columns, _records(rows, columns),
                  os.path.join(out_dir, "lindblad_check.csv"), timestamp)
     for row in rows:
         tag = f"{row['model']} s={row['s']:.3f}"
@@ -411,14 +403,15 @@ def gauge_check_rows(T=2.0, gamma=0.1, dt=1e-4):
     block at ten checkpoints, plus the frame-discontinuity behaviour of the
     two gauges on a pole-crossing path.
     """
-    x, y, dphi = math.pi / 5, 3 * math.pi / 4, math.pi / 4
-    split = (0.4, 0.2, 0.4, 0.0)
+    x, y, dphi, split = math.pi / 5, 3 * math.pi / 4, math.pi / 4, _DEFAULT_SPLIT
     rows = []
 
     ctx_np = runner.holonomy_context(dphi, split, models.Gauge.NORTH_POLE_REGULAR,
                                      T, dt, x, y)
-    ctx_eq = runner.holonomy_context(dphi, split, models.Gauge.EQUATOR_REGULAR,
-                                     T, dt, x, y)
+    # the spectrum, hence the resonance tensor, does not depend on the
+    # gauge: only the frame and the generator assembly are rebuilt
+    ctx_eq = dataclasses.replace(ctx_np, family=models.holonomy_family(
+        models.build_orange_path(dphi, T, split), models.Gauge.EQUATOR_REGULAR))
     approx_np = runner.integrate(ctx_np, gamma, approximate=True)
     approx_eq = runner.integrate(ctx_eq, gamma, approximate=True)
 
@@ -465,7 +458,8 @@ def gauge_check_rows(T=2.0, gamma=0.1, dt=1e-4):
 
 def _preset_check_gauge(cfg, out_dir, timestamp, workers):
     rows = gauge_check_rows()
-    _write_table(rows, ["check", "value", "bound"],
+    columns = ["check", "value", "bound"]
+    _write_table(columns, _records(rows, columns),
                  os.path.join(out_dir, "gauge_check.csv"), timestamp)
     for row in rows:
         if isinstance(row["bound"], float):
@@ -579,13 +573,8 @@ def main(argv=None):
         unknown = [n for n in args.names if n not in CHECKS]
         if unknown:
             parser.error(f"unknown check {unknown[0]!r} (choose from {', '.join(CHECKS)})")
-    overrides = {
-        "out": getattr(args, "out", None),
-        "dt": getattr(args, "dt", None),
-        "seed": getattr(args, "seed", None),
-        "no_timestamp": getattr(args, "no_timestamp", False),
-        "workers": getattr(args, "workers", None),
-    }
+    overrides = {name: getattr(args, name, None)
+                 for name in ("out", "dt", "seed", "no_timestamp", "workers")}
     try:
         if args.command == "run":
             if args.preset:

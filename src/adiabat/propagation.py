@@ -240,8 +240,10 @@ def piecewise_exp_propagator(generator, dt, T, s_span=(0.0, 1.0),
 # ---------------------------------------------------------------------------
 
 def intensity_loss(rho, p_comp):
-    """Population leaked out of the subspace: ``1 - Tr(P rho)``."""
-    return float(1.0 - np.trace(np.asarray(p_comp) @ np.asarray(rho)).real)
+    """Population leaked out of the subspace: ``1 - Tr(P rho)``, for one
+    state or, element by element, for a stack of states ``(..., d, d)``."""
+    prod = np.asarray(p_comp) @ np.asarray(rho)
+    return 1.0 - np.trace(prod, axis1=-2, axis2=-1).real
 
 
 def normalized_fidelity(rho_a, rho_b, p_comp, eps_norm=1e-12):

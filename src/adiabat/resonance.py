@@ -9,7 +9,6 @@ the crossing locations are refined by bisection.
 """
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass, field
 
@@ -84,15 +83,10 @@ class ResonanceTensor:
 
     def to_csv(self, path):
         """Audit dump, one row per tensor entry (0-based indices)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "l", "kp", "lp", "g"])
-            k = self.nspaces
-            for a in range(k):
-                for b in range(k):
-                    for c in range(k):
-                        for e in range(k):
-                            writer.writerow([a, b, c, e, int(self.g[a, b, c, e])])
+        index = np.indices(self.g.shape).reshape(self.g.ndim, -1).T
+        np.savetxt(path, np.column_stack([index, self.g.reshape(-1)]).astype(int),
+                   fmt="%d", delimiter=",", newline="\r\n", header="k,l,kp,lp,g",
+                   comments="")
 
 
 def gap_function(decomp_at, k, l):

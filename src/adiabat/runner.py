@@ -9,17 +9,20 @@ accurately and cheaply: the exact generator there is
     -iT [diag(E), .] - i [Z(s), .] + Gamma T D~(s)
 
 and the approximate one replaces ``Z`` by its block-diagonal part and masks
-the dissipator with the resonance tensor.  Both come from the one
-assembly :class:`.generators.RotatedFrameGenerator`, which a
-:class:`RunContext` builds once; :func:`integrate` steps one equation and
-rotates the states back to the lab frame, where :func:`run_point` takes
-the metrics.  Direct lab-frame integration of the same equations is
-available in :mod:`.generators` and is checked against this
-representation by the frame-equivalence tests.
+the dissipator with the resonance tensor.  Both come from the one assembly
+:class:`.generators.RotatedFrameGenerator`.  A model factory returns a
+:class:`RunContext`, which builds the half-step grid, the frame and the
+assembly once per T slot; :func:`run_point` integrates both equations with
+:func:`integrate`, hands the lab-frame trajectories to an optional
+``export`` and returns the metrics row.  Direct lab-frame integration of
+the same equations is available in :mod:`.generators` and is checked
+against this representation by the frame-equivalence tests.
 """
 from __future__ import annotations
 
 import functools
+import inspect
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -41,8 +44,8 @@ from .resonance import compute_resonance_tensor
 from .spectral import build_transport_frame, vectorized
 
 __all__ = [
-    "RunPoint",
     "RunContext",
+    "divides",
     "holonomy_context",
     "integrate",
     "random_context",
@@ -57,22 +60,27 @@ _TENSOR_GRID = np.linspace(0.0, 1.0, 201)
 
 @dataclass
 class RunContext:
-    """Everything shared by runs at one (model, T, dt): family, frame on the
-    half-step grid, tensor, dissipator, and the rotated-frame generator
-    assembly built from them."""
+    """Everything shared by runs at one (model, T, dt): the model the
+    factories give, and the frame on the half-step grid and the
+    rotated-frame generator assembly that it builds from them."""
 
     family: object
     dissipator: object
     tensor: object
-    frame: object
     T: float
     dt: float
     p_comp: np.ndarray
     rho0: np.ndarray
     model_id: str
+    frame: object = field(init=False, repr=False)
     generator: RotatedFrameGenerator = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not divides(self.dt, self.T):
+            raise ValueError(f"dt={self.dt} does not divide T={self.T}")
+        grid = np.linspace(0.0, 1.0, 2 * int(round(self.T / self.dt)) + 1)
+        self.frame = build_transport_frame(self.family, grid,
+                                           basis=self.family.analytic_basis)
         self.generator = RotatedFrameGenerator(self.family, self.dissipator,
                                                self.tensor, self.frame, self.T)
 
@@ -91,28 +99,20 @@ class RunContext:
                           metadata=dict(trajectory.metadata))
 
 
-def _half_step_grid(dt, T):
-    ds = dt / T
-    n = int(round(T / dt))
-    if abs(n * dt - T) > 1e-9 * max(T, 1.0):
-        raise ValueError(f"dt={dt} does not divide T={T}")
-    return np.linspace(0.0, 1.0, 2 * n + 1), ds
+def divides(dt, T):
+    """Whether ``dt`` divides ``T``, to 1e-9 of max(T, 1); validation uses it too."""
+    n = T / dt
+    return math.isfinite(n) and abs(round(n) * dt - T) <= 1e-9 * max(T, 1.0)
 
 
 def holonomy_context(delta_phi, split, gauge, T, dt, x, y):
-    path = models.build_orange_path(delta_phi, T, split)
-    family = models.holonomy_family(path, gauge)
-    grid, _ = _half_step_grid(dt, T)
-    frame = build_transport_frame(family, grid, basis=family.analytic_basis)
-    tensor = compute_resonance_tensor(family.spectrum, _TENSOR_GRID)
+    family = models.holonomy_family(models.build_orange_path(delta_phi, T, split), gauge)
     psi = models.initial_state(x, y)
     return RunContext(
         family=family,
         dissipator=models.holonomy_dissipator(),
-        tensor=tensor,
-        frame=frame,
-        T=T,
-        dt=dt,
+        tensor=compute_resonance_tensor(family.spectrum, _TENSOR_GRID),
+        T=T, dt=dt,
         p_comp=models.computational_projector(),
         rho0=np.outer(psi, np.conj(psi)),
         model_id="holonomy",
@@ -122,33 +122,15 @@ def holonomy_context(delta_phi, split, gauge, T, dt, x, y):
 def random_context(seed, T, dt, dim=4):
     model = models.make_random_model(seed, dim)
     family = model.family()
-    grid, _ = _half_step_grid(dt, T)
-    frame = build_transport_frame(family, grid, basis=family.analytic_basis)
-    tensor = compute_resonance_tensor(family.spectrum, _TENSOR_GRID)
     return RunContext(
         family=family,
         dissipator=model.dissipator(),
-        tensor=tensor,
-        frame=frame,
-        T=T,
-        dt=dt,
+        tensor=compute_resonance_tensor(family.spectrum, _TENSOR_GRID),
+        T=T, dt=dt,
         p_comp=np.eye(dim, dtype=complex),
         rho0=model.initial_density(),
         model_id="random_rotating",
     )
-
-
-@dataclass
-class RunPoint:
-    """One sweep point: trajectories (lab frame) plus endpoint metrics."""
-
-    gamma: float
-    T: float
-    dt: float
-    model_id: str
-    exact: Trajectory
-    approx: Trajectory
-    metrics: dict
 
 
 def integrate(ctx, gamma, approximate):
@@ -165,9 +147,10 @@ def integrate(ctx, gamma, approximate):
     return ctx.to_lab(trajectory)
 
 
-def run_point(ctx, gamma, keep_states=True):
-    """Integrate both equations at one coupling strength and collect the
-    sweep metrics."""
+def run_point(ctx, gamma, export=None):
+    """Integrate both equations at one coupling strength and return the
+    sweep metrics.  ``export(ctx, metrics, exact, approx)``, when given,
+    receives the lab-frame trajectories before they are dropped."""
     exact = integrate(ctx, gamma, approximate=False)
     approx = integrate(ctx, gamma, approximate=True)
 
@@ -191,10 +174,9 @@ def run_point(ctx, gamma, keep_states=True):
             for name, traj in (("exact", exact), ("approximate", approx))
         },
     }
-    if not keep_states:
-        exact = approx = None
-    return RunPoint(gamma=gamma, T=ctx.T, dt=ctx.dt, model_id=ctx.model_id,
-                    exact=exact, approx=approx, metrics=metrics)
+    if export is not None:
+        export(ctx, metrics, exact, approx)
+    return metrics
 
 
 # ---------------------------------------------------------------------------
@@ -203,27 +185,16 @@ def run_point(ctx, gamma, keep_states=True):
 
 def run_sweep_task(task, export=None):
     """Process-pool entry point: build the context and run every gamma of
-    one T slot.  ``task`` is a plain dict so it pickles cheaply.
+    one T slot.  ``task`` is a plain dict so it pickles cheaply: ``kind``,
+    ``gamma_list``, and every parameter of the ``kind``'s context factory.
 
-    ``export(ctx, point)``, when given, runs in the process that integrated
-    the point, right after ``run_point``; the point's states are dropped
-    afterwards, so only the metric rows travel back.
+    ``export``, when given, is handed to :func:`run_point` and runs in the
+    process that integrated the point; only the metric rows travel back.
     """
-    kind = task["kind"]
-    if kind == "holonomy":
-        ctx = holonomy_context(task["delta_phi"], task["split"], task["gauge"],
-                               task["T"], task["dt"], task["x"], task["y"])
-    elif kind == "random_rotating":
-        ctx = random_context(task["seed"], task["T"], task["dt"], task["dim"])
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
-    out = []
-    for gamma in task["gamma_list"]:
-        point = run_point(ctx, gamma, keep_states=export is not None)
-        if export is not None:
-            export(ctx, point)
-        out.append(point.metrics)
-    return out
+    factory = {"holonomy": holonomy_context, "random_rotating": random_context}[task["kind"]]
+    # passed by position: the benchmark's tracer tells contexts apart by them
+    ctx = factory(*(task[name] for name in inspect.signature(factory).parameters))
+    return [run_point(ctx, gamma, export) for gamma in task["gamma_list"]]
 
 
 def worker_count(requested=None):

@@ -3,12 +3,14 @@ import json
 import math
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiabat import cli, models, runner
 from adiabat.errors import AssertionFailed, ConfigInvalid
+from adiabat.propagation import Trajectory
 
 
 def write_config(tmp_path, **overrides):
@@ -47,6 +49,22 @@ class TestConfigValidation:
     def test_dt_versus_runtime(self):
         with pytest.raises(ConfigInvalid):
             cli.ExperimentConfig.from_dict({"T_list": [1.0], "dt": 0.2})
+
+    def test_dt_must_divide_every_runtime(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(runner, "sweep", lambda *a, **k: pytest.fail("sweep ran"))
+        path = write_config(tmp_path, T_list=[2.0, 1.05], dt=0.1)
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "dt" in capsys.readouterr().err
+        with pytest.raises(ConfigInvalid) as err:
+            cli.ExperimentConfig.from_dict({"T_list": [1.05], "dt": 0.1})
+        assert err.value.field == "dt"
+
+    def test_dt_override_must_divide_preset_runtimes(self, tmp_path, capsys):
+        # fig-element runs T = 20..200; 0.3 divides none of them
+        assert cli.main(["run", "--preset", "fig-element", "--dt", "0.3",
+                         "--out", str(tmp_path), "--workers", "1"]) == 2
+        assert "dt" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_non_finite_rejected(self):
         with pytest.raises(ConfigInvalid):
@@ -242,6 +260,51 @@ class TestRunConfig:
         assert code == 1 and rows is None
         assert not (tmp_path / "out" / "sweep.csv").exists()
         assert not list((tmp_path / "out").glob("trajectory_*.csv"))
+
+
+class TestCsvFormat:
+    """The bytes of the CSV tables: header order, column-stacked state
+    components, 17 significant digits, csv's line ends, and the timestamp
+    line only when asked for."""
+
+    TRAJECTORY = (
+        b"s,trace,loss,purity,re_0,re_1,re_2,re_3,im_0,im_1,im_2,im_3\r\n"
+        b"0,0.33333333333333331,0.66666666666666674,0.1111111111111111,"
+        b"0.33333333333333331,0,0.10000000000000001,-0,0,1e-300,0,0\r\n"
+        b"0.33333333333333331,1,0.90000000000000002,1.0422222222222224,"
+        b"0.10000000000000001,0,-0,0.90000000000000002,"
+        b"0,0.33333333333333331,-0.33333333333333331,0\r\n")
+
+    def write_trajectory(self, path, timestamp):
+        states = np.array([[[1 / 3, 0.1], [1e-300j, -0.0]],
+                           [[0.1, -1j / 3], [1j / 3, 0.9]]])
+        traj = Trajectory(grid=np.array([0.0, 1 / 3]), states=states)
+        cli.write_trajectory_csv(traj, np.diag([1.0, 0.0]).astype(complex),
+                                 str(path), timestamp=timestamp)
+        return path.read_bytes()
+
+    def test_trajectory_bytes(self, tmp_path):
+        assert self.write_trajectory(tmp_path / "t.csv", False) == self.TRAJECTORY
+
+    def test_timestamp_line_only_when_asked(self, tmp_path):
+        first, rest = self.write_trajectory(tmp_path / "t.csv", True).split(b"\n", 1)
+        assert first.startswith(b"# generated ") and not first.endswith(b"\r")
+        assert rest == self.TRAJECTORY
+
+    def test_gauge_table_mixes_floats_and_text(self, tmp_path, monkeypatch):
+        rows = [{"check": "direct-vs-rotated", "value": 1 / 3, "bound": 0.5},
+                {"check": "gauge-equivalence", "value": -0.0, "bound": 1e-300},
+                {"check": "equator-gauge-discontinuity-detected", "value": 1.0,
+                 "bound": "must raise"}]
+        monkeypatch.setattr(cli, "gauge_check_rows", lambda: rows)
+        code, _ = cli.run_preset("check-gauge", {"out": str(tmp_path),
+                                                 "no_timestamp": True})
+        assert code == 0
+        assert (tmp_path / "gauge_check.csv").read_bytes() == (
+            b"check,value,bound\r\n"
+            b"direct-vs-rotated,0.33333333333333331,0.5\r\n"
+            b"gauge-equivalence,-0,1e-300\r\n"
+            b"equator-gauge-discontinuity-detected,1,must raise\r\n")
 
 
 class TestRunner:

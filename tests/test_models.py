@@ -239,8 +239,8 @@ class TestHolonomyIndependence:
             ctx = runner.holonomy_context(dphi, (0.4, 0.2, 0.4, 0.0),
                                           Gauge.NORTH_POLE_REGULAR,
                                           50.0, 0.01, X, Y)
-            point = runner.run_point(ctx, 0.1)
-            comp = point.approx.final_state()[:2, :2]
+            approx = runner.integrate(ctx, 0.1, approximate=True)
+            comp = approx.final_state()[:2, :2]
             u = holonomy_gate(dphi)
             outs.append(u @ comp @ dag(u))
         assert frobenius(outs[0] - outs[1]) <= 1e-6
