@@ -8,8 +8,8 @@ Usage:
     adiabat check --all
 
 Exit codes: 0 on success, 1 when an embedded assertion fails, 2 on config
-errors.  ``--workers``, or else ``ADIABAT_THREADS``, sets the worker pool
-size.
+errors, a ``dt`` whose steps exceed the step budget included.
+``--workers``, or else ``ADIABAT_THREADS``, sets the worker pool size.
 
 Output files are deterministic for a fixed config and seed: rows are sorted
 by (gamma, T), floats are printed with 17 significant digits, and the only
@@ -34,8 +34,10 @@ from . import models, runner
 from .errors import (
     AdiabatError,
     AssertionFailed,
+    BadSplit,
     ConfigInvalid,
     FrameDiscontinuity,
+    StepTooLarge,
 )
 from .generators import ApproximateGenerator, lindblad_factorize
 from .linalg import frobenius
@@ -181,13 +183,11 @@ class ExperimentConfig:
                                         field="initial_state")
             if "delta_phi" not in self.path:
                 raise ConfigInvalid("path needs delta_phi", field="path")
-            if not 0.0 <= self.path["delta_phi"] < 2.0 * math.pi:
-                raise ConfigInvalid("path delta_phi must lie in [0, 2*pi)", field="path")
-            split = self.path.get("split", _DEFAULT_SPLIT)
-            if (len(split) != 4 or not all(0.0 <= f < math.inf for f in split)
-                    or abs(sum(split) - 1.0) > 1e-12):
-                raise ConfigInvalid("path split must be four numbers >= 0 summing to 1",
-                                    field="path")
+            try:
+                models.build_orange_path(self.path["delta_phi"], 1.0,
+                                         self.path.get("split", _DEFAULT_SPLIT))
+            except BadSplit as exc:
+                raise ConfigInvalid(f"path: {exc}", field="path") from None
 
     def tasks(self):
         """One runner task per T slot (gammas share the frame build)."""
@@ -507,6 +507,9 @@ def _execute(func, cfg, overrides):
     except AssertionFailed as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return 1, None
+    except StepTooLarge as exc:
+        # the step budget is a property of the config: a smaller dt meets it
+        raise ConfigInvalid(f"dt={cfg.dt:g} is too large: {exc}", field="dt") from None
     return 0, rows
 
 

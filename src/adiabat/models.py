@@ -26,7 +26,8 @@ axes, and the families built here are marked
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import functools
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -130,20 +131,14 @@ class _Segment:
     phi0: float
     phi1: float
 
-    def theta(self, s):
-        return self.theta0 + (self.theta1 - self.theta0) * self._frac(s)
+    def angles(self, s):
+        frac = (s - self.s0) / (self.s1 - self.s0)
+        return (self.theta0 + (self.theta1 - self.theta0) * frac,
+                self.phi0 + (self.phi1 - self.phi0) * frac)
 
-    def phi(self, s):
-        return self.phi0 + (self.phi1 - self.phi0) * self._frac(s)
-
-    def theta_rate(self):
-        return (self.theta1 - self.theta0) / (self.s1 - self.s0)
-
-    def phi_rate(self):
-        return (self.phi1 - self.phi0) / (self.s1 - self.s0)
-
-    def _frac(self, s):
-        return (s - self.s0) / (self.s1 - self.s0)
+    def rates(self):
+        return ((self.theta1 - self.theta0) / (self.s1 - self.s0),
+                (self.phi1 - self.phi0) / (self.s1 - self.s0))
 
 
 @dataclass(frozen=True)
@@ -160,41 +155,34 @@ class HolonomyPath:
     def breakpoints(self):
         return tuple(seg.s0 for seg in self.segments[1:])
 
-    def _segment(self, s):
-        for seg in self.segments:
-            if seg.s0 <= s < seg.s1:
-                return seg
-        return self.segments[-1]
+    @functools.cached_property
+    def _table(self):
+        return np.array([astuple(seg) for seg in self.segments])
+
+    def _which(self, s):
+        """The segment holding ``s``, whose fields are arrays of the shape of
+        ``s`` for an array: the first one with ``s0 <= s < s1``, else the
+        last one.  The segments tile [0, 1] in order, so that is the last one
+        with ``s0 <= s``; index -1 (``s`` before the first) is the last one."""
+        table = self._table
+        return _Segment(*table[np.searchsorted(table[:, 0], s, side="right") - 1].T)
 
     def theta(self, s):
-        return self._segment(s).theta(s)
+        return self.angles(s)[0]
 
     def phi(self, s):
-        return self._segment(s).phi(s)
+        return self.angles(s)[1]
 
     def theta_rate(self, s):
-        return self._segment(s).theta_rate()
+        return self._which(s).rates()[0]
 
     def phi_rate(self, s):
-        return self._segment(s).phi_rate()
+        return self._which(s).rates()[1]
 
     def angles(self, s):
-        """``(theta, phi)`` at ``s``; arrays of the shape of ``s`` for an
-        array, each sample on its own segment."""
-        if np.ndim(s) == 0:
-            seg = self._segment(s)
-            return seg.theta(s), seg.phi(s)
-        s = np.asarray(s, dtype=float)
-        # the first segment with s0 <= s < s1, else the last one
-        which = np.full(s.shape, len(self.segments) - 1)
-        for i in reversed(range(len(self.segments))):
-            seg = self.segments[i]
-            which[(seg.s0 <= s) & (s < seg.s1)] = i
-        theta, phi = np.empty_like(s), np.empty_like(s)
-        for i, seg in enumerate(self.segments):
-            on = which == i
-            theta[on], phi[on] = seg.theta(s[on]), seg.phi(s[on])
-        return theta, phi
+        """``(theta, phi)`` at ``s``: numbers for a number, arrays of the
+        shape of ``s`` for an array, each sample on its own segment."""
+        return self._which(s).angles(s)
 
 
 def build_orange_path(delta_phi, T, split=(0.4, 0.2, 0.4, 0.0)):
@@ -207,8 +195,10 @@ def build_orange_path(delta_phi, T, split=(0.4, 0.2, 0.4, 0.0)):
     (it degenerates to the pole point and costs no adiabaticity).
     """
     split = tuple(float(f) for f in split)
-    if len(split) != 4 or any(f < 0 for f in split) or abs(sum(split) - 1.0) > 1e-12:
-        raise BadSplit(f"segment fractions {split} must be >= 0 and sum to 1")
+    if (len(split) != 4 or not all(0.0 <= f < np.inf for f in split)
+            or abs(sum(split) - 1.0) > 1e-12):
+        raise BadSplit(f"segment fractions {split} must be four finite numbers >= 0 "
+                       f"summing to 1")
     if not 0.0 <= delta_phi < 2.0 * np.pi:
         raise BadSplit(f"opening angle {delta_phi} outside [0, 2*pi)")
 
@@ -307,8 +297,9 @@ def approximate_block_matrix(path, gamma, T, s):
     gauge, for the component order
     ``(rho_11, rho_12, rho_21, rho_22, rho_33, rho_44)`` (dark block, then
     the two bright populations)."""
-    theta = path.theta(s)
-    dphi = path.phi_rate(s)
+    seg = path._which(s)
+    theta, _ = seg.angles(s)
+    _, dphi = seg.rates()
     if abs(np.sin(theta)) < 1e-12 and dphi != 0.0:
         raise GaugeSingularity(
             "equator gauge is singular where the azimuth varies at a pole"

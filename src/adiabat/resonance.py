@@ -54,32 +54,24 @@ class ResonanceTensor:
     def g_matrix(self):
         """The induced real symmetric matrix ``G[(k,kp), (l,lp)] = g[k,l,kp,lp]``."""
         k = self.nspaces
-        m = np.zeros((k * k, k * k))
-        for a in range(k):
-            for b in range(k):
-                for c in range(k):
-                    for e in range(k):
-                        m[a * k + c, b * k + e] = float(self.g[a, b, c, e])
-        return m
+        return self.g.transpose(0, 2, 1, 3).reshape(k * k, k * k).astype(float)
 
     def validate_identities(self):
-        """Exhaustive check of the symmetry and delta identities."""
-        k = self.nspaces
-        g = self.g
-        for a in range(k):
-            for b in range(k):
-                for c in range(k):
-                    for e in range(k):
-                        assert g[a, b, c, e] == g[c, e, a, b]
-                        assert g[a, b, c, e] == g[b, a, e, c]
-        delta = np.eye(k, dtype=bool)
-        for a in range(k):
-            for b in range(k):
-                for c in range(k):
-                    assert g[a, b, c, b] == delta[a, c]
-                    assert g[a, b, a, c] == delta[b, c]
-                    assert g[a, a, b, c] == delta[b, c]
-                    assert g[a, b, c, c] == delta[a, b]
+        """Exhaustive check of the delta and symmetry identities; raises
+        ``AssertionError`` naming the first one that fails."""
+        g, i = self.g, np.arange(self.nspaces)
+        delta = np.eye(self.nspaces, dtype=bool)
+        # the diagonals below have axes (l, k, k'), (k, l, l'), (k, k', l')
+        # and (k, l, k'); delta broadcasts over the free one
+        for name, lhs, rhs in (
+                ("g[k,l,k',l] = delta[k,k']", g[:, i, :, i], delta),
+                ("g[k,l,k,l'] = delta[l,l']", g[i, :, i, :], delta),
+                ("g[k,k,k',l'] = delta[k',l']", g[i, i], delta),
+                ("g[k,l,k',k'] = delta[k,l]", g[:, :, i, i], delta[..., None]),
+                ("g[k,l,k',l'] = g[k',l',k,l]", g, g.transpose(2, 3, 0, 1)),
+                ("g[k,l,k',l'] = g[l,k,l',k']", g, g.transpose(1, 0, 3, 2))):
+            if not (lhs == rhs).all():
+                raise AssertionError(f"resonance tensor breaks {name}")
 
     def to_csv(self, path):
         """Audit dump, one row per tensor entry (0-based indices)."""
@@ -121,64 +113,49 @@ def compute_resonance_tensor(decomp_at, grid, coincide_tol=1e-9, slope_tol=1e-6)
     difference are refined by bisection to 1e-6 and recorded as isolated
     crossings; a crossing whose local slope falls below ``slope_tol``
     raises :class:`TangentialCrossing` because the transversality premise
-    behind the classification fails there.
+    behind the classification fails there.  A ``decomp_at`` marked
+    :func:`.spectral.vectorized` gives the energies on the whole grid in
+    one call.
     """
     grid = np.asarray(grid, dtype=float)
     if len(grid) < 33:
         raise ValueError("resonance classification needs at least 33 grid samples")
-    sample0 = decomp_at(grid[0])
-    k = sample0.nspaces
-
-    energies = np.stack([decomp_at(s).energies for s in grid])   # (n, K)
+    if getattr(decomp_at, "vectorized", False):
+        energies = decomp_at(grid).energies
+    else:
+        energies = np.stack([decomp_at(s).energies for s in grid])   # (n, K)
+    k = energies.shape[1]
     g = np.zeros((k, k, k, k), dtype=bool)
-    crossings = []
-    flagged = []
+    crossings, flagged = [], []
 
     pairs = [(a, b) for a in range(k) for b in range(k)]
-    deltas = {p: energies[:, p[0]] - energies[:, p[1]] for p in pairs}
-
-    seen = set()
-    for pa in pairs:
-        for pb in pairs:
-            if (pa, pb) in seen:
-                continue
-            seen.add((pa, pb))
-            seen.add((pb, pa))
-            diff = deltas[pa] - deltas[pb]
-            if np.abs(diff).max() <= coincide_tol:
-                g[pa[0], pa[1], pb[0], pb[1]] = True
-                g[pb[0], pb[1], pa[0], pa[1]] = True
-                continue
-            if pa == pb:
-                continue
-            near = np.abs(diff) <= coincide_tol
-            # runs of near-zero samples: coincidence on a sub-interval,
-            # neither systematic nor an isolated crossing
-            if _longest_run(near) >= 2:
-                flagged.append((pa, pb))
-                continue
-            h = lambda s, pa=pa, pb=pb: (
-                _gap_value(decomp_at, s, pa) - _gap_value(decomp_at, s, pb)
-            )
-            signs = np.where(near, 0, np.sign(diff)).astype(int)
-            for i, sign in enumerate(signs):
-                if sign != 0:
-                    continue
-                # isolated touch at a grid sample; a tangential touch fails
-                # the slope check, a transversal one is a valid crossing
-                _check_slope(h, grid[i], slope_tol, pa, pb)
-                crossings.append((pa, pb, float(grid[i])))
-            for i in range(len(grid) - 1):
-                if signs[i] != 0 and signs[i + 1] != 0 and signs[i] != signs[i + 1]:
-                    s_star = _bisect_root(h, grid[i], grid[i + 1])
-                    _check_slope(h, s_star, slope_tol, pa, pb)
-                    crossings.append((pa, pb, float(s_star)))
+    deltas = [energies[:, a] - energies[:, b] for a, b in pairs]
+    for i, j in zip(*np.triu_indices(len(pairs))):
+        pa, pb = pairs[i], pairs[j]
+        diff = deltas[i] - deltas[j]
+        near = np.abs(diff) <= coincide_tol
+        if near.all():
+            g[pa + pb] = g[pb + pa] = True
+            continue
+        # a run of near-zero samples: coincidence on a sub-interval,
+        # neither systematic nor an isolated crossing
+        if (near[:-1] & near[1:]).any():
+            flagged.append((pa, pb))
+            continue
+        da, db = gap_function(decomp_at, *pa), gap_function(decomp_at, *pb)
+        h = lambda s: da(s) - db(s)
+        # an isolated touch at a grid sample: a tangential touch fails the
+        # slope check, a transversal one is a valid crossing
+        for t in np.flatnonzero(near):
+            _check_slope(h, grid[t], slope_tol, pa, pb)
+            crossings.append((pa, pb, float(grid[t])))
+        signs = np.where(near, 0, np.sign(diff)).astype(int)
+        change = (signs[:-1] != 0) & (signs[1:] != 0) & (signs[:-1] != signs[1:])
+        for t in np.flatnonzero(change):
+            s_star = _bisect_root(h, grid[t], grid[t + 1])
+            _check_slope(h, s_star, slope_tol, pa, pb)
+            crossings.append((pa, pb, float(s_star)))
     return ResonanceTensor(nspaces=k, g=g, crossing_points=crossings, flagged=flagged)
-
-
-def _gap_value(decomp_at, s, pair):
-    e = decomp_at(s).energies
-    return float(e[pair[0]] - e[pair[1]])
 
 
 def _check_slope(h, s, slope_tol, pa, pb):
@@ -191,11 +168,3 @@ def _check_slope(h, s, slope_tol, pa, pb):
             f"gap functions {pa} and {pb} touch at s={s:.6f} with slope "
             f"{slope:.3e} below {slope_tol:.1e}"
         )
-
-
-def _longest_run(mask):
-    best = cur = 0
-    for v in mask:
-        cur = cur + 1 if v else 0
-        best = max(best, cur)
-    return best

@@ -73,9 +73,9 @@ def evaluate_on(fn, s):
 @dataclass
 class SpectralDecomposition:
     """Clustered eigenstructure ``H = sum_k E_k P_k`` at one parameter value,
-    or at each of ``n`` values: then ``energies`` is ``(n, K)``, each
-    projector an ``(n, d, d)`` stack, and ``ranks`` an ``(n, K)`` array
-    where the samples' ranks differ."""
+    or at each of ``n`` values: then ``energies`` is ``(n, K)`` and each
+    projector an ``(n, d, d)`` stack.  ``ranks`` is one tuple, shared by
+    every sample."""
 
     energies: np.ndarray          # (K,) real, one value per eigenspace
     projectors: list              # K projectors, each (d, d)
@@ -83,7 +83,7 @@ class SpectralDecomposition:
 
     @property
     def nspaces(self):
-        return np.shape(self.ranks)[-1]
+        return len(self.ranks)
 
     @property
     def dim(self):
@@ -91,22 +91,20 @@ class SpectralDecomposition:
 
     def take(self, index):
         """The samples ``index`` of a stacked decomposition."""
-        ranks = self.ranks if isinstance(self.ranks, tuple) else self.ranks[index]
         return SpectralDecomposition(energies=self.energies[index],
                                      projectors=[p[index] for p in self.projectors],
-                                     ranks=ranks)
+                                     ranks=self.ranks)
 
     @classmethod
     def stack(cls, decomps):
-        """One stacked decomposition of per-sample ones."""
-        counts = {d.nspaces for d in decomps}
-        if len(counts) > 1:
-            raise DegeneracyChange(f"eigenspace count changed between samples: {sorted(counts)}")
+        """One stacked decomposition of per-sample ones; raises
+        :class:`DegeneracyChange` when their ranks differ."""
         ranks = {d.ranks for d in decomps}
+        if len(ranks) > 1:
+            raise DegeneracyChange(f"eigenspace ranks changed between samples: {sorted(ranks)}")
         return cls(energies=np.stack([d.energies for d in decomps]),
                    projectors=[np.stack(p) for p in zip(*(d.projectors for d in decomps))],
-                   ranks=ranks.pop() if len(ranks) == 1
-                   else np.array([d.ranks for d in decomps]))
+                   ranks=ranks.pop())
 
     def validate(self, tol=1e-10, degeneracy_tol=1e-8):
         """Check projector algebra, completeness, distinctness and rank sum."""
@@ -155,6 +153,7 @@ class HamiltonianFamily:
                                f"by {np.ravel(defect)[bad[0]]:.3e}")
         return h
 
+    @vectorized
     def spectrum(self, s):
         """Instantaneous decomposition, analytic when the model provides
         one; stacked for a 1-D array ``s``."""
@@ -202,6 +201,13 @@ def _eigencolumns(family, s, degeneracy_tol):
     return energies, columns
 
 
+def _decomposition(energies, columns):
+    """The decomposition spanned by cluster-grouped eigencolumns."""
+    return SpectralDecomposition(energies=energies,
+                                 projectors=[c @ dag(c) for c in columns],
+                                 ranks=tuple(c.shape[1] for c in columns))
+
+
 def decompose_at(family, s, degeneracy_tol=1e-8):
     """Numerically diagonalize ``H(s)`` and cluster into eigenspaces.
 
@@ -210,14 +216,12 @@ def decompose_at(family, s, degeneracy_tol=1e-8):
     count, :class:`AmbiguousClustering` when the gap structure cannot be
     resolved at the given tolerance.
     """
-    energies, columns = _eigencolumns(family, s, degeneracy_tol)
-    projectors = [c @ dag(c) for c in columns]
-    ranks = tuple(c.shape[1] for c in columns)
-    if family.n_eigenspaces is not None and len(ranks) != family.n_eigenspaces:
+    decomp = _decomposition(*_eigencolumns(family, s, degeneracy_tol))
+    if family.n_eigenspaces is not None and decomp.nspaces != family.n_eigenspaces:
         raise DegeneracyChange(
-            f"found {len(ranks)} eigenspaces at s={s}, expected {family.n_eigenspaces}"
+            f"found {decomp.nspaces} eigenspaces at s={s}, expected {family.n_eigenspaces}"
         )
-    return SpectralDecomposition(energies=energies, projectors=projectors, ranks=ranks)
+    return decomp
 
 
 def _match_order(decomp, reference):
@@ -240,15 +244,16 @@ def _match_order(decomp, reference):
         free = (order[rows, i] < 0) & ~taken[rows, j]
         order[rows[free], i[free]] = j[free]
         taken[rows[free], j[free]] = True
-    ranks = np.broadcast_to(decomp.ranks, lead + (k,)).reshape(-1, k)
-    if (np.take_along_axis(ranks, order, -1) != np.reshape(reference.ranks, (-1, k))).any():
+    if (np.asarray(decomp.ranks)[order] != reference.ranks).any():
         raise DegeneracyChange("eigenspace ranks changed between samples")
     return order.reshape(lead + (k,))
 
 
-def _relabel(decomp, reference):
-    """Permute ``decomp`` labels to maximize overlap with ``reference``."""
-    order = _match_order(decomp, reference)
+def _relabel(decomp, reference, order=None):
+    """Permute ``decomp`` labels to maximize overlap with ``reference``, or
+    by ``order`` when :func:`_match_order` already gave it."""
+    if order is None:
+        order = _match_order(decomp, reference)
     projectors = np.take_along_axis(np.stack(decomp.projectors, axis=-3),
                                     order[..., None, None], axis=-3)
     return SpectralDecomposition(
@@ -262,13 +267,9 @@ def _relabel(decomp, reference):
 def decompose_on_grid(family, grid, degeneracy_tol=1e-8):
     """Decompose along ``grid`` with labels propagated by maximal overlap."""
     out = []
-    previous = None
     for s in grid:
         d = decompose_at(family, s, degeneracy_tol)
-        if previous is not None:
-            d = _relabel(d, previous)
-        out.append(d)
-        previous = d
+        out.append(_relabel(d, out[-1]) if out else d)
     return out
 
 
@@ -466,36 +467,18 @@ def _polar_unitary(m):
 
 def _continued_columns(family, grid, degeneracy_tol):
     """Numerically gauge-continued eigencolumns along the grid."""
-    e0, cols = _eigencolumns(family, grid[0], degeneracy_tol)
-    ref = SpectralDecomposition(
-        energies=e0,
-        projectors=[c @ dag(c) for c in cols],
-        ranks=tuple(c.shape[1] for c in cols),
-    )
+    energies, cols = _eigencolumns(family, grid[0], degeneracy_tol)
+    prev = _decomposition(energies, cols)
     frames = [cols]
-    prev_cols = cols
-    prev = ref
     for s in grid[1:]:
         energies, raw = _eigencolumns(family, s, degeneracy_tol)
-        d = SpectralDecomposition(
-            energies=energies,
-            projectors=[c @ dag(c) for c in raw],
-            ranks=tuple(c.shape[1] for c in raw),
-        )
+        d = _decomposition(energies, raw)
         order = _match_order(d, prev)
-        raw = [raw[j] for j in order]
-        aligned = []
-        for x_prev, x_cur in zip(prev_cols, raw):
-            # rotate the degenerate block onto the previous sample
-            aligned.append(x_cur @ _polar_unitary(dag(x_cur) @ x_prev))
-        frames.append(aligned)
-        prev_cols = aligned
-        prev = SpectralDecomposition(
-            energies=d.energies[order],
-            projectors=[d.projectors[j] for j in order],
-            ranks=tuple(d.ranks[j] for j in order),
-        )
-    return np.stack([np.hstack(f) for f in frames]), ref.ranks
+        # rotate each degenerate block onto the previous sample's
+        frames.append([x @ _polar_unitary(dag(x) @ x_prev)
+                       for x_prev, x in zip(frames[-1], (raw[j] for j in order))])
+        prev = _relabel(d, prev, order)
+    return np.stack([np.hstack(f) for f in frames]), prev.ranks
 
 
 def _grouped_analytic_columns(family, grid, basis, degeneracy_tol):

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  The heavyweight sweeps (the figure presets) are session fixtures so
 several criteria share them.
 """
+import functools
 import math
 import time
 
@@ -17,6 +18,7 @@ from adiabat.models import Gauge
 from adiabat.propagation import evolve_vector_piecewise_exp, piecewise_exp_propagator
 from adiabat.generators import choi_matrix, cp_check
 from adiabat.resonance import compute_resonance_tensor
+from adiabat.spectral import vectorized
 
 X, Y, DPHI = math.pi / 5, 3 * math.pi / 4, math.pi / 4
 SPLIT = (0.4, 0.2, 0.4, 0.0)
@@ -287,9 +289,10 @@ def test_criterion_10_invariants_and_autonomy(fig_element_rows,
     T, gamma = 5.0, 0.2
     ctx = runner.holonomy_context(DPHI, SPLIT, Gauge.NORTH_POLE_REGULAR,
                                   T, 0.01, X, Y)
-    diag_gen = lambda s: rotated_block_generator(
-        ctx.family, ctx.dissipator, ctx.tensor, ctx.frame, T, gamma, s,
-        "diagonal")
+    # one block-generator build per chunk of midpoints, not per midpoint
+    diag_gen = vectorized(functools.partial(
+        rotated_block_generator, ctx.family, ctx.dissipator, ctx.tensor,
+        ctx.frame, T, gamma, block_set="diagonal"))
     w0 = dag(ctx.frame.basis0) @ ctx.frame.U[0]
     rho_hat = w0 @ ctx.rho0 @ dag(w0)
     perturbed = rho_hat.copy()

@@ -1,7 +1,11 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import os
 import pickle
+import tempfile
 
 import numpy as np
 import pytest
@@ -123,6 +127,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("path", [
         pytest.param({"delta_phi": 7.0}, id="delta-phi-beyond-2pi"),
         pytest.param({"delta_phi": 0.5, "split": [0.5, 0.5, 0.5, 0]}, id="split-sum"),
+        pytest.param({"delta_phi": 0.5, "split": [math.nan, 0.2, 0.4, 0.4]}, id="split-nan"),
+        pytest.param({"split": [0.4, 0.2, 0.4, 0.0]}, id="no-delta-phi"),
     ])
     def test_bad_path_exits_two_before_running(self, tmp_path, capsys, monkeypatch, path):
         # rejected by validate, not by the model once the run has started
@@ -130,6 +136,16 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, path=path)
         assert cli.main(["run", "--config", str(cfg)]) == 2
         assert "path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields", [
+        pytest.param(dict(model="random_rotating", T_list=[100.0], dt=10.0), id="random"),
+        pytest.param(dict(T_list=[1e300], dt=1e299), id="holonomy-huge-T"),
+    ])
+    def test_step_over_budget_exits_two(self, tmp_path, capsys, fields):
+        cfg = write_config(tmp_path, **fields)
+        assert cli.main(["run", "--config", str(cfg), "--workers", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: dt=" in err and "Traceback" not in err
 
     def test_dim_bounded(self, tmp_path, capsys):
         cli.ExperimentConfig.from_dict({"model": "random_rotating", "dim": 16})
@@ -165,6 +181,39 @@ def test_config_fuzz_passes_or_names_field(data):
         cli.ExperimentConfig.from_dict(data).validate()
     except ConfigInvalid as exc:
         assert exc.field in set(_FIELDS) | set(data)
+
+
+@st.composite
+def tiny_configs(draw):
+    """Small run configs, most of them valid: ``T`` <= 2, ``dt`` >= 0.05."""
+    dt = draw(st.sampled_from([0.05, 0.1]))
+    runtime = st.integers(10, round(2.0 / dt)).map(lambda n: n * dt) | st.floats(0.01, 2.0)
+    split = st.sampled_from([(0.4, 0.2, 0.4, 0.0), (0.25, 0.25, 0.25, 0.25)]) | st.lists(
+        st.sampled_from([0.0, 0.1, 0.2, 0.5]), min_size=3, max_size=4)
+    return {"model": draw(st.sampled_from(["holonomy", "random_rotating"])),
+            "gamma_list": draw(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=2)),
+            "T_list": draw(st.lists(runtime, min_size=1, max_size=2)),
+            "dt": dt,
+            "dim": draw(st.integers(2, 4)),
+            "seed": draw(st.integers(0, 2 ** 32)),
+            "gauge": draw(st.sampled_from(["north_pole", "equator"])),
+            "path": {"delta_phi": draw(st.floats(0.0, 7.0)), "split": draw(split)}}
+
+
+@settings(max_examples=25, deadline=None)
+@given(tiny_configs())
+def test_tiny_runs_end_with_an_exit_code(config):
+    # a whole run, in-process: whatever the config, main returns 0, 1 or 2
+    # and never lets a traceback out
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(dict(config, outputs=os.path.join(tmp, "out")), fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["run", "--config", path, "--no-timestamp", "--workers", "1"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.fixture(scope="module")

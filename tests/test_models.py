@@ -128,6 +128,13 @@ class TestOrangePath:
         with pytest.raises(BadSplit):
             build_orange_path(7.0, 10.0)
 
+    @pytest.mark.parametrize("split", [(np.nan, 0.2, 0.4, 0.4), (0.4, np.inf, 0.4, 0.2),
+                                       (0.4, 0.2, 0.4, -np.inf)])
+    def test_non_finite_split(self, split):
+        # a NaN fraction passes the sign and sum comparisons
+        with pytest.raises(BadSplit):
+            build_orange_path(DPHI, 10.0, split=split)
+
     def test_nonzero_fourth_segment(self):
         path = build_orange_path(DPHI, 100.0, split=(0.35, 0.15, 0.35, 0.15))
         assert path.angles(1.0) == pytest.approx((0.0, 0.0))

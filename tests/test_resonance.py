@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from adiabat.errors import TangentialCrossing
 from adiabat.models import build_orange_path, holonomy_family, make_random_model
 from adiabat.resonance import (
     CrossingCase,
+    ResonanceTensor,
     compute_resonance_tensor,
     gap_function,
 )
@@ -148,6 +151,34 @@ class TestResonanceTensor:
         for (pa, pb) in t.flagged:
             assert not t.g[pa[0], pa[1], pb[0], pb[1]]
 
+    def test_schedule_crossings_pinned(self):
+        # E2 falls through the levels 2 and 1 between grid samples, rests at
+        # 0.5 on [0.61, 0.71] and rises through 1 and then 2 at the grid
+        # sample s = 0.91
+        def energies(s):
+            return [0.0, 1.0, np.interp(s, [0.0, 0.61, 0.71, 0.91, 1.0],
+                                        [2.3, 0.5, 0.5, 2.0, 2.675])]
+        t = compute_resonance_tensor(energy_map(energies), GRID)
+        down2, down1, up1 = 0.3 * 0.61 / 1.8, 1.3 * 0.61 / 1.8, 0.71 + 0.5 / 7.5
+
+        def level1(*pairs):
+            return [(pa, pb, s) for pa, pb in pairs for s in (down1, up1)]
+
+        def level2(pa, pb):
+            # the touch at a grid sample comes before the pair's sign change
+            return [(pa, pb, 0.91), (pa, pb, down2)]
+        expected = (level1(((0, 0), (1, 2)), ((0, 0), (2, 1)), ((0, 1), (0, 2)))
+                    + level2((0, 1), (1, 2))
+                    + level1(((1, 0), (2, 0)))
+                    + level2((1, 0), (2, 1))
+                    + level1(((1, 1), (1, 2)), ((1, 1), (2, 1)), ((1, 2), (2, 1)),
+                             ((1, 2), (2, 2)), ((2, 1), (2, 2))))
+        assert [c[:2] for c in t.crossing_points] == [c[:2] for c in expected]
+        assert np.allclose([c[2] for c in t.crossing_points], [c[2] for c in expected],
+                           rtol=0.0, atol=1e-6)
+        assert t.crossing_points[6][2] == GRID[182]
+        assert t.flagged == [((0, 2), (2, 1)), ((1, 2), (2, 0))]
+
     def test_minimum_grid_size(self):
         with pytest.raises(ValueError):
             compute_resonance_tensor(energy_map(lambda s: [0.0, 1.0]),
@@ -162,3 +193,35 @@ class TestResonanceTensor:
         assert len(lines) == 1 + 2 ** 4
         assert "0,1,0,1,1" in lines
         assert "0,1,1,0,0" in lines
+
+
+def generic_tensor(k):
+    """The tensor of a spectrum with no gap coincidences but the forced ones."""
+    a, b, c, e = np.indices((k, k, k, k))
+    return ResonanceTensor(nspaces=k, g=((a == b) & (c == e)) | ((a == c) & (b == e)))
+
+
+class TestTensorAlgebra:
+    def test_g_matrix_index_definition(self):
+        k = 3
+        g = np.random.default_rng(5).random((k, k, k, k)) < 0.5
+        m = ResonanceTensor(nspaces=k, g=g).g_matrix()
+        for a, b, c, e in np.ndindex(g.shape):
+            assert m[a * k + c, b * k + e] == float(g[a, b, c, e])
+
+    # each tensor breaks the named identity and passes every one checked before it
+    @pytest.mark.parametrize("identity, entries", [
+        ("g[k,l,k',l] = delta[k,k']", [(0, 1, 2, 1)]),
+        ("g[k,l,k,l'] = delta[l,l']", [(1, 0, 1, 2)]),
+        ("g[k,k,k',l'] = delta[k',l']", [(0, 0, 1, 2)]),
+        ("g[k,l,k',k'] = delta[k,l]", [(1, 2, 0, 0)]),
+        ("g[k,l,k',l'] = g[k',l',k,l]", [(0, 1, 1, 2), (1, 0, 2, 1)]),
+        ("g[k,l,k',l'] = g[l,k,l',k']", [(0, 1, 1, 2), (1, 2, 0, 1)]),
+    ])
+    def test_validate_identities_catches_each(self, identity, entries):
+        t = generic_tensor(3)
+        t.validate_identities()
+        for index in entries:
+            t.g[index] = not t.g[index]
+        with pytest.raises(AssertionError, match=re.escape(identity)):
+            t.validate_identities()

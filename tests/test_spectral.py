@@ -218,6 +218,16 @@ class TestArrayDerivatives:
         with pytest.raises(DegeneracyChange):
             geometric_term(fam, 0.5 - 5e-4, h=1e-3)
 
+    @pytest.mark.parametrize("ranks", [((2, 1), (1, 2)), ((2, 1), (1, 1, 1))])
+    def test_stack_rejects_rank_change(self, ranks):
+        def decomp(r):
+            return SpectralDecomposition(energies=np.arange(len(r), dtype=float),
+                                         projectors=[np.eye(3, dtype=complex)] * len(r),
+                                         ranks=r)
+        assert SpectralDecomposition.stack([decomp(ranks[0])] * 2).ranks == ranks[0]
+        with pytest.raises(DegeneracyChange):
+            SpectralDecomposition.stack([decomp(r) for r in ranks])
+
 
 class TestTransportFrame:
     def test_constant_family(self):
