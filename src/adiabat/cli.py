@@ -8,7 +8,7 @@ Usage:
     adiabat check --all
 
 Exit codes: 0 on success, 1 when an embedded assertion fails, 2 on config
-errors, a ``dt`` whose steps exceed the step budget included.
+errors, a ``dt`` over the step budget or the step count budget included.
 ``--workers``, or else ``ADIABAT_THREADS``, sets the worker pool size.
 
 Output files are deterministic for a fixed config and seed: rows are sorted
@@ -53,6 +53,8 @@ SWEEP_COLUMNS = ["model", "gamma", "T", "dt", "elem11_exact", "elem11_approx",
 
 # largest Hilbert-space dimension a config may ask for
 _MAX_DIM = 16
+# largest max(T)/dt: a T slot peaks at ~3.2 KB per step (1.6 GB here), mostly its frame
+_MAX_STEPS = 500_000
 # run-time fractions of the orange-slice legs when a config gives none
 _DEFAULT_SPLIT = (0.4, 0.2, 0.4, 0.0)
 
@@ -169,6 +171,9 @@ class ExperimentConfig:
         for T in self.T_list:
             if not runner.divides(self.dt, T):
                 raise ConfigInvalid(f"dt={self.dt:g} does not divide T={T:g}", field="dt")
+        if max(self.T_list) / self.dt > _MAX_STEPS:
+            raise ConfigInvalid(f"dt={self.dt:g} gives more than {_MAX_STEPS} steps "
+                                f"at T={max(self.T_list):g}", field="dt")
         if self.seed < 0:
             raise ConfigInvalid("seed must be >= 0", field="seed")
         if self.dim < 2:

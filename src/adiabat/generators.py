@@ -252,22 +252,26 @@ class ApproximateGenerator:
 # rotated-frame block form
 # ---------------------------------------------------------------------------
 
-def _normalize_block_set(frame, block_set):
+def _block_table(frame, block_set):
+    """A block set, ``"all"``, ``"diagonal"`` or ``(k, l)`` pairs, as a (K, K) boolean."""
     k = len(frame.block_slices)
-    if block_set == "all":
-        return tuple((a, b) for a in range(k) for b in range(k))
-    if block_set == "diagonal":
-        return tuple((a, a) for a in range(k))
-    return tuple((int(a), int(b)) for a, b in block_set)
+    if isinstance(block_set, str):
+        return {"all": np.ones((k, k), bool), "diagonal": np.eye(k, dtype=bool)}[block_set]
+    blocks = np.zeros((k, k), dtype=bool)
+    blocks[tuple(np.asarray(list(block_set), dtype=int).reshape(-1, 2).T)] = True
+    return blocks
+
+
+def _component_labels(frame):
+    """Labels ``(k, l)`` of each vec component ``p = col*d + row``: two (d^2,) arrays."""
+    labels = frame.labels
+    return np.tile(labels, frame.dim), np.repeat(labels, frame.dim)
 
 
 def block_component_indices(frame, block_set):
     """Vectorization indices carrying the selected ``(k, l)`` blocks, in
     column-stacking order, for states expressed in ``frame.basis0``."""
-    labels = frame.labels
-    blocks = set(_normalize_block_set(frame, block_set))
-    d = frame.dim
-    return [p for p in range(d * d) if (labels[p % d], labels[p // d]) in blocks]
+    return np.flatnonzero(_block_table(frame, block_set)[_component_labels(frame)]).tolist()
 
 
 def frame_components(frame, rho_lab, s):
@@ -285,45 +289,44 @@ def frame_unpack(frame, component_vec, s):
 
 @dataclass
 class RotatedFrameGenerator:
-    """Rotated-frame generators of one ``(family, dissipator, tensor, frame,
-    T)`` on the component vector of :func:`frame_components`, called as
+    """Rotated-frame generators of one ``(dissipator, tensor, frame, T)``
+    on the component vector of :func:`frame_components`, called as
     ``(s, gamma, approximate)`` with ``s`` a frame grid point or an array.
 
-    Exact: ``-iT Delta - i[Z^, .] + Gamma T D~_s``, with ``Delta`` the gaps
-    at the frame's first sample (constant for the shipped models),
-    ``Z^ = C0^dagger Z(s) C0`` and ``D~_s`` the Lindblad superoperator of
-    ``W F W^dagger`` and ``W V_n W^dagger``, ``W = C0^dagger U(s)``.
-    Approximate: only the eigenspace blocks of ``Z^`` and the couplings of
-    ``D~_s`` the resonance tensor allows.  No dissipator at ``gamma = 0``.
+    Exact: ``-iT Delta(s) - i[Z^, .] + Gamma T D~_s``, with ``Delta`` the
+    gaps of ``frame.energies`` at ``s``, ``Z^ = C0^dagger Z(s) C0`` and
+    ``D~_s`` the Lindblad superoperator of ``W F W^dagger`` and
+    ``W V_n W^dagger``, ``W = C0^dagger U(s)``.  Approximate: only the
+    eigenspace blocks of ``Z^`` and the couplings of ``D~_s`` the resonance
+    tensor allows.  No dissipator at ``gamma = 0``.
     """
 
     vectorized = True
 
-    family: object
     dissipator: LindbladDissipator
     tensor: object
     frame: object
     T: float
 
     def __post_init__(self):
-        d = self.frame.dim
-        labels = self.frame.labels
-        row = np.tile(np.arange(d), d)          # vec index p = col*d + row
-        col = np.repeat(np.arange(d), d)
-        e = self.family.spectrum(self.frame.grid[0]).energies[labels]
-        self._delta = np.diag(-1j * self.T * (e[row] - e[col]))
-        self._mask = self.tensor.g[labels[row][:, None], labels[col][:, None],
-                                   labels[row][None, :], labels[col][None, :]]
-        self._same_block = labels[:, None] == labels[None, :]
+        self._k, self._l = k, l = _component_labels(self.frame)
+        self._mask = self.tensor.g[k[:, None], l[:, None], k[None, :], l[None, :]]
+        self._same_block = np.equal.outer(self.frame.labels, self.frame.labels)
 
     def __call__(self, s, gamma, approximate):
-        c0 = self.frame.basis0
-        zhat = dag(c0) @ self.frame.z_at(s) @ c0
+        frame, c0 = self.frame, self.frame.basis0
+        i = frame.index_of(s)       # one grid lookup serves E, Z and W
+        e = frame.energies[i]
+        gaps = -1j * self.T * (e[..., self._k] - e[..., self._l])
+        diag = np.arange(gaps.shape[-1])
+        delta = np.zeros(gaps.shape + gaps.shape[-1:], dtype=complex)
+        delta[..., diag, diag] = gaps
+        zhat = dag(c0) @ frame.Z[i] @ c0
         if approximate:
             zhat = np.where(self._same_block, zhat, 0.0)
-        out = self._delta + hamiltonian_superop(zhat)
+        out = delta + hamiltonian_superop(zhat)
         if gamma != 0.0:
-            w = self.frame.rotation(s)
+            w = dag(c0) @ frame.U[i]        # frame.rotation(s)
             diss = self.dissipator
             f = None if diss.hamiltonian_part is None else w @ diss.f_at(s) @ dag(w)
             dhat = _lindblad_superop(f, [w @ v @ dag(w) for v in diss.jumps_at(s)])
@@ -341,33 +344,27 @@ def rotated_block_generator(family, dissipator, tensor, frame, T, gamma, s,
     Acts on the component vector of :func:`frame_components`.  Implements,
     per block ``(k, l)`` of the selected set,
 
-        d/ds rho^(kl) = -iT Delta_kl rho^(kl) - i Z_k rho^(kl)
+        d/ds rho^(kl) = -iT Delta_kl(s) rho^(kl) - i Z_k rho^(kl)
                         + i rho^(kl) Z_l
                         + Gamma T sum_{k'l'} g_klk'l' P_k(0) D~_s(rho^(k'l')) P_l(0)
 
     with ``Z_l`` the block-diagonal parts of the frame generator and
     ``D~_s`` the dissipator conjugated into the rotated frame: the
     approximate :class:`RotatedFrameGenerator` with omitted blocks zeroed,
-    so couplings forbidden by the tensor are structurally zero.
+    so couplings forbidden by the tensor are structurally zero.  ``family``
+    is not read: labels and gaps come from ``frame``.
 
     Raises :class:`BlockNotClosed` if the tensor couples a selected block to
     an omitted one.
     """
-    blocks = _normalize_block_set(frame, block_set)
-    bset = set(blocks)
-    k = len(frame.block_slices)
-    for (a, b) in blocks:
-        for kp in range(k):
-            for lp in range(k):
-                if tensor.g[a, b, kp, lp] and (kp, lp) not in bset:
-                    raise BlockNotClosed(
-                        f"block ({a},{b}) couples to omitted block ({kp},{lp})"
-                    )
+    blocks = _block_table(frame, block_set)
+    leaks = np.argwhere(tensor.g & blocks[:, :, None, None] & ~blocks)
+    if leaks.size:
+        a, b, kp, lp = leaks[0]
+        raise BlockNotClosed(f"block ({a},{b}) couples to omitted block ({kp},{lp})")
 
-    gen = RotatedFrameGenerator(family, dissipator, tensor, frame, T)(
-        s, gamma, approximate=True)
-    keep = np.zeros(frame.dim ** 2, dtype=bool)
-    keep[block_component_indices(frame, blocks)] = True
+    gen = RotatedFrameGenerator(dissipator, tensor, frame, T)(s, gamma, approximate=True)
+    keep = blocks[_component_labels(frame)]
     gen[..., ~keep, :] = 0.0
     gen[..., :, ~keep] = 0.0
     return gen
@@ -456,13 +453,8 @@ def choi_matrix(channel):
     trace-preserving channels.
     """
     d = int(round(np.sqrt(channel.shape[0])))
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            out[i * d:(i + 1) * d, j * d:(j + 1) * d] = unvec(channel @ vec(unit), d)
-    return out
+    # J[i*d + a, j*d + b] = channel[b*d + a, j*d + i]
+    return channel.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
 def cp_check(channel, tol=1e-8):

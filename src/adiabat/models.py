@@ -296,29 +296,30 @@ def approximate_block_matrix(path, gamma, T, s):
     """Closed-form 6x6 generator of the diagonal blocks in the equator
     gauge, for the component order
     ``(rho_11, rho_12, rho_21, rho_22, rho_33, rho_44)`` (dark block, then
-    the two bright populations)."""
+    the two bright populations); an ``(n, 6, 6)`` stack for an array ``s``."""
     seg = path._which(s)
     theta, _ = seg.angles(s)
     _, dphi = seg.rates()
-    if abs(np.sin(theta)) < 1e-12 and dphi != 0.0:
+    if np.any((np.abs(np.sin(theta)) < 1e-12) & (dphi != 0.0)):
         raise GaugeSingularity(
             "equator gauge is singular where the azimuth varies at a pole"
         )
-    st2 = np.sin(theta) ** 2
-    ct = np.cos(theta)
+    # products, not powers: ct ** 4 of an array and of a number can differ
+    st, ct = np.sin(theta), np.cos(theta)
+    st2, ct2 = st * st, ct * ct
     gt = gamma * T
-    f = gt * st2 * ct ** 2
-    g = gt * (1.0 + st2) * ct ** 2
+    f = gt * st2 * ct2
+    g = gt * (1.0 + st2) * ct2
     p = dphi * ct
-    quarter = 0.25 * gt * ct ** 4
-    return np.array([
-        [0.0,  -p,                -p,                0.0,     0.0,      0.0],
-        [p,    -0.5 * gt * st2,    0.0,              -p,      0.0,      0.0],
-        [p,     0.0,              -0.5 * gt * st2,   -p,      0.0,      0.0],
-        [0.0,   p,                 p,                -f,      0.5 * f,  0.5 * f],
-        [0.0,   0.0,               0.0,               0.5 * f, -0.25 * g, quarter],
-        [0.0,   0.0,               0.0,               0.5 * f, quarter, -0.25 * g],
-    ], dtype=complex)
+    m = np.zeros(np.shape(s) + (6, 6), dtype=complex)
+    m[..., 0, 1] = m[..., 0, 2] = m[..., 1, 3] = m[..., 2, 3] = -p
+    m[..., 1, 0] = m[..., 2, 0] = m[..., 3, 1] = m[..., 3, 2] = p
+    m[..., 1, 1] = m[..., 2, 2] = -0.5 * gt * st2
+    m[..., 3, 3] = -f
+    m[..., 3, 4] = m[..., 3, 5] = m[..., 4, 3] = m[..., 5, 3] = 0.5 * f
+    m[..., 4, 4] = m[..., 5, 5] = -0.25 * g
+    m[..., 4, 5] = m[..., 5, 4] = 0.25 * gt * (ct2 * ct2)
+    return m
 
 
 def closed_form_output(x, y, delta_phi, gamma, t1, t2, t3):

@@ -142,7 +142,9 @@ def _step_maps(generator, dt, T, s_span):
         while k < len(steps):
             h = steps[k:k + n]
             m = np.asarray(evaluate_on(generator, grid[k:k + len(h)] + 0.5 * h))
-            size = h * np.linalg.norm(m, axis=(-2, -1))
+            # an overflowing norm is an infinite size, over budget
+            with np.errstate(over="ignore"):
+                size = h * np.linalg.norm(m, axis=(-2, -1))
             # the first step over budget raises; a NaN norm goes on to the
             # exponential, which raises NonFinite
             bad = np.flatnonzero(~(size <= _STEP_NORM_BUDGET))

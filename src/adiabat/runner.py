@@ -6,7 +6,7 @@ are stepped in the rotated frame (instantaneous-eigenbasis components),
 which is the representation the piecewise-exponential scheme handles most
 accurately and cheaply: the exact generator there is
 
-    -iT [diag(E), .] - i [Z(s), .] + Gamma T D~(s)
+    -iT [diag(E(s)), .] - i [Z(s), .] + Gamma T D~(s)
 
 and the approximate one replaces ``Z`` by its block-diagonal part and masks
 the dissipator with the resonance tensor.  Both come from the one assembly
@@ -81,8 +81,8 @@ class RunContext:
         grid = np.linspace(0.0, 1.0, 2 * int(round(self.T / self.dt)) + 1)
         self.frame = build_transport_frame(self.family, grid,
                                            basis=self.family.analytic_basis)
-        self.generator = RotatedFrameGenerator(self.family, self.dissipator,
-                                               self.tensor, self.frame, self.T)
+        self.generator = RotatedFrameGenerator(self.dissipator, self.tensor,
+                                               self.frame, self.T)
 
     # the generators take a chunk's array of midpoints
     def exact_generator(self, gamma):

@@ -8,10 +8,11 @@ term ``Q(s) = i sum_k dP_k/ds P_k``, and transport frames ``U(s)`` with
 ``U(s) P_k(s) U(s)^dagger = P_k(0)`` together with their generator
 ``Z = i dU/ds U^dagger``.
 
-Labels: a single decomposition labels eigenspaces by ascending energy at
-the requested ``s``.  Cross-parameter label consistency is the job of
-:func:`decompose_on_grid` (overlap propagation) or of an analytic spectrum
-supplied by the model.
+Labels: a single numeric decomposition labels eigenspaces by ascending
+energy at ``s``; an analytic spectrum may list them in any order.  Label
+consistency along ``s`` is the job of :func:`decompose_on_grid` (overlap
+propagation), and a transport frame takes labels and energies from
+``family.spectrum``.
 
 Arrays of ``s``: :meth:`HamiltonianFamily.hamiltonian`,
 :meth:`HamiltonianFamily.spectrum`, :func:`projector_derivative` and
@@ -53,6 +54,8 @@ __all__ = [
 ]
 
 _HERMITICITY_TOL = 1e-12
+# bytes of projectors per slice of a frame's grid spectrum (d^3 complex per sample)
+_SPECTRUM_SLICE_BYTES = 2 ** 20
 
 
 def vectorized(fn):
@@ -389,8 +392,10 @@ class TransportFrame:
 
     ``basis0`` holds the eigencolumns at ``grid[0]`` that generated the
     frame, grouped per eigenspace as recorded in ``block_slices``; rotated
-    component representations are expressed in these columns.  The
-    lookups by ``s`` take a number or an array of grid points.
+    component representations are expressed in these columns.  Eigenspace
+    ``k`` is that of ``family.spectrum``, with energy ``energies[i, k]`` at
+    ``grid[i]``.  The lookups by ``s`` take a number or an array of grid
+    points.
     """
 
     grid: np.ndarray
@@ -398,6 +403,7 @@ class TransportFrame:
     Z: np.ndarray                 # (n, d, d)
     basis0: np.ndarray            # (d, d) columns
     block_slices: tuple           # per-eigenspace column ranges in basis0
+    energies: np.ndarray          # (n, K)
 
     @property
     def dim(self):
@@ -466,35 +472,40 @@ def _polar_unitary(m):
 
 
 def _continued_columns(family, grid, degeneracy_tol):
-    """Numerically gauge-continued eigencolumns along the grid."""
-    energies, cols = _eigencolumns(family, grid[0], degeneracy_tol)
-    prev = _decomposition(energies, cols)
-    frames = [cols]
-    for s in grid[1:]:
-        energies, raw = _eigencolumns(family, s, degeneracy_tol)
-        d = _decomposition(energies, raw)
+    """Numerically gauge-continued eigencolumns and their energies along the
+    grid, labelled by an overlap chain from ``family.spectrum(grid[0])``."""
+    prev = family.spectrum(grid[0])
+    frames, energies = [], []
+    for s in grid:
+        e, raw = _eigencolumns(family, s, degeneracy_tol)
+        d = _decomposition(e, raw)
         order = _match_order(d, prev)
-        # rotate each degenerate block onto the previous sample's
-        frames.append([x @ _polar_unitary(dag(x) @ x_prev)
-                       for x_prev, x in zip(frames[-1], (raw[j] for j in order))])
+        cols = [raw[j] for j in order]
+        if frames:      # rotate each degenerate block onto the previous sample's
+            cols = [x @ _polar_unitary(dag(x) @ x_prev) for x_prev, x in zip(frames[-1], cols)]
+        frames.append(cols)
         prev = _relabel(d, prev, order)
-    return np.stack([np.hstack(f) for f in frames]), prev.ranks
+        energies.append(prev.energies)
+    return np.stack([np.hstack(f) for f in frames]), np.stack(energies), prev.ranks
 
 
-def _grouped_analytic_columns(family, grid, basis, degeneracy_tol):
+def _grouped_analytic_columns(family, grid, basis):
     """Evaluate an analytic basis on the whole grid, its columns grouped by
-    the eigenspace labels of the initial decomposition."""
+    the eigenspace of ``family.spectrum(grid[0])`` that holds them, and the
+    spectrum's energies on the grid, evaluated in slices of bounded size."""
+    step = max(1, _SPECTRUM_SLICE_BYTES // (16 * family.dim ** 3))
+    spec0 = family.spectrum(grid[:step])
+    energies = np.concatenate([spec0.energies] + [family.spectrum(grid[i:i + step]).energies
+                                                  for i in range(step, len(grid), step)])
     c = np.asarray(evaluate_on(basis, grid), dtype=complex)
-    h0 = family.hamiltonian(grid[0])
-    col_energy = np.real(np.einsum("ik,ik->k", np.conj(c[0]), h0 @ c[0]))
-    e0, _ = _eigencolumns(family, grid[0], degeneracy_tol)
-    groups = []
-    for e in e0:
-        groups.append([j for j in range(family.dim)
-                       if abs(col_energy[j] - e) < max(degeneracy_tol, 1e-6)])
-    if sorted(j for g in groups for j in g) != list(range(family.dim)):
+    # weight[k, j] = <c_j|P_k|c_j> at grid[0]
+    weight = np.einsum("aj,kab,bj->kj", np.conj(c[0]), np.stack(spec0.take(0).projectors),
+                       c[0]).real
+    label = weight.argmax(axis=0)
+    sizes = tuple(np.bincount(label, minlength=spec0.nspaces).tolist())
+    if sizes != spec0.ranks or (np.abs(weight.max(axis=0) - 1.0) > 1e-6).any():
         raise ValueError("analytic basis columns do not match the eigenspace structure")
-    return c[:, :, sum(groups, [])], tuple(len(g) for g in groups)
+    return c[:, :, np.argsort(label, kind="stable")], energies, spec0.ranks
 
 
 def build_transport_frame(family, grid, basis=None, frame_jump_tol=0.5,
@@ -507,6 +518,10 @@ def build_transport_frame(family, grid, basis=None, frame_jump_tol=0.5,
     phase/gauge-continued eigenbasis is built (successive samples aligned
     cluster-by-cluster via polar decomposition of the overlap).
 
+    Labels are those of ``family.spectrum(grid[0])``: an analytic column
+    joins the eigenspace whose projector holds it (``ValueError`` unless
+    within 1e-6), a numeric continuation starts its overlap chain there.
+
     Raises :class:`FrameDiscontinuity` when consecutive unitaries jump by
     more than ``frame_jump_tol`` in Frobenius norm, which signals a gauge
     singularity on the sampled path.
@@ -515,9 +530,9 @@ def build_transport_frame(family, grid, basis=None, frame_jump_tol=0.5,
     if degeneracy_tol is None:
         degeneracy_tol = family.degeneracy_tol
     if basis is None:
-        cols, ranks = _continued_columns(family, grid, degeneracy_tol)
+        cols, energies, ranks = _continued_columns(family, grid, degeneracy_tol)
     else:
-        cols, ranks = _grouped_analytic_columns(family, grid, basis, degeneracy_tol)
+        cols, energies, ranks = _grouped_analytic_columns(family, grid, basis)
 
     c0 = cols[0]
     n = len(grid)
@@ -556,4 +571,4 @@ def build_transport_frame(family, grid, basis=None, frame_jump_tol=0.5,
 
     offsets = np.cumsum((0,) + ranks)
     block_slices = tuple(slice(offsets[i], offsets[i + 1]) for i in range(len(ranks)))
-    return TransportFrame(grid=grid, U=u, Z=z, basis0=c0, block_slices=block_slices)
+    return TransportFrame(grid, u, z, c0, block_slices, energies)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from adiabat.spectral import HamiltonianFamily, SpectralDecomposition, vectorized
+
 
 @pytest.fixture
 def rng():
@@ -27,3 +29,20 @@ def expm_series(a, terms=40):
         term = term @ a / k
         out = out + term
     return out
+
+
+def reversed_spectrum_family(fam, basis=True):
+    """``fam`` with its analytic spectrum's eigenspaces listed in reverse
+    (descending energy) order; numeric continuation when ``basis`` is off."""
+    spectrum = fam.analytic_spectrum
+
+    @vectorized
+    def reversed_spectrum(s):
+        d = spectrum(s)
+        return SpectralDecomposition(energies=d.energies[..., ::-1].copy(),
+                                     projectors=d.projectors[::-1], ranks=d.ranks[::-1])
+
+    return HamiltonianFamily(dim=fam.dim, evaluate=fam.evaluate,
+                             analytic_spectrum=reversed_spectrum,
+                             analytic_basis=fam.analytic_basis if basis else None,
+                             n_eigenspaces=fam.n_eigenspaces)

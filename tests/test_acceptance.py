@@ -99,7 +99,7 @@ def test_criterion_01_block_ode_vs_closed_form():
                        0.5 * np.sin(X) * np.exp(-1j * Y),
                        0.5 * np.sin(X) * np.exp(+1j * Y),
                        np.sin(X / 2) ** 2, 0.0, 0.0], dtype=complex)
-        gen = lambda s: models.approximate_block_matrix(path, gamma, T, s)
+        gen = vectorized(functools.partial(models.approximate_block_matrix, path, gamma, T))
         _, vecs = evolve_vector_piecewise_exp(gen, v0, 0.002, T)
         dark = vecs[-1][:4].reshape(2, 2)
         u = models.holonomy_gate(DPHI)

@@ -141,11 +141,31 @@ class TestConfigValidation:
         pytest.param(dict(model="random_rotating", T_list=[100.0], dt=10.0), id="random"),
         pytest.param(dict(T_list=[1e300], dt=1e299), id="holonomy-huge-T"),
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_step_over_budget_exits_two(self, tmp_path, capsys, fields):
         cfg = write_config(tmp_path, **fields)
         assert cli.main(["run", "--config", str(cfg), "--workers", "1"]) == 2
         err = capsys.readouterr().err
         assert "config error: dt=" in err and "Traceback" not in err
+
+    def test_step_count_over_budget_config(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(runner, "sweep", lambda *a, **k: pytest.fail("sweep ran"))
+        # 6000 / 0.01 = 600,000 steps
+        cfg = write_config(tmp_path, T_list=[2.0, 6000.0], dt=0.01)
+        assert cli.main(["run", "--config", str(cfg), "--workers", "1"]) == 2
+        assert "config error: dt=" in capsys.readouterr().err
+        with pytest.raises(ConfigInvalid) as err:
+            cli.ExperimentConfig.from_dict({"T_list": [6000.0], "dt": 0.01})
+        assert err.value.field == "dt"
+        cli.ExperimentConfig.from_dict({"T_list": [4000.0], "dt": 0.01})
+
+    def test_step_count_over_budget_override(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(runner, "sweep", lambda *a, **k: pytest.fail("sweep ran"))
+        # fig-element runs T up to 200: 2,000,000 steps at dt 1e-4
+        assert cli.main(["run", "--preset", "fig-element", "--dt", "1e-4",
+                         "--out", str(tmp_path / "out"), "--workers", "1"]) == 2
+        assert "config error: dt=" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_dim_bounded(self, tmp_path, capsys):
         cli.ExperimentConfig.from_dict({"model": "random_rotating", "dim": 16})

@@ -41,7 +41,7 @@ from adiabat.models import (
     holonomy_family,
     make_random_model,
 )
-from adiabat.propagation import propagate_piecewise_exp
+from adiabat.propagation import evolve_vector_piecewise_exp, propagate_piecewise_exp
 from adiabat.resonance import ResonanceTensor, compute_resonance_tensor
 from adiabat.spectral import (
     HamiltonianFamily,
@@ -50,7 +50,7 @@ from adiabat.spectral import (
     vectorized,
 )
 
-from conftest import random_density, random_hermitian
+from conftest import random_density, random_hermitian, reversed_spectrum_family
 
 GRID = np.linspace(0.0, 1.0, 201)
 
@@ -289,6 +289,22 @@ class TestRotatedBlocks:
                                     [(1, 2), (0, 1)])
         assert g.shape == (16, 16)
 
+    def test_custom_block_set(self, slanted):
+        path, fam, diss, tensor, frame = slanted
+        labels, d = frame.labels, frame.dim
+        chosen = [(1, 2), (0, 1)]
+        expected = [p for p in range(d * d) if (labels[p % d], labels[p // d]) in chosen]
+        assert block_component_indices(frame, chosen) == expected
+        assert block_component_indices(frame, np.array(chosen)) == expected
+        assert block_component_indices(frame, "all") == list(range(d * d))
+        assert block_component_indices(frame, []) == []
+        with pytest.raises(BlockNotClosed,
+                           match=r"block \(1,2\) couples to omitted block \(0,1\)"):
+            rotated_block_generator(fam, diss, tensor, frame, 3.0, 0.2, 0.5, [(1, 2)])
+        g = rotated_block_generator(fam, diss, tensor, frame, 3.0, 0.2, 0.5, chosen)
+        dropped = [p for p in range(d * d) if p not in expected]
+        assert not g[dropped, :].any() and not g[:, dropped].any()
+
     def test_structural_autonomy(self, slanted):
         # couplings from off-diagonal into diagonal blocks are exactly zero
         path, fam, diss, tensor, frame = slanted
@@ -355,6 +371,67 @@ class TestOneRotatedAssembly:
             stack = rotated_block_generator(*args, s, block_set)
             assert np.array_equal(stack, np.stack([
                 rotated_block_generator(*args, float(x), block_set) for x in s]))
+
+
+@pytest.fixture(scope="module")
+def three_level():
+    """``H(s) = R(s) diag(-1 - s, 0.2, 1 + 2s) R(s)^dagger`` with the
+    rotation of the 3-level random model: a numeric spectrum whose gaps
+    vary with ``s``, and the double-commutator dissipator of its ``A``."""
+    model = make_random_model(3, 3)
+
+    @vectorized
+    def evaluate(s):
+        s = np.asarray(s, dtype=float)
+        r = model.rotation(s)
+        e = np.stack([-1.0 - s, np.full_like(s, 0.2), 1.0 + 2.0 * s], axis=-1)
+        return (r * e[..., None, :]) @ dag(r)
+
+    fam = HamiltonianFamily(dim=3, evaluate=evaluate, n_eigenspaces=3)
+    return model, fam, compute_resonance_tensor(fam.spectrum, GRID)
+
+
+class TestFrameLabelsAndGaps:
+    """The frame decides eigenspace labels and gaps; the rotated-frame
+    generators read them from it."""
+
+    @pytest.mark.parametrize("basis", [True, False], ids=["analytic", "numeric"])
+    def test_descending_spectrum_same_metrics(self, basis):
+        model = make_random_model(7)
+        fam = model.family()
+        if not basis:
+            fam = HamiltonianFamily(dim=4, evaluate=fam.evaluate,
+                                    analytic_spectrum=fam.analytic_spectrum, n_eigenspaces=4)
+
+        def metrics(family):
+            ctx = runner.RunContext(
+                family=family, dissipator=model.dissipator(),
+                tensor=compute_resonance_tensor(family.spectrum, GRID),
+                T=5.0, dt=0.01, p_comp=np.eye(4, dtype=complex),
+                rho0=model.initial_density(), model_id="random_rotating")
+            return runner.run_point(ctx, 0.004)
+
+        want = metrics(fam)
+        got = metrics(reversed_spectrum_family(fam, basis))
+        for name, value in want.items():
+            if isinstance(value, float):
+                assert abs(got[name] - value) <= 1e-12, name
+
+    def test_s_dependent_gaps_rotated_equals_lab(self, three_level):
+        model, fam, tensor = three_level
+        T, dt, gamma = 5.0, 0.005, 0.05
+        diss = LindbladDissipator.double_commutator(model.a)
+        frame = build_transport_frame(fam, np.linspace(0.0, 1.0, 2 * int(round(T / dt)) + 1))
+        s = frame.grid
+        exact = np.stack([-1.0 - s, np.full_like(s, 0.2), 1.0 + 2.0 * s], axis=-1)
+        assert np.abs(frame.energies - exact).max() <= 1e-12
+        rho0 = model.initial_density()
+        gen = vectorized(functools.partial(rotated_block_generator, fam, diss, tensor,
+                                           frame, T, gamma, block_set="all"))
+        _, v = evolve_vector_piecewise_exp(gen, frame_components(frame, rho0, 0.0), dt, T)
+        lab = propagate_piecewise_exp(ApproximateGenerator(fam, diss, tensor, T, gamma),
+                                      rho0, dt, T)
+        assert frobenius(frame_unpack(frame, v[-1], 1.0) - lab.final_state()) <= 1e-6
 
 
 class TestFactorization:
@@ -438,6 +515,17 @@ class TestChoi:
         assert ok
         j = choi_matrix(channel)
         assert abs(np.trace(j) - 3.0) < 1e-8
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_reshuffle_equals_unit_loop(self, rng, d):
+        channel = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+        loop = np.zeros((d * d, d * d), dtype=complex)
+        for i in range(d):
+            for j in range(d):
+                unit = np.zeros((d, d), dtype=complex)
+                unit[i, j] = 1.0
+                loop[i * d:(i + 1) * d, j * d:(j + 1) * d] = unvec(channel @ vec(unit), d)
+        assert np.array_equal(choi_matrix(channel), loop)
 
     def test_transpose_map_not_cp(self):
         d = 2

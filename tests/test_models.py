@@ -195,6 +195,22 @@ class TestBlockMatrix:
             _Segment(0.0, 1.0, 0.0, 0.0, 0.0, np.pi),))
         with pytest.raises(GaugeSingularity):
             approximate_block_matrix(polar_spin, 0.1, 10.0, 0.5)
+        # one singular sample in an array is enough
+        equator_then_pole = HolonomyPath(segments=(
+            _Segment(0.0, 0.5, 0.5 * np.pi, 0.5 * np.pi, 0.0, 0.0),
+            _Segment(0.5, 1.0, 0.0, 0.0, 0.0, np.pi)))
+        approximate_block_matrix(equator_then_pole, 0.1, 10.0, np.array([0.1, 0.4]))
+        with pytest.raises(GaugeSingularity):
+            approximate_block_matrix(equator_then_pole, 0.1, 10.0, np.array([0.1, 0.7]))
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.1])
+    def test_stack_equals_per_sample_calls(self, gamma):
+        path = build_orange_path(DPHI, 100.0)
+        s = np.concatenate([np.linspace(0.0, 1.0, 501), path.breakpoints])
+        stack = approximate_block_matrix(path, gamma, 100.0, s)
+        assert stack.shape == (len(s), 6, 6)
+        assert np.array_equal(stack, np.stack(
+            [approximate_block_matrix(path, gamma, 100.0, x) for x in s.tolist()]))
 
 
 class TestClosedForm:

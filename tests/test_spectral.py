@@ -25,6 +25,8 @@ from adiabat.spectral import (
     projector_derivative,
 )
 
+from conftest import reversed_spectrum_family
+
 
 
 def constant_family(h, n_eigenspaces=None):
@@ -296,6 +298,44 @@ class TestTransportFrame:
         plain = build_transport_frame(fam, grid, basis=lambda s: fam.analytic_basis(s))
         for name in ("U", "Z", "basis0"):
             assert np.array_equal(getattr(marked, name), getattr(plain, name))
+
+
+def shipped_families():
+    path = build_orange_path(np.pi / 4, 10.0)
+    return [holonomy_family(path, gauge) for gauge in Gauge] + [make_random_model(7).family()]
+
+
+class TestFrameLabelsAndEnergies:
+    @pytest.mark.parametrize("fam", shipped_families(), ids=["north_pole", "equator", "random"])
+    def test_energies_are_the_spectrum(self, fam, monkeypatch):
+        grid = np.linspace(0.0, 1.0, 301)
+        want = fam.spectrum(grid).energies
+        frame = build_transport_frame(fam, grid, basis=fam.analytic_basis)
+        assert np.array_equal(frame.energies, want)
+        # evaluated in slices of a few samples: the same table
+        monkeypatch.setattr(spectral, "_SPECTRUM_SLICE_BYTES", 7 * 16 * fam.dim ** 3)
+        sliced = build_transport_frame(fam, grid, basis=fam.analytic_basis)
+        assert np.array_equal(sliced.energies, want)
+        assert np.array_equal(sliced.U, frame.U)
+
+    @pytest.mark.parametrize("fam", shipped_families(), ids=["north_pole", "equator", "random"])
+    def test_columns_grouped_by_spectrum_labels(self, fam):
+        rev = reversed_spectrum_family(fam)
+        grid = np.linspace(0.0, 1.0, 51)
+        frame = build_transport_frame(rev, grid, basis=rev.analytic_basis)
+        p0 = rev.spectrum(0.0).projectors
+        for k, sl in enumerate(frame.block_slices):
+            cols = frame.basis0[:, sl]
+            assert frobenius(p0[k] @ cols - cols) <= 1e-12
+        assert np.array_equal(frame.energies[:, ::-1], fam.spectrum(grid).energies)
+
+    def test_basis_across_eigenspaces_rejected(self):
+        fam = make_random_model(7).family()
+        mix = np.eye(4, dtype=complex)
+        mix[:2, :2] = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        with pytest.raises(ValueError):
+            build_transport_frame(fam, np.linspace(0.0, 1.0, 11),
+                                  basis=lambda s: fam.analytic_basis(s) @ mix)
 
 
 class TestFrameLookups:
