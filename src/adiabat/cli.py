@@ -41,7 +41,7 @@ from .errors import (
 )
 from .generators import ApproximateGenerator, lindblad_factorize
 from .linalg import frobenius
-from .propagation import intensity_loss, propagate_piecewise_exp
+from .propagation import divides, intensity_loss, propagate_piecewise_exp
 from .resonance import compute_resonance_tensor
 from .spectral import build_transport_frame, geometric_term, vectorized
 
@@ -57,11 +57,6 @@ _MAX_DIM = 16
 _MAX_STEPS = 500_000
 # run-time fractions of the orange-slice legs when a config gives none
 _DEFAULT_SPLIT = (0.4, 0.2, 0.4, 0.0)
-
-_GAUGES = {
-    "north_pole": models.Gauge.NORTH_POLE_REGULAR,
-    "equator": models.Gauge.EQUATOR_REGULAR,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +148,16 @@ class ExperimentConfig:
     def validate(self):
         if self.model not in ("holonomy", "random_rotating"):
             raise ConfigInvalid(f"unknown model {self.model!r}", field="model")
-        if self.gauge not in _GAUGES:
+        if self.gauge not in {g.value for g in models.Gauge}:
             raise ConfigInvalid(f"unknown gauge {self.gauge!r}", field="gauge")
         for name, values in (("gamma_list", self.gamma_list), ("T_list", self.T_list)):
             if not values:
                 raise ConfigInvalid(f"{name} must not be empty", field=name)
             if not all(math.isfinite(v) for v in values):
                 raise ConfigInvalid(f"{name} contains non-finite values", field=name)
+            # a repeated value would integrate one sweep point twice (-0.0 == 0.0)
+            if len(set(values)) < len(values):
+                raise ConfigInvalid(f"{name} repeats a value", field=name)
         if any(g < 0 for g in self.gamma_list):
             raise ConfigInvalid("gamma values must be >= 0", field="gamma_list")
         if any(t <= 0 for t in self.T_list):
@@ -169,7 +167,7 @@ class ExperimentConfig:
         if self.dt > min(self.T_list) / 10.0:
             raise ConfigInvalid("dt must be at most min(T)/10", field="dt")
         for T in self.T_list:
-            if not runner.divides(self.dt, T):
+            if not divides(self.dt, T):
                 raise ConfigInvalid(f"dt={self.dt:g} does not divide T={T:g}", field="dt")
         if max(self.T_list) / self.dt > _MAX_STEPS:
             raise ConfigInvalid(f"dt={self.dt:g} gives more than {_MAX_STEPS} steps "
@@ -200,7 +198,7 @@ class ExperimentConfig:
             model = dict(
                 delta_phi=float(self.path["delta_phi"]),
                 split=tuple(self.path.get("split", _DEFAULT_SPLIT)),
-                gauge=_GAUGES[self.gauge],
+                gauge=models.Gauge(self.gauge),
                 x=float(self.initial_state["x"]),
                 y=float(self.initial_state["y"]),
             )
@@ -283,11 +281,6 @@ def _by_gamma(rows):
 # presets
 # ---------------------------------------------------------------------------
 
-def _sweep_preset_config(T_list, model="holonomy", gamma_list=(0.0, 0.01, 0.1)):
-    return ExperimentConfig(model=model, gamma_list=tuple(gamma_list),
-                            T_list=tuple(T_list))
-
-
 def _sweep(cfg, out_dir, timestamp, workers, export=None):
     """Integrate every point of ``cfg``, check the invariants, write
     ``sweep.csv``; the step every sweep preset and config run share."""
@@ -363,9 +356,9 @@ def _preset_fig_sweep_random(cfg, out_dir, timestamp, workers):
     return rows
 
 
-def _lindblad_check_rows():
+def _lindblad_check_rows(seed=7):
     samples = np.linspace(0.05, 0.95, 10)
-    random_model = models.make_random_model(7)
+    random_model = models.make_random_model(seed)
     cases = (
         ("holonomy",
          models.holonomy_family(models.build_orange_path(math.pi / 4, 100.0)),
@@ -386,7 +379,7 @@ def _lindblad_check_rows():
 
 
 def _preset_check_lindblad(cfg, out_dir, timestamp, workers):
-    rows = _lindblad_check_rows()
+    rows = _lindblad_check_rows(cfg.seed)
     columns = ["model", "s", "reconstruction_error", "lambda_min"]
     _write_table(columns, _records(rows, columns),
                  os.path.join(out_dir, "lindblad_check.csv"), timestamp)
@@ -462,7 +455,8 @@ def gauge_check_rows(T=2.0, gamma=0.1, dt=1e-4):
 
 
 def _preset_check_gauge(cfg, out_dir, timestamp, workers):
-    rows = gauge_check_rows()
+    (T,), (gamma,) = cfg.T_list, cfg.gamma_list
+    rows = gauge_check_rows(T, gamma, cfg.dt)
     columns = ["check", "value", "bound"]
     _write_table(columns, _records(rows, columns),
                  os.path.join(out_dir, "gauge_check.csv"), timestamp)
@@ -475,20 +469,20 @@ def _preset_check_gauge(cfg, out_dir, timestamp, workers):
     return rows
 
 
+_FIG_T = tuple(float(t) for t in range(20, 201, 20))
+
+# name -> (preset, config factory); unnamed fields keep ExperimentConfig's defaults
 PRESETS = {
-    "fig-element": (_preset_fig_element,
-                    lambda: _sweep_preset_config(tuple(float(t) for t in range(20, 201, 20)))),
-    "fig-fidelity": (_preset_fig_fidelity,
-                     lambda: _sweep_preset_config((5.0, 10.0, 20.0, 40.0, 60.0, 100.0))),
-    "fig-loss": (_preset_fig_loss,
-                 lambda: _sweep_preset_config(tuple(float(t) for t in range(20, 201, 20)))),
-    "fig-sweep-random": (_preset_fig_sweep_random,
-                         lambda: _sweep_preset_config(
-                             (10.0, 20.0, 40.0, 80.0, 160.0, 320.0),
-                             model="random_rotating",
-                             gamma_list=(0.0, 0.002, 0.004, 0.006, 0.008, 0.01))),
+    "fig-element": (_preset_fig_element, lambda: ExperimentConfig(T_list=_FIG_T)),
+    "fig-fidelity": (_preset_fig_fidelity, lambda: ExperimentConfig(
+        T_list=(5.0, 10.0, 20.0, 40.0, 60.0, 100.0))),
+    "fig-loss": (_preset_fig_loss, lambda: ExperimentConfig(T_list=_FIG_T)),
+    "fig-sweep-random": (_preset_fig_sweep_random, lambda: ExperimentConfig(
+        model="random_rotating", T_list=(10.0, 20.0, 40.0, 80.0, 160.0, 320.0),
+        gamma_list=(0.0, 0.002, 0.004, 0.006, 0.008, 0.01))),
     "check-lindblad": (_preset_check_lindblad, ExperimentConfig),
-    "check-gauge": (_preset_check_gauge, ExperimentConfig),
+    "check-gauge": (_preset_check_gauge, lambda: ExperimentConfig(
+        T_list=(2.0,), gamma_list=(0.1,), dt=1e-4)),
 }
 
 CHECKS = ("check-lindblad", "check-gauge")

@@ -5,10 +5,10 @@ exponential, sampling the generator at the step midpoint:
 
     rho_{k+1} = exp(h_k M(s_k + h_k/2)) rho_k,   h_k = dt / T
 
-(the last step is shortened to land on the end of the span).  For
-generators in Lindblad form each step is exactly a completely positive
-trace-preserving map, so the discrete flow inherits both properties up to
-rounding.
+on the half-step grid of :func:`sample_grid`, the one place that decides
+where a run samples ``s``.  For generators in Lindblad form each step is
+exactly a completely positive trace-preserving map, so the discrete flow
+inherits both properties up to rounding.
 
 Steps are taken in chunks (64 steps for ``D = 16``; see ``_CHUNK_BYTES``):
 the generators at a chunk's midpoints are built as one ``(n, D, D)`` stack, each step's ``h ||M||`` is
@@ -26,6 +26,7 @@ independent cross-check.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,7 @@ from .spectral import evaluate_on
 
 __all__ = [
     "Trajectory",
+    "divides",
     "propagate_piecewise_exp",
     "propagate_rk4",
     "evolve_vector_piecewise_exp",
@@ -100,17 +102,31 @@ class Trajectory:
         return np.einsum("nij,nji->n", self.states, self.states).real
 
 
-def _grid_steps(s_span, ds):
-    """Uniform steps of size ``ds`` covering ``s_span``; the last step is
-    shortened to land exactly on the right endpoint."""
+def divides(dt, T):
+    """Whether ``dt`` divides ``T``, to 1e-9 of max(T, 1): the one whole-step
+    test, which config validation and :class:`.runner.RunContext` use too."""
+    n = T / dt
+    return math.isfinite(n) and abs(round(n) * dt - T) <= 1e-9 * max(T, 1.0)
+
+
+def sample_grid(dt, T, s_span=(0.0, 1.0)):
+    """Half-step grid of the midpoint scheme over ``s_span`` and its step
+    sizes: step ``k`` goes from ``grid[2k]`` to ``grid[2k + 2]`` with its
+    midpoint at ``grid[2k + 1]``.
+
+    Every whole step is ``dt / T``.  When ``dt`` divides the physical span
+    ``T (s1 - s0)`` the grid is ``linspace(s0, s1, 2n + 1)``; otherwise the
+    ``n`` whole steps are followed by one shortened step that lands on ``s1``.
+    """
     s0, s1 = s_span
-    span = s1 - s0
-    n_full = int(np.floor(span / ds + 1e-9))
-    steps = [ds] * n_full
-    rest = span - n_full * ds
-    if rest > 1e-12 * ds:
-        steps.append(rest)
-    return steps
+    ds = dt / T
+    if divides(dt, T * (s1 - s0)):
+        n = int(round(T * (s1 - s0) / dt))
+        return np.linspace(s0, s1, 2 * n + 1), np.full(n, ds)
+    n = int((s1 - s0) // ds)
+    end = s0 + n * ds
+    return (np.append(np.linspace(s0, end, 2 * n + 1), [0.5 * (end + s1), s1]),
+            np.append(np.full(n, ds), s1 - end))
 
 
 def _check_density(rho, tol=1e-10):
@@ -128,20 +144,19 @@ def _check_density(rho, tol=1e-10):
 
 
 def _step_maps(generator, dt, T, s_span):
-    """Grid of the midpoint scheme and an iterator over its step maps.
-
-    The iterator yields ``(k, maps)`` per chunk of steps:
-    ``maps[j] = exp(h M(s + h/2))`` advances the state from ``grid[k + j]``
-    to ``grid[k + j + 1]``.
+    """Step points (the even points of :func:`sample_grid`) and an iterator
+    yielding ``(k, maps)`` per chunk of steps: ``maps[j] = exp(h M(mid))``,
+    with ``mid`` the step's odd grid point, advances the state from
+    ``points[k + j]`` to ``points[k + j + 1]``.
     """
-    steps = np.asarray(_grid_steps(s_span, dt / T))
-    grid = np.cumsum(np.concatenate(([float(s_span[0])], steps)))
+    grid, steps = sample_grid(dt, T, s_span)
+    mid = grid[1::2]
 
     def chunks():
         k, n = 0, 1     # a first chunk of one step gives the generator's size
         while k < len(steps):
             h = steps[k:k + n]
-            m = np.asarray(evaluate_on(generator, grid[k:k + len(h)] + 0.5 * h))
+            m = np.asarray(evaluate_on(generator, mid[k:k + len(h)]))
             # an overflowing norm is an infinite size, over budget
             with np.errstate(over="ignore"):
                 size = h * np.linalg.norm(m, axis=(-2, -1))
@@ -155,7 +170,7 @@ def _step_maps(generator, dt, T, s_span):
             yield k, matrix_exponential(h[:, None, None] * m)
             k += len(h)
             n = max(1, _CHUNK_BYTES // (16 * m.shape[-1] ** 2))
-    return grid, chunks()
+    return grid[::2], chunks()
 
 
 def evolve_vector_piecewise_exp(generator, v0, dt, T, s_span=(0.0, 1.0)):
@@ -187,22 +202,21 @@ def propagate_piecewise_exp(generator, rho0, dt, T, s_span=(0.0, 1.0),
 
 def propagate_rk4(generator, rho0, steps, T, s_span=(0.0, 1.0), metadata=None):
     """Classical fixed-step RK4 on the vectorized equation; independent
-    cross-check for the exponential integrator."""
+    cross-check for the exponential integrator, sampling the generator on the
+    points of :func:`sample_grid` (``dt = (s1 - s0)/steps``, ``T = 1``)."""
     rho0 = _check_density(rho0)
-    s0, s1 = s_span
-    h = (s1 - s0) / steps
+    grid, hs = sample_grid((s_span[1] - s_span[0]) / steps, 1.0, s_span)
     v = vec(rho0)
     d = rho0.shape[0]
-    grid = np.linspace(s0, s1, steps + 1)
-    states = np.empty((steps + 1, d, d), dtype=complex)
+    states = np.empty((len(hs) + 1, d, d), dtype=complex)
     states[0] = rho0
-    for n in range(steps):
-        s = grid[n]
-        m1 = np.asarray(generator(s))
+    m2 = np.asarray(generator(grid[0]))     # each step's end is the next one's start
+    for n, h in enumerate(hs):
+        m1 = m2
         if h * np.linalg.norm(m1) > _STEP_NORM_BUDGET:
             raise StepTooLarge("rk4 step exceeds the generator norm budget")
-        mm = np.asarray(generator(s + 0.5 * h))
-        m2 = np.asarray(generator(s + h))
+        mm = np.asarray(generator(grid[2 * n + 1]))
+        m2 = np.asarray(generator(grid[2 * n + 2]))
         k1 = m1 @ v
         k2 = mm @ (v + 0.5 * h * k1)
         k3 = mm @ (v + 0.5 * h * k2)
@@ -212,7 +226,7 @@ def propagate_rk4(generator, rho0, steps, T, s_span=(0.0, 1.0), metadata=None):
     meta = {"steps": steps, "T": T, "integrator": "rk4"}
     if metadata:
         meta.update(metadata)
-    return Trajectory(grid=grid, states=states, metadata=meta)
+    return Trajectory(grid=grid[::2], states=states, metadata=meta)
 
 
 def piecewise_exp_propagator(generator, dt, T, s_span=(0.0, 1.0),

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import inspect
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -35,17 +34,18 @@ from .generators import RotatedFrameGenerator
 from .linalg import dag, frobenius
 from .propagation import (
     Trajectory,
+    divides,
     hs_error_max,
     intensity_loss,
     normalized_fidelity,
     propagate_piecewise_exp,
+    sample_grid,
 )
 from .resonance import compute_resonance_tensor
 from .spectral import build_transport_frame, vectorized
 
 __all__ = [
     "RunContext",
-    "divides",
     "holonomy_context",
     "integrate",
     "random_context",
@@ -61,8 +61,8 @@ _TENSOR_GRID = np.linspace(0.0, 1.0, 201)
 @dataclass
 class RunContext:
     """Everything shared by runs at one (model, T, dt): the model the
-    factories give, and the frame on the half-step grid and the
-    rotated-frame generator assembly that it builds from them."""
+    factories give, and the frame on the integrator's half-step grid and
+    the rotated-frame generator assembly that it builds from them."""
 
     family: object
     dissipator: object
@@ -78,8 +78,7 @@ class RunContext:
     def __post_init__(self):
         if not divides(self.dt, self.T):
             raise ValueError(f"dt={self.dt} does not divide T={self.T}")
-        grid = np.linspace(0.0, 1.0, 2 * int(round(self.T / self.dt)) + 1)
-        self.frame = build_transport_frame(self.family, grid,
+        self.frame = build_transport_frame(self.family, sample_grid(self.dt, self.T)[0],
                                            basis=self.family.analytic_basis)
         self.generator = RotatedFrameGenerator(self.dissipator, self.tensor,
                                                self.frame, self.T)
@@ -97,12 +96,6 @@ class RunContext:
         return Trajectory(grid=trajectory.grid,
                           states=dag(w) @ trajectory.states @ w,
                           metadata=dict(trajectory.metadata))
-
-
-def divides(dt, T):
-    """Whether ``dt`` divides ``T``, to 1e-9 of max(T, 1); validation uses it too."""
-    n = T / dt
-    return math.isfinite(n) and abs(round(n) * dt - T) <= 1e-9 * max(T, 1.0)
 
 
 def holonomy_context(delta_phi, split, gauge, T, dt, x, y):

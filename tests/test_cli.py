@@ -167,6 +167,27 @@ class TestConfigValidation:
         assert "config error: dt=" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name, values", [
+        ("T_list", [2.0, 2.0]),
+        ("gamma_list", [0.01, 0.01]),
+        ("gamma_list", [0.0, 0.1, -0.0]),
+    ])
+    def test_repeated_value_exits_two(self, tmp_path, capsys, monkeypatch, name, values):
+        # a repeat would integrate one sweep point twice and write its rows
+        # and trajectory files twice
+        monkeypatch.setattr(runner, "sweep", lambda *a, **k: pytest.fail("sweep ran"))
+        cfg = write_config(tmp_path, model="random_rotating", **{name: values})
+        assert cli.main(["run", "--config", str(cfg), "--workers", "2"]) == 2
+        assert name in capsys.readouterr().err
+        with pytest.raises(ConfigInvalid) as err:
+            cli.ExperimentConfig.from_dict({name: values})
+        assert err.value.field == name
+
+    def test_unknown_gauge_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, gauge="south_pole")
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        assert "config error: unknown gauge 'south_pole'" in capsys.readouterr().err
+
     def test_dim_bounded(self, tmp_path, capsys):
         cli.ExperimentConfig.from_dict({"model": "random_rotating", "dim": 16})
         cfg = write_config(tmp_path, model="random_rotating", dim=17)
@@ -274,6 +295,18 @@ class TestRunConfig:
             b = (tmp_path / "o2" / name).read_bytes()
             assert a == b
 
+    def test_trajectory_ends_at_one(self, tmp_path):
+        # 73 / 0.005 is 14,600 steps, whose sizes do not add up to 1 exactly:
+        # 14,601 samples, the last at s = 1
+        path = write_config(tmp_path, model="random_rotating", dim=2, T_list=[73.0],
+                            dt=0.005, gamma_list=[0.0], outputs=str(tmp_path / "o73"))
+        assert cli.main(["run", "--config", str(path), "--no-timestamp",
+                         "--workers", "1"]) == 0
+        for name in ("exact", "approx"):
+            lines = (tmp_path / "o73" / f"trajectory_{name}_g0_T73.csv").read_text().splitlines()
+            assert len(lines) == 14602
+            assert lines[-1].split(",")[0] == "1"
+
     def test_timestamp_header_togglable(self, tmp_path):
         path = write_config(tmp_path, T_list=[1.0], dt=0.1, gamma_list=[0.0],
                             outputs=str(tmp_path / "o3"))
@@ -365,7 +398,7 @@ class TestCsvFormat:
                 {"check": "gauge-equivalence", "value": -0.0, "bound": 1e-300},
                 {"check": "equator-gauge-discontinuity-detected", "value": 1.0,
                  "bound": "must raise"}]
-        monkeypatch.setattr(cli, "gauge_check_rows", lambda: rows)
+        monkeypatch.setattr(cli, "gauge_check_rows", lambda *args: rows)
         code, _ = cli.run_preset("check-gauge", {"out": str(tmp_path),
                                                  "no_timestamp": True})
         assert code == 0
@@ -485,13 +518,37 @@ class TestPresets:
 
     def test_assertion_failure_exit_code(self, tmp_path, monkeypatch):
         # force an embedded assertion to trip and check the exit path
-        def broken_rows():
+        def broken_rows(*args):
             return [{"model": "holonomy", "s": 0.5,
                      "reconstruction_error": 1.0, "lambda_min": 0.0}]
         monkeypatch.setattr(cli, "_lindblad_check_rows", broken_rows)
         code, rows = cli.run_preset("check-lindblad",
                                     {"out": str(tmp_path), "no_timestamp": True})
         assert code == 1 and rows is None
+
+    def test_check_presets_take_overrides(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def recorder(name):
+            def record(*args):
+                seen[name] = args
+                return []
+            return record
+        monkeypatch.setattr(cli, "gauge_check_rows", recorder("gauge"))
+        monkeypatch.setattr(cli, "_lindblad_check_rows", recorder("lindblad"))
+        overrides = {"out": str(tmp_path), "no_timestamp": True, "dt": 2e-4, "seed": 5}
+        for name in ("check-gauge", "check-lindblad"):
+            assert cli.run_preset(name, overrides)[0] == 0
+        assert seen == {"gauge": (2.0, 0.1, 2e-4), "lindblad": (5,)}
+
+    @pytest.mark.parametrize("dt", ["3", "0.5"])
+    def test_check_gauge_dt_measured_against_its_own_runtime(self, tmp_path, capsys,
+                                                             monkeypatch, dt):
+        # check-gauge runs T = 2, so dt is at most 0.2
+        monkeypatch.setattr(cli, "gauge_check_rows", lambda *a: pytest.fail("check ran"))
+        assert cli.main(["run", "--preset", "check-gauge", "--dt", dt,
+                         "--out", str(tmp_path)]) == 2
+        assert "config error: dt must be at most min(T)/10" in capsys.readouterr().err
 
     def test_preset_configs_validate(self):
         for name, (_, make_cfg) in cli.PRESETS.items():

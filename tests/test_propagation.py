@@ -137,12 +137,13 @@ class TestPiecewiseExp:
 
 
 def step_by_step(generator, v0, dt, T, s_span=(0.0, 1.0)):
-    """The scheme one step at a time: the reference for the chunked engine."""
+    """The scheme one step at a time on the shared grid: the reference for
+    the chunked engine."""
+    grid, steps = propagation.sample_grid(dt, T, s_span)
     v = np.asarray(v0, dtype=complex)
-    s, out = s_span[0], [v]
-    for h in propagation._grid_steps(s_span, dt / T):
-        v = matrix_exponential(h * np.asarray(generator(s + 0.5 * h))) @ v
-        s += h
+    out = [v]
+    for mid, h in zip(grid[1::2], steps):
+        v = matrix_exponential(h * np.asarray(generator(mid))) @ v
         out.append(v)
     return np.asarray(out)
 
@@ -154,6 +155,54 @@ def small_context(model, T=1.0, dt=0.1):
                                        Gauge.NORTH_POLE_REGULAR, T, dt,
                                        math.pi / 5, 3 * math.pi / 4)
     return runner.random_context(3, T, dt)
+
+
+def zero_generator(s):
+    return np.zeros(np.shape(s) + (4, 4), dtype=complex)
+
+
+zero_generator.vectorized = True
+
+
+class TestSampleGrid:
+    def test_whole_steps_end_at_one(self):
+        # 14,600 steps of 0.005/73 add up to 1 - 1.1e-16, not 1: the grid, not
+        # a sum of steps, decides the end point, and no sliver step follows
+        grid, vectors = evolve_vector_piecewise_exp(zero_generator, np.ones(4), 0.005, 73.0)
+        assert len(grid) == 14601 and grid[-1] == 1.0
+
+    @pytest.mark.parametrize("dt, T, s_span", [(0.005, 73.0, (0.0, 1.0)),
+                                               (0.01, 4.0, (0.5, 1.0)),
+                                               (0.0127, 1.0, (0.0, 1.0))])
+    def test_steps_and_points(self, dt, T, s_span):
+        grid, steps = propagation.sample_grid(dt, T, s_span)
+        n = int((s_span[1] - s_span[0]) * T / dt + 1e-6)
+        assert len(grid) == 2 * len(steps) + 1
+        assert grid[0] == s_span[0] and grid[-1] == s_span[1]
+        assert np.all(steps[:n] == dt / T)
+        if propagation.divides(dt, T * (s_span[1] - s_span[0])):
+            assert len(steps) == n
+            assert np.array_equal(grid, np.linspace(*s_span, 2 * n + 1))
+        else:
+            # one shortened step lands on the end of the span
+            assert len(steps) == n + 1 and 0 < steps[-1] < dt / T
+            assert steps[-1] == s_span[1] - grid[-3]
+
+    @pytest.mark.parametrize("model", ["holonomy", "random_rotating"])
+    def test_integrator_samples_the_frame_grid(self, model, monkeypatch):
+        # the generator sees exactly the frame's odd points (step midpoints)
+        # and the trajectory carries its even points
+        ctx = small_context(model, 20.0, 0.01)
+        gen, seen = ctx.approximate_generator(0.1), []
+
+        def record(s):
+            seen.append(np.atleast_1d(s))
+            return gen(s)
+        record.vectorized = True
+        monkeypatch.setattr(ctx, "approximate_generator", lambda gamma: record)
+        traj = runner.integrate(ctx, 0.1, approximate=True)
+        assert np.array_equal(np.concatenate(seen), ctx.frame.grid[1::2])
+        assert np.array_equal(traj.grid, ctx.frame.grid[::2])
 
 
 class TestChunkedSteps:
@@ -297,6 +346,18 @@ class TestRk4:
     def test_zero_generator(self, qubit_rho):
         traj = propagate_rk4(lambda s: np.zeros((4, 4)), qubit_rho, 10, 1.0)
         assert max(frobenius(st - qubit_rho) for st in traj.states) == 0.0
+
+    def test_samples_the_shared_grid(self, qubit_rho):
+        # each step's end sample is the next step's start: 2 steps + 1 calls
+        seen = []
+
+        def gen(s):
+            seen.append(s)
+            return np.zeros((4, 4))
+        traj = propagate_rk4(gen, qubit_rho, 10, 1.0, s_span=(0.25, 1.0))
+        grid, _ = propagation.sample_grid(0.075, 1.0, (0.25, 1.0))
+        assert seen == grid.tolist()
+        assert np.array_equal(traj.grid, grid[::2])
 
     def test_cross_validation_gate_model(self):
         # the two integrators are independent; at matched resolution they
