@@ -8,7 +8,8 @@ Usage:
     adiabat check --all
 
 Exit codes: 0 on success, 1 when an embedded assertion fails, 2 on config
-errors, a ``dt`` over the step budget or the step count budget included.
+errors, a ``dt`` over the step budget or the step count budget and an
+output directory that cannot be created included.
 ``--workers``, or else ``ADIABAT_THREADS``, sets the worker pool size.
 
 Output files are deterministic for a fixed config and seed: rows are sorted
@@ -92,12 +93,15 @@ def _text(name, value):
 
 
 def _object(**parse):
-    """Parser of a JSON object whose listed keys are parsed by ``parse``."""
+    """Parser of a JSON object whose keys are those of ``parse``, each parsed by it."""
     def parser(name, value):
         if not isinstance(value, dict):
             raise ConfigInvalid(f"{name} must be a JSON object, got {value!r}",
                                 field=name)
-        return {k: parse[k](name, v) if k in parse else v for k, v in value.items()}
+        unknown = sorted(set(value) - set(parse))
+        if unknown:
+            raise ConfigInvalid(f"unknown {name} field {unknown[0]!r}", field=name)
+        return {k: parse[k](name, v) for k, v in value.items()}
     return parser
 
 
@@ -499,7 +503,12 @@ def _execute(func, cfg, overrides):
     cfg.validate()
     workers = runner.worker_count(overrides.get("workers"))
     out_dir = overrides.get("out") or cfg.outputs
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        name = "out" if overrides.get("out") else "outputs"
+        raise ConfigInvalid(f"cannot create {name} directory {out_dir!r}: {exc.strerror}",
+                            field=name) from None
     timestamp = not overrides.get("no_timestamp", False)
     try:
         rows = func(cfg, out_dir, timestamp, workers)

@@ -11,10 +11,11 @@ exactly a completely positive trace-preserving map, so the discrete flow
 inherits both properties up to rounding.
 
 Steps are taken in chunks (64 steps for ``D = 16``; see ``_CHUNK_BYTES``):
-the generators at a chunk's midpoints are built as one ``(n, D, D)`` stack, each step's ``h ||M||`` is
-checked against ``_STEP_NORM_BUDGET``, and the stack goes through one
-batched :func:`.linalg.matrix_exponential` before a plain loop of
-matrix-vector (or matrix-matrix) products applies the step maps in order.
+the generators at a chunk's midpoints are built as one ``(n, D, D)`` stack,
+each step's ``h ||M||`` is checked against ``_STEP_NORM_BUDGET``, and the
+stack goes through one batched :func:`.linalg.matrix_exponential` before a
+plain loop of matrix-vector (or matrix-matrix) products applies the step
+maps in order.
 A generator marked ``vectorized`` (the rotated-frame ones that
 :class:`.runner.RunContext` hands out from its
 :class:`.generators.RotatedFrameGenerator`, and the lab-frame
@@ -22,7 +23,8 @@ A generator marked ``vectorized`` (the rotated-frame ones that
 :class:`.generators.ApproximateGenerator`) takes the array of midpoints at
 once; any other callable ``s -> M(s)`` is called once per midpoint.  A
 classical fixed-step fourth-order Runge-Kutta integrator is provided as an
-independent cross-check.
+independent cross-check; it samples the same grid and passes the same
+step-size check.
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ from .errors import (
     EmptySubspace,
     GridMismatch,
     InvalidInitialState,
+    NonFinite,
     StepTooLarge,
 )
 from .linalg import (
@@ -117,8 +120,14 @@ def sample_grid(dt, T, s_span=(0.0, 1.0)):
     Every whole step is ``dt / T``.  When ``dt`` divides the physical span
     ``T (s1 - s0)`` the grid is ``linspace(s0, s1, 2n + 1)``; otherwise the
     ``n`` whole steps are followed by one shortened step that lands on ``s1``.
+    An empty span (``s0 == s1``) is one sample and no step; a reversed or
+    non-finite one raises ``ValueError``.
     """
     s0, s1 = s_span
+    if not (math.isfinite(s0) and math.isfinite(s1) and s0 <= s1):
+        raise ValueError(f"s_span must be finite and increasing, got {tuple(s_span)}")
+    if s0 == s1:
+        return np.array([float(s0)]), np.zeros(0)
     ds = dt / T
     if divides(dt, T * (s1 - s0)):
         n = int(round(T * (s1 - s0) / dt))
@@ -143,6 +152,20 @@ def _check_density(rho, tol=1e-10):
     return rho
 
 
+def _check_step_sizes(h, m):
+    """The step-size check of both integrators: the first step ``h`` whose
+    ``h ||M||`` (``M`` from the stack ``m``) exceeds ``_STEP_NORM_BUDGET``
+    raises :class:`StepTooLarge`, or :class:`NonFinite` if it is NaN."""
+    with np.errstate(over="ignore"):    # an overflowing norm is an infinite size
+        size = h * np.linalg.norm(m, axis=(-2, -1))
+    bad = np.flatnonzero(~(size <= _STEP_NORM_BUDGET))
+    if bad.size and np.isnan(size[bad[0]]):
+        raise NonFinite("generator contains NaN entries")
+    if bad.size:
+        raise StepTooLarge(f"step times generator norm is {size[bad[0]]:.3e}, "
+                           f"over {_STEP_NORM_BUDGET}")
+
+
 def _step_maps(generator, dt, T, s_span):
     """Step points (the even points of :func:`sample_grid`) and an iterator
     yielding ``(k, maps)`` per chunk of steps: ``maps[j] = exp(h M(mid))``,
@@ -157,16 +180,7 @@ def _step_maps(generator, dt, T, s_span):
         while k < len(steps):
             h = steps[k:k + n]
             m = np.asarray(evaluate_on(generator, mid[k:k + len(h)]))
-            # an overflowing norm is an infinite size, over budget
-            with np.errstate(over="ignore"):
-                size = h * np.linalg.norm(m, axis=(-2, -1))
-            # the first step over budget raises; a NaN norm goes on to the
-            # exponential, which raises NonFinite
-            bad = np.flatnonzero(~(size <= _STEP_NORM_BUDGET))
-            if bad.size and size[bad[0]] > _STEP_NORM_BUDGET:
-                raise StepTooLarge(
-                    f"step {h[bad[0]]:.3e} times generator norm exceeds {_STEP_NORM_BUDGET}"
-                )
+            _check_step_sizes(h, m)
             yield k, matrix_exponential(h[:, None, None] * m)
             k += len(h)
             n = max(1, _CHUNK_BYTES // (16 * m.shape[-1] ** 2))
@@ -203,7 +217,8 @@ def propagate_piecewise_exp(generator, rho0, dt, T, s_span=(0.0, 1.0),
 def propagate_rk4(generator, rho0, steps, T, s_span=(0.0, 1.0), metadata=None):
     """Classical fixed-step RK4 on the vectorized equation; independent
     cross-check for the exponential integrator, sampling the generator on the
-    points of :func:`sample_grid` (``dt = (s1 - s0)/steps``, ``T = 1``)."""
+    points of :func:`sample_grid` (``dt = (s1 - s0)/steps``, ``T = 1``) and
+    checking each step's three generators as that integrator does."""
     rho0 = _check_density(rho0)
     grid, hs = sample_grid((s_span[1] - s_span[0]) / steps, 1.0, s_span)
     v = vec(rho0)
@@ -213,10 +228,9 @@ def propagate_rk4(generator, rho0, steps, T, s_span=(0.0, 1.0), metadata=None):
     m2 = np.asarray(generator(grid[0]))     # each step's end is the next one's start
     for n, h in enumerate(hs):
         m1 = m2
-        if h * np.linalg.norm(m1) > _STEP_NORM_BUDGET:
-            raise StepTooLarge("rk4 step exceeds the generator norm budget")
         mm = np.asarray(generator(grid[2 * n + 1]))
         m2 = np.asarray(generator(grid[2 * n + 2]))
+        _check_step_sizes(h, np.stack((m1, mm, m2)))
         k1 = m1 @ v
         k2 = mm @ (v + 0.5 * h * k1)
         k3 = mm @ (v + 0.5 * h * k2)
@@ -247,6 +261,8 @@ def piecewise_exp_propagator(generator, dt, T, s_span=(0.0, 1.0),
             prop = step @ prop
             while wanted and wanted[0] <= grid[j + 1] + 1e-12:
                 out.append((wanted.pop(0), prop.copy()))
+    if prop is None:    # an empty span: no step, the generator at s0 gives the size
+        prop = np.eye(np.shape(evaluate_on(generator, grid[:1]))[-1], dtype=complex)
     out.append((grid[-1], prop))
     return out
 

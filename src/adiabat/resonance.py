@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TangentialCrossing
+from .spectral import evaluate_on
 
 __all__ = [
     "CrossingCase",
@@ -113,17 +114,14 @@ def compute_resonance_tensor(decomp_at, grid, coincide_tol=1e-9, slope_tol=1e-6)
     difference are refined by bisection to 1e-6 and recorded as isolated
     crossings; a crossing whose local slope falls below ``slope_tol``
     raises :class:`TangentialCrossing` because the transversality premise
-    behind the classification fails there.  A ``decomp_at`` marked
-    :func:`.spectral.vectorized` gives the energies on the whole grid in
-    one call.
+    behind the classification fails there.  The energies on the grid come
+    from :func:`.spectral.evaluate_on`: one call of a ``decomp_at`` marked
+    :func:`.spectral.vectorized`, else one per sample.
     """
     grid = np.asarray(grid, dtype=float)
     if len(grid) < 33:
         raise ValueError("resonance classification needs at least 33 grid samples")
-    if getattr(decomp_at, "vectorized", False):
-        energies = decomp_at(grid).energies
-    else:
-        energies = np.stack([decomp_at(s).energies for s in grid])   # (n, K)
+    energies = evaluate_on(decomp_at, grid).energies     # (n, K)
     k = energies.shape[1]
     g = np.zeros((k, k, k, k), dtype=bool)
     crossings, flagged = [], []

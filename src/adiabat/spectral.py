@@ -66,11 +66,15 @@ def vectorized(fn):
 
 def evaluate_on(fn, s):
     """``fn`` at ``s``: a number, or a 1-D array whose results are stacked
-    along a leading axis.  A callable marked :func:`vectorized` gets the
-    array in one call; any other is called once per sample."""
+    along a leading axis (decompositions by :meth:`SpectralDecomposition.stack`).
+    A callable marked :func:`vectorized` gets the array in one call; any
+    other is called once per sample."""
     if np.ndim(s) == 0 or getattr(fn, "vectorized", False):
         return fn(s)
-    return np.stack([np.asarray(fn(x)) for x in np.asarray(s).tolist()])
+    results = [fn(x) for x in np.asarray(s).tolist()]
+    if results and isinstance(results[0], SpectralDecomposition):
+        return SpectralDecomposition.stack(results)
+    return np.stack(results)
 
 
 @dataclass
@@ -160,12 +164,8 @@ class HamiltonianFamily:
     def spectrum(self, s):
         """Instantaneous decomposition, analytic when the model provides
         one; stacked for a 1-D array ``s``."""
-        one = self.analytic_spectrum
-        if one is None:
-            one = functools.partial(decompose_at, self, degeneracy_tol=self.degeneracy_tol)
-        if np.ndim(s) == 0 or getattr(one, "vectorized", False):
-            return one(s)
-        return SpectralDecomposition.stack([one(x) for x in np.asarray(s).tolist()])
+        return evaluate_on(self.analytic_spectrum or functools.partial(
+            decompose_at, self, degeneracy_tol=self.degeneracy_tol), s)
 
 
 def _cluster_eigenvalues(w, degeneracy_tol):
@@ -280,7 +280,14 @@ def decompose_on_grid(family, grid, degeneracy_tol=1e-8):
 # finite-difference derivatives
 # ---------------------------------------------------------------------------
 
-_STENCILS = ("central", "forward", "backward")
+# Stencil shapes: the offsets (in steps) of the two points other than the
+# sample, and the weights (per step) of (sample, point, point, sample) in
+# the order they are summed; a zero weight adds exact zeros.
+_STENCILS = {
+    "central": ((-1.0, 1.0), (0.0, -0.5, 0.5, 0.0)),
+    "forward": ((1.0, 2.0), (-1.5, 2.0, -0.5, 0.0)),
+    "backward": ((-2.0, -1.0), (0.0, 0.5, -2.0, 1.5)),
+}
 
 
 def _samples(s):
@@ -301,14 +308,6 @@ def _stencil_kinds(family, s, h):
     return np.where(central, "central", np.where(forward, "forward", "backward"))
 
 
-def _stencil_points(kind, s, h):
-    if kind == "central":
-        return (s - h, s + h), (-0.5 / h, 0.5 / h)
-    if kind == "forward":
-        return (s, s + h, s + 2 * h), (-1.5 / h, 2.0 / h, -0.5 / h)
-    return (s - 2 * h, s - h, s), (0.5 / h, -2.0 / h, 1.5 / h)
-
-
 def _projector_derivatives(family, s, h, richardson):
     """Spectra at the 1-D array ``s`` and their projector derivatives.
 
@@ -317,41 +316,25 @@ def _projector_derivatives(family, s, h, richardson):
     ``s`` at once.  The stencil shape is fixed at step ``h`` so a
     Richardson pair shares the same truncation-error structure.
     """
-    kinds = _stencil_kinds(family, s, h)
+    # each sample's row of the stencil table
+    names, row = np.unique(_stencil_kinds(family, s, h), return_inverse=True)
+    offsets, weights = (np.array(col)[row] for col in zip(*(_STENCILS[k] for k in names)))
     steps = (h, h / 2) if richardson else (h,)
-    groups = []         # (sample indices, samples, [(points, weights) per step])
-    moving = []         # stencil points other than s itself, with their samples
-    for kind in _STENCILS:
-        idx = np.flatnonzero(kinds == kind)
-        if idx.size:
-            si = s[idx]
-            stencils = [_stencil_points(kind, si, step) for step in steps]
-            groups.append((idx, si, stencils))
-            moving += [(idx, p) for points, _ in stencils for p in points if p is not si]
     n = len(s)
-    spec = family.spectrum(np.concatenate([s] + [p for _, p in moving]))
+    spec = family.spectrum(np.concatenate([s] + [s + off * step for step in steps
+                                                 for off in offsets.T]))
     base = spec.take(slice(0, n))
     moved = _relabel(spec.take(slice(n, None)),
-                     base.take(np.concatenate([idx for idx, _ in moving])))
-    d = family.dim
-    derivs = [np.empty((n, d, d), dtype=complex) for _ in base.projectors]
-    offset = 0
-    for idx, si, stencils in groups:
-        coarse = None
-        for points, weights in stencils:
-            acc = [np.zeros((len(idx), d, d), dtype=complex) for _ in derivs]
-            for point, weight in zip(points, weights):
-                if point is si:
-                    at = base.take(idx)
-                else:
-                    at = moved.take(slice(offset, offset + len(idx)))
-                    offset += len(idx)
-                for k, p in enumerate(at.projectors):
-                    acc[k] += weight * p
-            coarse = acc if coarse is None else [(4.0 * f - c) / 3.0
-                                                 for f, c in zip(acc, coarse)]
-        for k, dp in enumerate(coarse):
-            derivs[k][idx] = dp
+                     base.take(np.tile(np.arange(n), 2 * len(steps))))
+    derivs = None
+    for i, step in enumerate(steps):
+        points = (base, moved.take(slice(2 * i * n, (2 * i + 1) * n)),
+                  moved.take(slice((2 * i + 1) * n, (2 * i + 2) * n)), base)
+        acc = [np.zeros(p.shape, dtype=complex) for p in base.projectors]
+        for weight, point in zip((weights / step).T, points):
+            for k, p in enumerate(point.projectors):
+                acc[k] += weight[:, None, None] * p
+        derivs = acc if derivs is None else [(4.0 * f - c) / 3.0 for f, c in zip(acc, derivs)]
     return base, derivs
 
 
@@ -521,6 +504,7 @@ def build_transport_frame(family, grid, basis=None, frame_jump_tol=0.5,
     Labels are those of ``family.spectrum(grid[0])``: an analytic column
     joins the eigenspace whose projector holds it (``ValueError`` unless
     within 1e-6), a numeric continuation starts its overlap chain there.
+    A ``basis`` needs an ``analytic_spectrum`` too (``ValueError`` otherwise).
 
     Raises :class:`FrameDiscontinuity` when consecutive unitaries jump by
     more than ``frame_jump_tol`` in Frobenius norm, which signals a gauge
@@ -529,6 +513,8 @@ def build_transport_frame(family, grid, basis=None, frame_jump_tol=0.5,
     grid = np.asarray(grid, dtype=float)
     if degeneracy_tol is None:
         degeneracy_tol = family.degeneracy_tol
+    if basis is not None and family.analytic_spectrum is None:
+        raise ValueError("basis needs a family with an analytic_spectrum")
     if basis is None:
         cols, energies, ranks = _continued_columns(family, grid, degeneracy_tol)
     else:
@@ -548,8 +534,8 @@ def build_transport_frame(family, grid, basis=None, frame_jump_tol=0.5,
 
     du = np.gradient(u, grid, axis=0, edge_order=2)
     # near a schedule kink the symmetric stencil mixes two smooth pieces;
-    # redo those samples one-sided (the kink samples themselves keep the
-    # forward value)
+    # redo those samples one-sided (a sample exactly on a kink takes the
+    # backward value)
     if family.breakpoints and n >= 3:
         spacing = np.diff(grid)
         lo = np.concatenate((grid[:1], grid[:-1]))

@@ -137,6 +137,29 @@ class TestConfigValidation:
         assert cli.main(["run", "--config", str(cfg)]) == 2
         assert "path" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, value, key", [
+        ("path", {"delta_phi": 0.785, "splt": [0.25, 0.25, 0.25, 0.25]}, "splt"),
+        ("initial_state", {"x": 0.6, "y": 2.4, "z": 0.0}, "z"),
+    ])
+    def test_unknown_nested_key_exits_two(self, tmp_path, capsys, monkeypatch,
+                                          name, value, key):
+        monkeypatch.setattr(runner, "sweep", lambda *a, **k: pytest.fail("sweep ran"))
+        cfg = write_config(tmp_path, **{name: value})
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        assert f"unknown {name} field {key!r}" in capsys.readouterr().err
+
+    def test_uncreatable_output_directory_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(runner, "sweep", lambda *a, **k: pytest.fail("sweep ran"))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = write_config(tmp_path)
+        assert cli.main(["run", "--config", str(cfg), "--out", str(blocker / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: cannot create out directory" in err and "Traceback" not in err
+        cfg = write_config(tmp_path, outputs=str(blocker / "out"))
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        assert "cannot create outputs directory" in capsys.readouterr().err
+
     @pytest.mark.parametrize("fields", [
         pytest.param(dict(model="random_rotating", T_list=[100.0], dt=10.0), id="random"),
         pytest.param(dict(T_list=[1e300], dt=1e299), id="holonomy-huge-T"),

@@ -13,6 +13,7 @@ from adiabat.errors import (
     EmptySubspace,
     GridMismatch,
     InvalidInitialState,
+    NonFinite,
     StepTooLarge,
 )
 from adiabat.generators import (
@@ -188,6 +189,26 @@ class TestSampleGrid:
             assert len(steps) == n + 1 and 0 < steps[-1] < dt / T
             assert steps[-1] == s_span[1] - grid[-3]
 
+    def test_empty_span_is_one_sample(self, qubit_rho):
+        gen = lambda s: np.zeros((4, 4))
+        grid, steps = propagation.sample_grid(0.1, 1.0, (0.5, 0.5))
+        assert grid.tolist() == [0.5] and len(steps) == 0
+        for traj in (propagate_rk4(gen, qubit_rho, 10, 1.0, s_span=(0.5, 0.5)),
+                     propagate_piecewise_exp(gen, qubit_rho, 0.1, 1.0, s_span=(0.5, 0.5))):
+            assert traj.grid.tolist() == [0.5]
+            assert np.array_equal(traj.states, qubit_rho[None])
+        [(s, prop)] = piecewise_exp_propagator(gen, 0.1, 1.0, s_span=(0.5, 0.5))
+        assert s == 0.5 and np.array_equal(prop, np.eye(4))
+
+    @pytest.mark.parametrize("s_span", [(1.0, 0.0), (0.0, math.nan), (0.0, math.inf)])
+    def test_bad_span_named(self, qubit_rho, s_span):
+        gen = lambda s: np.zeros((4, 4))
+        for run in (lambda: propagate_rk4(gen, qubit_rho, 10, 1.0, s_span=s_span),
+                    lambda: propagate_piecewise_exp(gen, qubit_rho, 0.1, 1.0, s_span=s_span),
+                    lambda: piecewise_exp_propagator(gen, 0.1, 1.0, s_span=s_span)):
+            with pytest.raises(ValueError, match="s_span"):
+                run()
+
     @pytest.mark.parametrize("model", ["holonomy", "random_rotating"])
     def test_integrator_samples_the_frame_grid(self, model, monkeypatch):
         # the generator sees exactly the frame's odd points (step midpoints)
@@ -358,6 +379,20 @@ class TestRk4:
         grid, _ = propagation.sample_grid(0.075, 1.0, (0.25, 1.0))
         assert seen == grid.tolist()
         assert np.array_equal(traj.grid, grid[::2])
+
+    def test_nan_generator_raises(self, qubit_rho):
+        # the exponential integrator's check: NaN is NonFinite, not a NaN state
+        nan = lambda s: np.full((4, 4), np.nan)
+        with pytest.raises(NonFinite):
+            propagate_rk4(nan, qubit_rho, 10, 1.0)
+        with pytest.raises(NonFinite):
+            propagate_piecewise_exp(nan, qubit_rho, 0.1, 1.0)
+
+    def test_budget_checks_every_stage(self, qubit_rho):
+        # only the first step's midpoint generator is over budget
+        gen = lambda s: 1e4 * np.eye(4) if s == 0.05 else np.zeros((4, 4))
+        with pytest.raises(StepTooLarge):
+            propagate_rk4(gen, qubit_rho, 10, 1.0)
 
     def test_cross_validation_gate_model(self):
         # the two integrators are independent; at matched resolution they

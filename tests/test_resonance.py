@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from adiabat.errors import TangentialCrossing
+from adiabat.errors import DegeneracyChange, TangentialCrossing
 from adiabat.models import build_orange_path, holonomy_family, make_random_model
 from adiabat.resonance import (
     CrossingCase,
@@ -122,6 +122,13 @@ class TestResonanceTensor:
         assert t.case_of((0, 2), (0, 1)) is CrossingCase.CASE_II
         assert t.case_of((0, 1), (1, 0)) is CrossingCase.CASE_I
         t.validate_identities()
+
+    def test_rank_change_in_per_sample_spectrum(self):
+        two = energy_map(lambda s: [0.0, 1.0])(0.0)
+        merged = SpectralDecomposition(energies=np.array([0.0, 1.0]),
+                                       projectors=two.projectors, ranks=(2, 0))
+        with pytest.raises(DegeneracyChange):
+            compute_resonance_tensor(lambda s: two if s < 0.5 else merged, GRID)
 
     def test_grid_refinement_never_flips_coupling(self):
         for fam in (holonomy_family(build_orange_path(np.pi / 4, 10.0)),

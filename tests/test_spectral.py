@@ -300,6 +300,16 @@ class TestTransportFrame:
             assert np.array_equal(getattr(marked, name), getattr(plain, name))
 
 
+    def test_basis_needs_analytic_spectrum(self, rotating):
+        # the energies would take one numeric decomposition per grid sample
+        fam = rotating.family()
+        basis_only = HamiltonianFamily(dim=4, evaluate=fam.evaluate,
+                                       analytic_basis=fam.analytic_basis)
+        with pytest.raises(ValueError, match="basis"):
+            build_transport_frame(basis_only, np.linspace(0.0, 1.0, 11),
+                                  basis=basis_only.analytic_basis)
+
+
 def shipped_families():
     path = build_orange_path(np.pi / 4, 10.0)
     return [holonomy_family(path, gauge) for gauge in Gauge] + [make_random_model(7).family()]
