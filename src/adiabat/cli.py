@@ -54,7 +54,8 @@ SWEEP_COLUMNS = ["model", "gamma", "T", "dt", "elem11_exact", "elem11_approx",
 
 # largest Hilbert-space dimension a config may ask for
 _MAX_DIM = 16
-# largest max(T)/dt: a T slot peaks at ~3.2 KB per step (1.6 GB here), mostly its frame
+# largest max(T)/dt: a T slot peaks at ~3.2 KB per step (1.6 GB here) while
+# its frame is built; a pass of four equations stays below that
 _MAX_STEPS = 500_000
 # run-time fractions of the orange-slice legs when a config gives none
 _DEFAULT_SPLIT = (0.4, 0.2, 0.4, 0.0)

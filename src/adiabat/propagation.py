@@ -10,12 +10,18 @@ where a run samples ``s``.  For generators in Lindblad form each step is
 exactly a completely positive trace-preserving map, so the discrete flow
 inherits both properties up to rounding.
 
-Steps are taken in chunks (64 steps for ``D = 16``; see ``_CHUNK_BYTES``):
-the generators at a chunk's midpoints are built as one ``(n, D, D)`` stack,
-each step's ``h ||M||`` is checked against ``_STEP_NORM_BUDGET``, and the
-stack goes through one batched :func:`.linalg.matrix_exponential` before a
-plain loop of matrix-vector (or matrix-matrix) products applies the step
-maps in order.
+One equation, or a pass of ``P`` equations stacked on one grid, is stepped
+in chunks (64 steps of one ``D = 16`` equation, 16 of a pass of four; see
+``_CHUNK_BYTES``): the generators at a chunk's midpoints are built as one
+``(n, D, D)`` stack (``(n, P, D, D)`` for a pass), and each step's
+``h ||M||`` is checked against ``_STEP_NORM_BUDGET``.  Each equation then
+takes one of two step rules.  The Pade rule sends the chunk's step
+generators through one batched :func:`.linalg.matrix_exponential`, and a
+plain loop of matrix-vector (or matrix-matrix) products applies each
+equation's step maps in order; it is the default.  The action rule
+(``action=True``) never forms the exponential: its equations move
+together, one step at a time, by :func:`.linalg.expm_action`, whose
+Taylor degree comes from the chunk's largest ``||h M||_1``.
 A generator marked ``vectorized`` (the rotated-frame ones that
 :class:`.runner.RunContext` hands out from its
 :class:`.generators.RotatedFrameGenerator`, and the lab-frame
@@ -29,6 +35,7 @@ step-size check.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,10 +49,12 @@ from .errors import (
 )
 from .linalg import (
     dag,
+    expm_action,
     frobenius,
     hermitian_eigendecompose,
     matrix_exponential,
     psd_sqrt,
+    taylor_degree,
     unvec,
     vec,
 )
@@ -64,11 +73,12 @@ __all__ = [
 ]
 
 _STEP_NORM_BUDGET = 20.0
-# Bytes of one chunk's (n, D, D) complex generator stack, which is built
-# and exponentiated at once: 64 steps of the 16x16 generators of both
-# shipped models.  Longer chunks gain little, and the exponential holds
-# about ten such stacks at a time, so chunks are sized by bytes, not steps,
-# to bound memory at any dimension.
+# Bytes of one chunk's complex generator stack over all the equations it
+# steps, which is built and exponentiated at once: 64 steps of one 16x16
+# generator of the shipped models, 16 steps of a pass of four.  Longer
+# chunks gain little, and the exponential holds about ten such stacks at a
+# time, so chunks are sized by bytes, not steps, to bound memory at any
+# dimension and any number of equations.
 _CHUNK_BYTES = 64 * 16 * 16 * 16
 
 
@@ -77,6 +87,8 @@ class Trajectory:
     """States on a parameter grid plus run metadata.
 
     ``states`` has shape (n_samples, d, d); entry 0 is the initial state.
+    A pass of several equations (:func:`propagate_piecewise_exp` of a stack
+    of initial states) holds a list of such arrays, one per equation.
     """
 
     grid: np.ndarray
@@ -112,20 +124,31 @@ def divides(dt, T):
     return math.isfinite(n) and abs(round(n) * dt - T) <= 1e-9 * max(T, 1.0)
 
 
-def sample_grid(dt, T, s_span=(0.0, 1.0)):
+def sample_grid(dt, T, s_span=(0.0, 1.0), steps=None):
     """Half-step grid of the midpoint scheme over ``s_span`` and its step
     sizes: step ``k`` goes from ``grid[2k]`` to ``grid[2k + 2]`` with its
     midpoint at ``grid[2k + 1]``.
 
-    Every whole step is ``dt / T``.  When ``dt`` divides the physical span
-    ``T (s1 - s0)`` the grid is ``linspace(s0, s1, 2n + 1)``; otherwise the
-    ``n`` whole steps are followed by one shortened step that lands on ``s1``.
-    An empty span (``s0 == s1``) is one sample and no step; a reversed or
-    non-finite one raises ``ValueError``.
+    Every whole step is ``dt / T``; ``steps``, when given, replaces both by
+    that many whole steps (``dt = (s1 - s0) / steps``, ``T = 1``).  When
+    ``dt`` divides the physical span ``T (s1 - s0)`` the grid is
+    ``linspace(s0, s1, 2n + 1)``; otherwise the ``n`` whole steps are
+    followed by one shortened step that lands on ``s1``.  An empty span
+    (``s0 == s1``) is one sample and no step.  A reversed or non-finite
+    span, a ``dt`` or ``T`` that is not finite and positive, or ``steps``
+    that is not a positive integer raises ``ValueError`` naming it.
     """
     s0, s1 = s_span
     if not (math.isfinite(s0) and math.isfinite(s1) and s0 <= s1):
         raise ValueError(f"s_span must be finite and increasing, got {tuple(s_span)}")
+    if steps is not None:
+        if not (isinstance(steps, numbers.Integral) and steps > 0):
+            raise ValueError(f"steps must be a positive integer, got {steps!r}")
+        dt, T = (s1 - s0) / steps, 1.0
+    else:
+        for name, value in (("dt", dt), ("T", T)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
     if s0 == s1:
         return np.array([float(s0)]), np.zeros(0)
     ds = dt / T
@@ -153,11 +176,14 @@ def _check_density(rho, tol=1e-10):
 
 
 def _check_step_sizes(h, m):
-    """The step-size check of both integrators: the first step ``h`` whose
-    ``h ||M||`` (``M`` from the stack ``m``) exceeds ``_STEP_NORM_BUDGET``
-    raises :class:`StepTooLarge`, or :class:`NonFinite` if it is NaN."""
+    """The step-size check of both integrators: the first step whose
+    ``h ||M||`` exceeds ``_STEP_NORM_BUDGET``, in ``s`` order, raises
+    :class:`StepTooLarge`, or :class:`NonFinite` if it is NaN.  ``h`` is
+    one size for the whole stack ``m`` or one per step, and each step may
+    hold several equations' generators."""
+    h = np.reshape(h, np.shape(h) + (1,) * (m.ndim - 2 - np.ndim(h)))
     with np.errstate(over="ignore"):    # an overflowing norm is an infinite size
-        size = h * np.linalg.norm(m, axis=(-2, -1))
+        size = (h * np.linalg.norm(m, axis=(-2, -1))).ravel()
     bad = np.flatnonzero(~(size <= _STEP_NORM_BUDGET))
     if bad.size and np.isnan(size[bad[0]]):
         raise NonFinite("generator contains NaN entries")
@@ -166,11 +192,12 @@ def _check_step_sizes(h, m):
                            f"over {_STEP_NORM_BUDGET}")
 
 
-def _step_maps(generator, dt, T, s_span):
+def _step_generators(generator, dt, T, s_span):
     """Step points (the even points of :func:`sample_grid`) and an iterator
-    yielding ``(k, maps)`` per chunk of steps: ``maps[j] = exp(h M(mid))``,
-    with ``mid`` the step's odd grid point, advances the state from
-    ``points[k + j]`` to ``points[k + j + 1]``.
+    yielding ``(k, hm)`` per chunk of steps: ``hm[j] = h M(mid)``, with
+    ``mid`` the step's odd grid point, generates the step from
+    ``points[k + j]`` to ``points[k + j + 1]``; for several equations it is
+    their ``(P, D, D)`` stack.
     """
     grid, steps = sample_grid(dt, T, s_span)
     mid = grid[1::2]
@@ -181,46 +208,87 @@ def _step_maps(generator, dt, T, s_span):
             h = steps[k:k + n]
             m = np.asarray(evaluate_on(generator, mid[k:k + len(h)]))
             _check_step_sizes(h, m)
-            yield k, matrix_exponential(h[:, None, None] * m)
+            yield k, h.reshape((-1,) + (1,) * (m.ndim - 1)) * m
             k += len(h)
-            n = max(1, _CHUNK_BYTES // (16 * m.shape[-1] ** 2))
+            n = max(1, _CHUNK_BYTES // (16 * m[0].size))
     return grid[::2], chunks()
 
 
-def evolve_vector_piecewise_exp(generator, v0, dt, T, s_span=(0.0, 1.0)):
+def evolve_vector_piecewise_exp(generator, v0, dt, T, s_span=(0.0, 1.0),
+                                action=False):
     """Raw piecewise-exponential engine for any linear system
-    ``dv/ds = M(s) v``.  Returns ``(grid, vectors)``."""
-    grid, chunks = _step_maps(generator, dt, T, s_span)
+    ``dv/ds = M(s) v``.  Returns ``(grid, vectors)``.
+
+    A stack ``v0`` of ``P`` vectors ``(P, D)`` steps ``P`` equations
+    together: the generator then returns ``(n, P, D, D)`` at ``n``
+    midpoints, and ``vectors`` is a list of ``P`` ``(n_samples, D)``
+    arrays.  ``action``, one boolean per equation or one for all, picks
+    each equation's step rule.  False (the Pade rule): the chunk's step
+    maps go through one :func:`.linalg.matrix_exponential` and each
+    equation applies its own, step by step.  True (the action rule): all
+    such equations move together, one step at a time, by
+    :func:`.linalg.expm_action` at the degree that the chunk's largest
+    ``||h M||_1`` needs.
+    """
     v0 = np.asarray(v0, dtype=complex)
-    out = np.empty((len(grid),) + v0.shape, dtype=complex)
-    out[0] = v0
-    for k, maps in chunks:
-        for j, step in enumerate(maps, k):
-            out[j + 1] = step @ out[j]
-    return grid, out
+    stack = np.atleast_2d(v0)
+    act = np.broadcast_to(action, len(stack))
+    pade, taylor = np.flatnonzero(~act), np.flatnonzero(act)
+    grid, chunks = _step_generators(generator, dt, T, s_span)
+    outs = [np.empty((len(grid), stack.shape[1]), dtype=complex) for _ in stack]
+    for out, v in zip(outs, stack):
+        out[0] = v
+    v = stack[taylor, :, None]      # the action rule's columns
+    for k, hm in chunks:
+        hm = hm.reshape((len(hm), len(stack)) + hm.shape[-2:])
+        if pade.size:   # maps[j * len(pade) + q]: step j of pade[q]
+            maps = matrix_exponential(hm[:, pade].reshape((-1,) + hm.shape[-2:]))
+        for q, p in enumerate(pade):
+            out = outs[p]
+            for j, step in enumerate(maps[q::len(pade)], k):
+                out[j + 1] = step @ out[j]
+        if taylor.size:
+            a = hm[:, taylor]
+            degree = taylor_degree(np.abs(a).sum(axis=-2).max())
+            moved = np.empty((len(a),) + v.shape, dtype=complex)
+            for j, step in enumerate(a):
+                v = moved[j] = expm_action(step, v, degree)
+            for q, p in enumerate(taylor):
+                outs[p][k + 1:k + 1 + len(a)] = moved[:, q, :, 0]
+    return grid, outs[0] if v0.ndim == 1 else outs
 
 
 def propagate_piecewise_exp(generator, rho0, dt, T, s_span=(0.0, 1.0),
-                            metadata=None):
+                            metadata=None, action=False):
     """Propagate a density operator with the midpoint piecewise-exponential
     scheme; ``dt`` is the physical step, mapped to ``ds = dt/T`` in scaled
-    time."""
-    rho0 = _check_density(rho0)
-    grid, vectors = evolve_vector_piecewise_exp(generator, vec(rho0), dt, T, s_span)
-    states = np.ascontiguousarray(unvec(vectors, rho0.shape[0]))
+    time.
+
+    A stack ``rho0`` of ``P`` initial states ``(P, d, d)`` steps ``P``
+    equations together, with ``action`` their step rules (see
+    :func:`evolve_vector_piecewise_exp`); ``states`` is then a list of
+    ``P`` ``(n_samples, d, d)`` arrays, one per equation.
+    """
+    rho0 = np.asarray(rho0, dtype=complex)
+    rhos = [_check_density(rho) for rho in rho0.reshape((-1,) + rho0.shape[-2:])]
+    grid, vectors = evolve_vector_piecewise_exp(
+        generator, np.stack([vec(rho) for rho in rhos]), dt, T, s_span, action)
+    # one equation's states at a time, dropping its vectors
+    states = [np.ascontiguousarray(unvec(vectors.pop(0), rho0.shape[-1])) for _ in rhos]
     meta = {"dt": dt, "T": T, "integrator": "piecewise_exp"}
     if metadata:
         meta.update(metadata)
-    return Trajectory(grid=grid, states=states, metadata=meta)
+    return Trajectory(grid=grid, states=states if rho0.ndim == 3 else states[0],
+                      metadata=meta)
 
 
 def propagate_rk4(generator, rho0, steps, T, s_span=(0.0, 1.0), metadata=None):
     """Classical fixed-step RK4 on the vectorized equation; independent
     cross-check for the exponential integrator, sampling the generator on the
-    points of :func:`sample_grid` (``dt = (s1 - s0)/steps``, ``T = 1``) and
+    points of :func:`sample_grid` (``steps`` whole steps over the span) and
     checking each step's three generators as that integrator does."""
     rho0 = _check_density(rho0)
-    grid, hs = sample_grid((s_span[1] - s_span[0]) / steps, 1.0, s_span)
+    grid, hs = sample_grid(None, None, s_span, steps=steps)
     v = vec(rho0)
     d = rho0.shape[0]
     states = np.empty((len(hs) + 1, d, d), dtype=complex)
@@ -250,11 +318,12 @@ def piecewise_exp_propagator(generator, dt, T, s_span=(0.0, 1.0),
     Returns a list of ``(s, propagator)`` pairs at the requested checkpoint
     values (grid-aligned within one step) plus always the final endpoint.
     """
-    grid, chunks = _step_maps(generator, dt, T, s_span)
+    grid, chunks = _step_generators(generator, dt, T, s_span)
     wanted = sorted(checkpoints) if checkpoints else []
     out = []
     prop = None
-    for k, maps in chunks:
+    for k, hm in chunks:
+        maps = matrix_exponential(hm)
         if prop is None:
             prop = np.eye(maps.shape[-1], dtype=complex)
         for j, step in enumerate(maps, k):

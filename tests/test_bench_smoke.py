@@ -6,10 +6,17 @@
 workload's smoke inputs in-process and gates the outputs against the
 recorded smoke references at the benchmark's tolerance, so a change that
 breaks an entry point or moves an output fails here rather than in a
-benchmark run.  ``bench/`` is loaded by file path and left unchanged.
+benchmark run.  It also runs them under the benchmark's tracer
+(``bench/spans.py``), whose per-layer metrics must come out finite: a
+layer read through a name the library no longer calls reads NaN, and
+``bench/run.py`` would print it as bare ``NaN``, which is not strict JSON.
+``bench/`` is loaded by file path and left unchanged.
 """
 import importlib.util
+import json
+import math
 import pathlib
+import time
 
 import pytest
 
@@ -30,6 +37,7 @@ def load(name):
 
 workloads = load("workloads")
 reference = load("reference")
+spans = load("spans")
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -43,3 +51,21 @@ def test_smoke_workload_matches_reference(name, tmp_path):
     points, failed = reference.compare(
         str(out), str(BENCH / "reference" / wl.reference_key(inputs)))
     assert points and not failed, sorted(failed)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_traced_smoke_workload_reports_strict_json(name, tmp_path):
+    wl = workloads.WORKLOADS[name]
+    run = wl.prepare(adiabat, wl.inputs(workloads.DEFAULT_SEED, smoke=True), str(tmp_path))
+    out = tmp_path / "out"
+    out.mkdir()
+    tracer = spans.Tracer(spans.library_modules())
+    with tracer:
+        start = time.perf_counter()
+        code = run(str(out))
+        metrics = tracer.metrics(time.perf_counter() - start)
+    assert code == 0
+    assert not [k for k, v in metrics.items() if not math.isfinite(v)]
+    json.dumps(metrics, allow_nan=False)
+    if name != "check-gauge":       # the two sweep workloads
+        assert metrics["runner.points"] > 0

@@ -352,17 +352,20 @@ class TestRunConfig:
 
 
     def test_each_point_integrated_once(self, tmp_path, monkeypatch):
+        # one pass per T slot steps both equations of both gammas
         calls = []
         propagate = runner.propagate_piecewise_exp
 
         def counting(*args, **kwargs):
-            calls.append(kwargs["metadata"]["gamma"])
+            calls.append(list(zip(kwargs["metadata"]["gamma"],
+                                  kwargs["metadata"]["generator"])))
             return propagate(*args, **kwargs)
         monkeypatch.setattr(runner, "propagate_piecewise_exp", counting)
         path = write_config(tmp_path, T_list=[1.0, 2.0], dt=0.1)
         code, rows = cli.run_config(str(path), {"workers": 1, "no_timestamp": True})
         assert code == 0 and len(rows) == 4
-        assert len(calls) == 2 * len(rows)
+        assert calls == 2 * [[(0.0, "exact"), (0.0, "approximate"),
+                              (0.1, "exact"), (0.1, "approximate")]]
         assert len(list((tmp_path / "out").glob("trajectory_*.csv"))) == 2 * len(rows)
 
     def test_pool_writes_same_files(self, tmp_path):
@@ -452,7 +455,7 @@ class TestRunner:
             return propagate(*args, **kwargs)
         monkeypatch.setattr(runner, "propagate_piecewise_exp", counting)
         rows = cli.gauge_check_rows(T=0.2, gamma=0.1, dt=1e-3)
-        assert calls == ["approximate", "approximate"]      # one per gauge
+        assert calls == [["approximate"], ["approximate"]]      # one per gauge
         assert [r["check"] for r in rows][:2] == ["direct-vs-rotated",
                                                   "gauge-equivalence"]
 

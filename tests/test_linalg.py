@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from adiabat.errors import DimensionMismatch, NonFinite, NotHermitian, NotPSD
 from adiabat.linalg import (
     _PADE_THETA,
+    _TAYLOR_THETA,
     dag,
+    expm_action,
     frobenius,
     hermitian_eigendecompose,
     is_hermitian,
@@ -15,6 +17,7 @@ from adiabat.linalg import (
     matrix_exponential,
     psd_sqrt,
     sandwich_superop,
+    taylor_degree,
     unvec,
     vec,
 )
@@ -148,6 +151,32 @@ class TestBatchedExponential:
         e = matrix_exponential(a)
         for m, em in zip(a, e):
             assert frobenius(em - expm_series(m, terms=60)) <= 1e-13 * frobenius(em)
+
+
+class TestExpmAction:
+    @pytest.mark.parametrize("norm", list(_TAYLOR_THETA[2:]) + [3.0, 15.0])
+    def test_matches_exponential(self, rng, norm):
+        # every degree from 3 to 18 at its threshold, then scaled: 15 takes
+        # 14 Taylor steps of degree 18
+        a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        a *= norm / np.abs(a).sum(axis=0).max()
+        v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        expected = matrix_exponential(a) @ v
+        assert frobenius(expm_action(a, v) - expected) <= 1e-13 * frobenius(expected)
+
+    def test_degree_and_scaling(self):
+        # the rotated generators' steps (h ||M||_1 0.02 to 0.03) need one
+        # Taylor step of degree 7 or 8
+        assert taylor_degree(0.02) == (7, 1) and taylor_degree(0.03) == (8, 1)
+        assert taylor_degree(15.0) == (18, 14)
+        assert taylor_degree(0.0) == (1, 1)
+
+    def test_stack_of_columns(self, rng):
+        a = rng.standard_normal((3, 16, 16)) + 1j * rng.standard_normal((3, 16, 16))
+        a *= 0.03 / np.abs(a).sum(axis=-2).max()
+        v = rng.standard_normal((3, 16, 1)) + 1j * rng.standard_normal((3, 16, 1))
+        expected = np.stack([matrix_exponential(m) @ c for m, c in zip(a, v)])
+        assert frobenius(expm_action(a, v) - expected) <= 1e-13 * frobenius(expected)
 
 
 class TestPsdSqrt:

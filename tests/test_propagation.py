@@ -41,7 +41,7 @@ from adiabat.propagation import (
     propagate_piecewise_exp,
     propagate_rk4,
 )
-from adiabat.spectral import HamiltonianFamily
+from adiabat.spectral import HamiltonianFamily, vectorized
 
 from conftest import random_density, random_hermitian
 
@@ -209,18 +209,31 @@ class TestSampleGrid:
             with pytest.raises(ValueError, match="s_span"):
                 run()
 
+    @pytest.mark.parametrize("name, run", [
+        ("dt", lambda gen, rho: propagate_piecewise_exp(gen, rho, 0.0, 1.0)),
+        ("T", lambda gen, rho: propagate_piecewise_exp(gen, rho, 0.1, 0.0)),
+        ("dt", lambda gen, rho: propagate_piecewise_exp(gen, rho, -0.1, 1.0)),
+        ("dt", lambda gen, rho: propagate_piecewise_exp(gen, rho, math.nan, 1.0)),
+        ("steps", lambda gen, rho: propagate_rk4(gen, rho, 0, 1.0)),
+        ("steps", lambda gen, rho: propagate_rk4(gen, rho, -5, 1.0)),
+        ("steps", lambda gen, rho: propagate_rk4(gen, rho, 2.5, 1.0)),
+    ], ids=["dt-zero", "T-zero", "dt-negative", "dt-nan", "steps-zero",
+            "steps-negative", "steps-fractional"])
+    def test_bad_step_input_named(self, qubit_rho, name, run):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            run(zero_generator, qubit_rho)
+
     @pytest.mark.parametrize("model", ["holonomy", "random_rotating"])
     def test_integrator_samples_the_frame_grid(self, model, monkeypatch):
         # the generator sees exactly the frame's odd points (step midpoints)
         # and the trajectory carries its even points
         ctx = small_context(model, 20.0, 0.01)
-        gen, seen = ctx.approximate_generator(0.1), []
+        stack, seen = ctx.generator.stack, []
 
-        def record(s):
+        def record(s, pairs):
             seen.append(np.atleast_1d(s))
-            return gen(s)
-        record.vectorized = True
-        monkeypatch.setattr(ctx, "approximate_generator", lambda gamma: record)
+            return stack(s, pairs)
+        monkeypatch.setattr(ctx.generator, "stack", record)
         traj = runner.integrate(ctx, 0.1, approximate=True)
         assert np.array_equal(np.concatenate(seen), ctx.frame.grid[1::2])
         assert np.array_equal(traj.grid, ctx.frame.grid[::2])
@@ -296,6 +309,85 @@ class TestChunkedSteps:
         gen = ctx.exact_generator(0.1)
         with pytest.raises(KeyError):
             gen(np.array([0.05, 0.15, off]))
+
+
+PASS = [(0.0, False), (0.0, True), (0.1, False), (0.1, True)]
+
+
+def stacked_pass(ctx, action, pairs=PASS):
+    """Every pair's vectors of one lockstep pass of ``ctx``'s equations."""
+    gen = vectorized(functools.partial(ctx.generator.stack, pairs=pairs))
+    v0 = np.stack([vec(ctx.rho0)] * len(pairs))
+    return evolve_vector_piecewise_exp(gen, v0, ctx.dt, ctx.T, action=action)
+
+
+class TestStackedPass:
+    @pytest.mark.parametrize("model", ["holonomy", "random_rotating"])
+    def test_pade_pairs_equal_one_equation_runs(self, model):
+        # 157 steps: chunks of 1, 16, ... steps for the pass, of 1, 64, ...
+        # for one equation; gamma = 0 pairs next to action-rule ones
+        ctx = small_context(model, 1.57, 0.01)
+        grid, vectors = stacked_pass(ctx, [False, False, True, True])
+        assert len(grid) == 158
+        for (gamma, approximate), got in zip(PASS[:2], vectors):
+            gen = (ctx.approximate_generator if approximate else ctx.exact_generator)(gamma)
+            alone = evolve_vector_piecewise_exp(gen, vec(ctx.rho0), ctx.dt, ctx.T)[1]
+            assert np.array_equal(got, alone)
+            assert np.array_equal(got, step_by_step(gen, vec(ctx.rho0), ctx.dt, ctx.T))
+        # the Pade rule at gamma > 0 too, whatever else the pass holds
+        _, pade = stacked_pass(ctx, False)
+        for (gamma, approximate), got in zip(PASS, pade):
+            gen = (ctx.approximate_generator if approximate else ctx.exact_generator)(gamma)
+            assert np.array_equal(got, step_by_step(gen, vec(ctx.rho0), ctx.dt, ctx.T))
+
+    @pytest.mark.parametrize("model", ["holonomy", "random_rotating"])
+    def test_action_rule_within_rounding_of_pade(self, model):
+        ctx = small_context(model, 1.0, 0.01)
+        _, pade = stacked_pass(ctx, False)
+        _, action = stacked_pass(ctx, True)
+        for a, b in zip(action, pade):
+            assert np.abs(a - b).max() <= 1e-13
+
+    def test_rotated_pass_matches_lab_frame_runs(self):
+        # the runner's pass: gamma = 0 by the Pade rule, gamma > 0 by the
+        # action rule, each pair's lab-frame trajectory in order
+        ctx = small_context("random_rotating", 1.0, 0.01)
+        labs = runner.integrate_pairs(ctx, PASS)
+        for (gamma, approximate), lab in zip(PASS, labs):
+            alone = runner.integrate(ctx, gamma, approximate)
+            assert lab.metadata["gamma"] == gamma
+            assert np.array_equal(lab.grid, alone.grid)
+            if gamma == 0.0:
+                assert np.array_equal(lab.states, alone.states)
+            else:
+                assert np.abs(lab.states - alone.states).max() <= 1e-13
+
+    @pytest.mark.parametrize("first, error", [("big", StepTooLarge), ("nan", NonFinite)])
+    def test_one_bad_pair_stops_the_pass(self, qubit_rho, first, error):
+        # pair 1 goes bad at s > 0.3 and pair 0 at s > 0.6; the first bad
+        # step in s order decides the error
+        bad = {"big": 1e4 * np.eye(4), "nan": np.full((4, 4), np.nan)}
+        other = "nan" if first == "big" else "big"
+
+        def gen(s):
+            s = np.asarray(s)[..., None, None, None]
+            out = np.zeros(s.shape[:-3] + (2, 4, 4), dtype=complex)
+            out[..., 0, :, :] = np.where(s[..., 0, :, :] > 0.6, bad[other], 0.0)
+            out[..., 1, :, :] = np.where(s[..., 0, :, :] > 0.3, bad[first], 0.0)
+            return out
+        gen.vectorized = True
+        for action in (False, [False, True], True):
+            with pytest.raises(error):
+                propagate_piecewise_exp(gen, np.stack([qubit_rho] * 2), 0.01, 1.0,
+                                        action=action)
+
+    def test_stacked_states_are_one_list_entry_per_equation(self, qubit_rho):
+        gen = vectorized(lambda s: np.zeros(np.shape(s) + (3, 4, 4), dtype=complex))
+        traj = propagate_piecewise_exp(gen, np.stack([qubit_rho] * 3), 0.1, 1.0)
+        assert len(traj.states) == 3 and len(traj.grid) == 11
+        for states in traj.states:
+            assert states.shape == (11, 2, 2) and states.flags.c_contiguous
+            assert np.array_equal(states, np.broadcast_to(qubit_rho, states.shape))
 
 
 def s_dependent_context(model):
