@@ -415,8 +415,8 @@ def gauge_check_rows(T=2.0, gamma=0.1, dt=1e-4):
     # gauge: only the frame and the generator assembly are rebuilt
     ctx_eq = dataclasses.replace(ctx_np, family=models.holonomy_family(
         models.build_orange_path(dphi, T, split), models.Gauge.EQUATOR_REGULAR))
-    approx_np = runner.integrate(ctx_np, gamma, approximate=True)
-    approx_eq = runner.integrate(ctx_eq, gamma, approximate=True)
+    [approx_np] = runner.integrate_pairs(ctx_np, [(gamma, True)])
+    [approx_eq] = runner.integrate_pairs(ctx_eq, [(gamma, True)])
 
     fam = ctx_np.family
     q_of_s = vectorized(functools.partial(geometric_term, fam, h=1e-3, richardson=True))

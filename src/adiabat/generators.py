@@ -62,6 +62,8 @@ __all__ = [
     "cp_check",
 ]
 
+_G_EIGENVALUE_CUTOFF = 1e-12
+
 
 # ---------------------------------------------------------------------------
 # dissipators
@@ -407,13 +409,14 @@ class LindbladFactorization:
         return frobenius(self.superoperator() - target)
 
 
-def lindblad_factorize(dissipator, tensor, decomp, s, eigenvalue_cutoff=1e-12):
+def lindblad_factorize(dissipator, tensor, decomp, s):
     """Factorize the filtered dissipator back into Lindblad form.
 
     Diagonalizes the symmetric coupling matrix ``G[(k,k'), (l,l')] =
     g_klk'l'`` as ``G = sum_m lambda_m c^m (c^m)^dag`` and builds jump
-    operators ``M_n^m = sqrt(lambda_m) sum_kk' c^m_kk' P_k V_n P_k'``; the
-    Hamiltonian part filters to ``sum_k P_k F P_k``.
+    operators ``M_n^m = sqrt(lambda_m) sum_kk' c^m_kk' P_k V_n P_k'`` for
+    every ``lambda_m`` above ``_G_EIGENVALUE_CUTOFF``; the Hamiltonian part
+    filters to ``sum_k P_k F P_k``.
 
     Raises :class:`NegativeGSpectrum` if any ``lambda_m < -1e-10``: the
     complete-positivity argument fails for such a tensor.
@@ -437,7 +440,7 @@ def lindblad_factorize(dissipator, tensor, decomp, s, eigenvalue_cutoff=1e-12):
     for v in dissipator.jumps_at(s):
         sandwiches = [[projs[a] @ v @ projs[b] for b in range(k)] for a in range(k)]
         for m in range(len(lam)):
-            if lam[m] <= eigenvalue_cutoff:
+            if lam[m] <= _G_EIGENVALUE_CUTOFF:
                 continue
             op = np.zeros_like(v)
             for a in range(k):

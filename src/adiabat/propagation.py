@@ -3,18 +3,20 @@
 The workhorse integrator freezes the generator on each step and applies its
 exponential, sampling the generator at the step midpoint:
 
-    rho_{k+1} = exp(h_k M(s_k + h_k/2)) rho_k,   h_k = dt / T
+    rho_{k+1} = exp(h M(s_k + h/2)) rho_k,   h = dt / T
 
 on the half-step grid of :func:`sample_grid`, the one place that decides
-where a run samples ``s``.  For generators in Lindblad form each step is
-exactly a completely positive trace-preserving map, so the discrete flow
-inherits both properties up to rounding.
+where a run samples ``s``.  Every step is whole: a ``dt`` that does not
+divide the span is a ``ValueError``.  For generators in Lindblad form each
+step is exactly a completely positive trace-preserving map, so the
+discrete flow inherits both properties up to rounding.
 
 One equation, or a pass of ``P`` equations stacked on one grid, is stepped
-in chunks (64 steps of one ``D = 16`` equation, 16 of a pass of four; see
-``_CHUNK_BYTES``): the generators at a chunk's midpoints are built as one
-``(n, D, D)`` stack (``(n, P, D, D)`` for a pass), and each step's
-``h ||M||`` is checked against ``_STEP_NORM_BUDGET``.  Each equation then
+in chunks by one loop for every entry point (64 steps of one ``D = 16``
+equation, 16 of a pass of four; see ``_CHUNK_BYTES``): the generators at a
+chunk's midpoints are built as one ``(n, D, D)`` stack (``(n, P, D, D)``
+for a pass), and each step's ``h ||M||`` is checked against
+``_STEP_NORM_BUDGET``.  Each equation then
 takes one of two step rules.  The Pade rule sends the chunk's step
 generators through one batched :func:`.linalg.matrix_exponential`, and a
 plain loop of matrix-vector (or matrix-matrix) products applies each
@@ -80,6 +82,9 @@ _STEP_NORM_BUDGET = 20.0
 # time, so chunks are sized by bytes, not steps, to bound memory at any
 # dimension and any number of equations.
 _CHUNK_BYTES = 64 * 16 * 16 * 16
+# samples taken at once by per-sample work (256 KiB per 4x4 temporary)
+_SAMPLE_BLOCK = 1024
+_EMPTY_TRACE = 1e-12
 
 
 @dataclass
@@ -102,16 +107,21 @@ class Trajectory:
     def final_state(self):
         return self.states[-1]
 
+    def blocks(self):
+        """Slices of at most ``_SAMPLE_BLOCK`` samples covering the trajectory."""
+        return [slice(i, i + _SAMPLE_BLOCK) for i in range(0, len(self.grid), _SAMPLE_BLOCK)]
+
     def traces(self):
         return np.einsum("nii->n", self.states).real
 
     def hermiticity_defects(self):
-        return np.linalg.norm(self.states - np.conj(np.transpose(self.states, (0, 2, 1))),
-                              axis=(1, 2))
+        blocks = (self.states[b] for b in self.blocks())
+        return np.concatenate([np.linalg.norm(rho - dag(rho), axis=(1, 2)) for rho in blocks])
 
     def min_eigenvalues(self):
-        herm = 0.5 * (self.states + np.conj(np.transpose(self.states, (0, 2, 1))))
-        return np.linalg.eigvalsh(herm)[:, 0]
+        blocks = (self.states[b] for b in self.blocks())
+        return np.concatenate([np.linalg.eigvalsh(0.5 * (rho + dag(rho)))[:, 0]
+                               for rho in blocks])
 
     def purities(self):
         return np.einsum("nij,nji->n", self.states, self.states).real
@@ -119,24 +129,22 @@ class Trajectory:
 
 def divides(dt, T):
     """Whether ``dt`` divides ``T``, to 1e-9 of max(T, 1): the one whole-step
-    test, which config validation and :class:`.runner.RunContext` use too."""
+    test, which config validation and :func:`sample_grid` use."""
     n = T / dt
     return math.isfinite(n) and abs(round(n) * dt - T) <= 1e-9 * max(T, 1.0)
 
 
 def sample_grid(dt, T, s_span=(0.0, 1.0), steps=None):
-    """Half-step grid of the midpoint scheme over ``s_span`` and its step
-    sizes: step ``k`` goes from ``grid[2k]`` to ``grid[2k + 2]`` with its
-    midpoint at ``grid[2k + 1]``.
+    """Half-step grid ``linspace(s0, s1, 2n + 1)`` of the midpoint scheme over
+    ``s_span`` and its step size ``dt / T``: step ``k`` goes from
+    ``grid[2k]`` to ``grid[2k + 2]`` with its midpoint at ``grid[2k + 1]``.
 
-    Every whole step is ``dt / T``; ``steps``, when given, replaces both by
-    that many whole steps (``dt = (s1 - s0) / steps``, ``T = 1``).  When
-    ``dt`` divides the physical span ``T (s1 - s0)`` the grid is
-    ``linspace(s0, s1, 2n + 1)``; otherwise the ``n`` whole steps are
-    followed by one shortened step that lands on ``s1``.  An empty span
-    (``s0 == s1``) is one sample and no step.  A reversed or non-finite
-    span, a ``dt`` or ``T`` that is not finite and positive, or ``steps``
-    that is not a positive integer raises ``ValueError`` naming it.
+    ``steps``, when given, replaces ``dt`` and ``T`` by that many steps
+    (``dt = (s1 - s0) / steps``, ``T = 1``).  An empty span (``s0 == s1``)
+    is one sample and no step.  A reversed or non-finite span, a ``dt`` or
+    ``T`` that is not finite and positive, a ``dt`` that does not divide the
+    span ``T (s1 - s0)`` (:func:`divides`), or ``steps`` that is not a
+    positive integer raises ``ValueError`` naming it.
     """
     s0, s1 = s_span
     if not (math.isfinite(s0) and math.isfinite(s1) and s0 <= s1):
@@ -149,16 +157,12 @@ def sample_grid(dt, T, s_span=(0.0, 1.0), steps=None):
         for name, value in (("dt", dt), ("T", T)):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not divides(dt, T * (s1 - s0)):
+            raise ValueError(f"dt={dt!r} does not divide T (s1 - s0) = {T * (s1 - s0)!r}")
+        steps = round(T * (s1 - s0) / dt)
     if s0 == s1:
-        return np.array([float(s0)]), np.zeros(0)
-    ds = dt / T
-    if divides(dt, T * (s1 - s0)):
-        n = int(round(T * (s1 - s0) / dt))
-        return np.linspace(s0, s1, 2 * n + 1), np.full(n, ds)
-    n = int((s1 - s0) // ds)
-    end = s0 + n * ds
-    return (np.append(np.linspace(s0, end, 2 * n + 1), [0.5 * (end + s1), s1]),
-            np.append(np.full(n, ds), s1 - end))
+        steps = 0
+    return np.linspace(s0, s1, 2 * steps + 1), dt / T
 
 
 def _check_density(rho, tol=1e-10):
@@ -178,10 +182,9 @@ def _check_density(rho, tol=1e-10):
 def _check_step_sizes(h, m):
     """The step-size check of both integrators: the first step whose
     ``h ||M||`` exceeds ``_STEP_NORM_BUDGET``, in ``s`` order, raises
-    :class:`StepTooLarge`, or :class:`NonFinite` if it is NaN.  ``h`` is
-    one size for the whole stack ``m`` or one per step, and each step may
-    hold several equations' generators."""
-    h = np.reshape(h, np.shape(h) + (1,) * (m.ndim - 2 - np.ndim(h)))
+    :class:`StepTooLarge`, or :class:`NonFinite` if it is NaN.  ``h`` is the
+    step size and ``m`` a stack of step generators, each step's possibly
+    holding several equations'."""
     with np.errstate(over="ignore"):    # an overflowing norm is an infinite size
         size = (h * np.linalg.norm(m, axis=(-2, -1))).ravel()
     bad = np.flatnonzero(~(size <= _STEP_NORM_BUDGET))
@@ -192,26 +195,47 @@ def _check_step_sizes(h, m):
                            f"over {_STEP_NORM_BUDGET}")
 
 
-def _step_generators(generator, dt, T, s_span):
-    """Step points (the even points of :func:`sample_grid`) and an iterator
-    yielding ``(k, hm)`` per chunk of steps: ``hm[j] = h M(mid)``, with
-    ``mid`` the step's odd grid point, generates the step from
-    ``points[k + j]`` to ``points[k + j + 1]``; for several equations it is
-    their ``(P, D, D)`` stack.
-    """
-    grid, steps = sample_grid(dt, T, s_span)
+def _stepped(generator, v0, dt, T, s_span, action=False):
+    """The chunk loop of every piecewise-exponential entry point: steps a
+    stack ``v0`` of ``P`` states ``(P, D, c)`` (``c = 1`` for vectors,
+    ``c = D`` for flow maps; ``None`` for one flow map from the identity,
+    sized by the first chunk) over :func:`sample_grid`, each equation by
+    the step rule ``action`` picks for it (see the module docstring).
+    Returns the step points and an iterator yielding ``(k, states)`` per
+    chunk, ``states[j]`` the stack at ``points[k + j + 1]``."""
+    grid, h = sample_grid(dt, T, s_span)
     mid = grid[1::2]
+    act = np.broadcast_to(action, 1 if v0 is None else len(v0))
+    pade, taylor = np.flatnonzero(~act), np.flatnonzero(act)
 
-    def chunks():
+    def chunks(v):
         k, n = 0, 1     # a first chunk of one step gives the generator's size
-        while k < len(steps):
-            h = steps[k:k + n]
-            m = np.asarray(evaluate_on(generator, mid[k:k + len(h)]))
+        while k < len(mid):
+            m = np.asarray(evaluate_on(generator, mid[k:k + n]))
             _check_step_sizes(h, m)
-            yield k, h.reshape((-1,) + (1,) * (m.ndim - 1)) * m
-            k += len(h)
+            hm = (h * m).reshape((len(m), len(act)) + m.shape[-2:])
+            if v is None:
+                v = np.eye(m.shape[-1], dtype=complex)[None]
+            out = np.empty((len(hm),) + v.shape, dtype=complex)
+            if pade.size:   # maps[j * len(pade) + q]: step j of pade[q]
+                maps = matrix_exponential(hm[:, pade].reshape((-1,) + hm.shape[-2:]))
+            for q, p in enumerate(pade):
+                x, seq = v[p], out[:, p]
+                for j, step in enumerate(maps[q::len(pade)]):
+                    x = seq[j] = step @ x
+            if taylor.size:
+                a = hm[:, taylor]
+                degree = taylor_degree(np.abs(a).sum(axis=-2).max())
+                x = v[taylor]
+                moved = np.empty((len(a),) + x.shape, dtype=complex)
+                for j, step in enumerate(a):
+                    x = moved[j] = expm_action(step, x, degree)
+                out[:, taylor] = moved
+            yield k, out
+            v = out[-1]
+            k += len(hm)
             n = max(1, _CHUNK_BYTES // (16 * m[0].size))
-    return grid[::2], chunks()
+    return grid[::2], chunks(v0)
 
 
 def evolve_vector_piecewise_exp(generator, v0, dt, T, s_span=(0.0, 1.0),
@@ -223,38 +247,18 @@ def evolve_vector_piecewise_exp(generator, v0, dt, T, s_span=(0.0, 1.0),
     together: the generator then returns ``(n, P, D, D)`` at ``n``
     midpoints, and ``vectors`` is a list of ``P`` ``(n_samples, D)``
     arrays.  ``action``, one boolean per equation or one for all, picks
-    each equation's step rule.  False (the Pade rule): the chunk's step
-    maps go through one :func:`.linalg.matrix_exponential` and each
-    equation applies its own, step by step.  True (the action rule): all
-    such equations move together, one step at a time, by
-    :func:`.linalg.expm_action` at the degree that the chunk's largest
-    ``||h M||_1`` needs.
+    each equation's step rule, the Pade rule (False) or the action rule
+    (True) of the module docstring.
     """
     v0 = np.asarray(v0, dtype=complex)
     stack = np.atleast_2d(v0)
-    act = np.broadcast_to(action, len(stack))
-    pade, taylor = np.flatnonzero(~act), np.flatnonzero(act)
-    grid, chunks = _step_generators(generator, dt, T, s_span)
+    grid, chunks = _stepped(generator, stack[:, :, None], dt, T, s_span, action)
     outs = [np.empty((len(grid), stack.shape[1]), dtype=complex) for _ in stack]
     for out, v in zip(outs, stack):
         out[0] = v
-    v = stack[taylor, :, None]      # the action rule's columns
-    for k, hm in chunks:
-        hm = hm.reshape((len(hm), len(stack)) + hm.shape[-2:])
-        if pade.size:   # maps[j * len(pade) + q]: step j of pade[q]
-            maps = matrix_exponential(hm[:, pade].reshape((-1,) + hm.shape[-2:]))
-        for q, p in enumerate(pade):
-            out = outs[p]
-            for j, step in enumerate(maps[q::len(pade)], k):
-                out[j + 1] = step @ out[j]
-        if taylor.size:
-            a = hm[:, taylor]
-            degree = taylor_degree(np.abs(a).sum(axis=-2).max())
-            moved = np.empty((len(a),) + v.shape, dtype=complex)
-            for j, step in enumerate(a):
-                v = moved[j] = expm_action(step, v, degree)
-            for q, p in enumerate(taylor):
-                outs[p][k + 1:k + 1 + len(a)] = moved[:, q, :, 0]
+    for k, states in chunks:
+        for p, out in enumerate(outs):
+            out[k + 1:k + 1 + len(states)] = states[:, p, :, 0]
     return grid, outs[0] if v0.ndim == 1 else outs
 
 
@@ -270,11 +274,16 @@ def propagate_piecewise_exp(generator, rho0, dt, T, s_span=(0.0, 1.0),
     ``P`` ``(n_samples, d, d)`` arrays, one per equation.
     """
     rho0 = np.asarray(rho0, dtype=complex)
-    rhos = [_check_density(rho) for rho in rho0.reshape((-1,) + rho0.shape[-2:])]
-    grid, vectors = evolve_vector_piecewise_exp(
-        generator, np.stack([vec(rho) for rho in rhos]), dt, T, s_span, action)
-    # one equation's states at a time, dropping its vectors
-    states = [np.ascontiguousarray(unvec(vectors.pop(0), rho0.shape[-1])) for _ in rhos]
+    d = rho0.shape[-1]
+    rhos = [_check_density(rho) for rho in rho0.reshape(-1, d, d)]
+    grid, chunks = _stepped(generator, np.stack([vec(rho)[:, None] for rho in rhos]),
+                            dt, T, s_span, action)
+    states = [np.empty((len(grid), d, d), dtype=complex) for _ in rhos]
+    for out, rho in zip(states, rhos):
+        out[0] = rho
+    for k, chunk in chunks:
+        for p, out in enumerate(states):
+            out[k + 1:k + 1 + len(chunk)] = unvec(chunk[:, p, :, 0], d)
     meta = {"dt": dt, "T": T, "integrator": "piecewise_exp"}
     if metadata:
         meta.update(metadata)
@@ -285,16 +294,16 @@ def propagate_piecewise_exp(generator, rho0, dt, T, s_span=(0.0, 1.0),
 def propagate_rk4(generator, rho0, steps, T, s_span=(0.0, 1.0), metadata=None):
     """Classical fixed-step RK4 on the vectorized equation; independent
     cross-check for the exponential integrator, sampling the generator on the
-    points of :func:`sample_grid` (``steps`` whole steps over the span) and
+    points of :func:`sample_grid` (``steps`` steps over the span) and
     checking each step's three generators as that integrator does."""
     rho0 = _check_density(rho0)
-    grid, hs = sample_grid(None, None, s_span, steps=steps)
+    grid, h = sample_grid(None, None, s_span, steps=steps)
     v = vec(rho0)
     d = rho0.shape[0]
-    states = np.empty((len(hs) + 1, d, d), dtype=complex)
+    states = np.empty((len(grid) // 2 + 1, d, d), dtype=complex)
     states[0] = rho0
     m2 = np.asarray(generator(grid[0]))     # each step's end is the next one's start
-    for n, h in enumerate(hs):
+    for n in range(len(states) - 1):
         m1 = m2
         mm = np.asarray(generator(grid[2 * n + 1]))
         m2 = np.asarray(generator(grid[2 * n + 2]))
@@ -317,22 +326,18 @@ def piecewise_exp_propagator(generator, dt, T, s_span=(0.0, 1.0),
 
     Returns a list of ``(s, propagator)`` pairs at the requested checkpoint
     values (grid-aligned within one step) plus always the final endpoint.
+    An empty span gives the identity, sized by one generator call at ``s0``.
     """
-    grid, chunks = _step_generators(generator, dt, T, s_span)
+    points, chunks = _stepped(generator, None, dt, T, s_span)
     wanted = sorted(checkpoints) if checkpoints else []
     out = []
-    prop = None
-    for k, hm in chunks:
-        maps = matrix_exponential(hm)
-        if prop is None:
-            prop = np.eye(maps.shape[-1], dtype=complex)
-        for j, step in enumerate(maps, k):
-            prop = step @ prop
-            while wanted and wanted[0] <= grid[j + 1] + 1e-12:
+    for k, props in chunks:
+        for s, prop in zip(points[k + 1:], props[:, 0]):
+            while wanted and wanted[0] <= s + 1e-12:
                 out.append((wanted.pop(0), prop.copy()))
-    if prop is None:    # an empty span: no step, the generator at s0 gives the size
-        prop = np.eye(np.shape(evaluate_on(generator, grid[:1]))[-1], dtype=complex)
-    out.append((grid[-1], prop))
+    if len(points) == 1:
+        prop = np.eye(np.shape(evaluate_on(generator, points))[-1], dtype=complex)
+    out.append((points[-1], prop))
     return out
 
 
@@ -347,12 +352,12 @@ def intensity_loss(rho, p_comp):
     return 1.0 - np.trace(prod, axis1=-2, axis2=-1).real
 
 
-def normalized_fidelity(rho_a, rho_b, p_comp, eps_norm=1e-12):
+def normalized_fidelity(rho_a, rho_b, p_comp):
     """Uhlmann fidelity between the subspace-projected, renormalized states.
 
     ``D = Tr sqrt(sqrt(s1) s2 sqrt(s1))`` with ``s_i = P rho_i P / Tr(P rho_i)``.
     Raises :class:`EmptySubspace` when a projected trace is at most
-    ``eps_norm``.  Mild negative eigenvalues from integration error are
+    ``_EMPTY_TRACE``.  Mild negative eigenvalues from integration error are
     clamped inside the square roots.
     """
     p = np.asarray(p_comp)
@@ -360,8 +365,8 @@ def normalized_fidelity(rho_a, rho_b, p_comp, eps_norm=1e-12):
     for rho in (rho_a, rho_b):
         proj = p @ np.asarray(rho) @ p
         tr = np.trace(proj).real
-        if tr <= eps_norm:
-            raise EmptySubspace(f"projected trace {tr:.3e} below {eps_norm:.0e}")
+        if tr <= _EMPTY_TRACE:
+            raise EmptySubspace(f"projected trace {tr:.3e} below {_EMPTY_TRACE:.0e}")
         sigma.append(proj / tr)
     root = psd_sqrt(0.5 * (sigma[0] + dag(sigma[0])), tol=1e-6)
     inner = root @ sigma[1] @ root

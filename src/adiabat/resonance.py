@@ -24,6 +24,9 @@ __all__ = [
     "compute_resonance_tensor",
 ]
 
+_COINCIDE_TOL = 1e-9
+_SLOPE_TOL = 1e-6
+
 
 class CrossingCase(enum.Enum):
     CASE_I = "case_i"      # gap functions coincide everywhere or never meet
@@ -106,13 +109,13 @@ def _bisect_root(h, lo, hi, tol=1e-6):
     return 0.5 * (lo + hi)
 
 
-def compute_resonance_tensor(decomp_at, grid, coincide_tol=1e-9, slope_tol=1e-6):
+def compute_resonance_tensor(decomp_at, grid):
     """Classify every pair of gap functions over ``grid``.
 
     ``g[k, l, kp, lp]`` is 1 iff ``max_s |Delta_kl(s) - Delta_kplp(s)|``
-    over the grid is at most ``coincide_tol``.  Sign changes of the
+    over the grid is at most ``_COINCIDE_TOL``.  Sign changes of the
     difference are refined by bisection to 1e-6 and recorded as isolated
-    crossings; a crossing whose local slope falls below ``slope_tol``
+    crossings; a crossing whose local slope falls below ``_SLOPE_TOL``
     raises :class:`TangentialCrossing` because the transversality premise
     behind the classification fails there.  The energies on the grid come
     from :func:`.spectral.evaluate_on`: one call of a ``decomp_at`` marked
@@ -131,7 +134,7 @@ def compute_resonance_tensor(decomp_at, grid, coincide_tol=1e-9, slope_tol=1e-6)
     for i, j in zip(*np.triu_indices(len(pairs))):
         pa, pb = pairs[i], pairs[j]
         diff = deltas[i] - deltas[j]
-        near = np.abs(diff) <= coincide_tol
+        near = np.abs(diff) <= _COINCIDE_TOL
         if near.all():
             g[pa + pb] = g[pb + pa] = True
             continue
@@ -145,24 +148,24 @@ def compute_resonance_tensor(decomp_at, grid, coincide_tol=1e-9, slope_tol=1e-6)
         # an isolated touch at a grid sample: a tangential touch fails the
         # slope check, a transversal one is a valid crossing
         for t in np.flatnonzero(near):
-            _check_slope(h, grid[t], slope_tol, pa, pb)
+            _check_slope(h, grid[t], pa, pb)
             crossings.append((pa, pb, float(grid[t])))
         signs = np.where(near, 0, np.sign(diff)).astype(int)
         change = (signs[:-1] != 0) & (signs[1:] != 0) & (signs[:-1] != signs[1:])
         for t in np.flatnonzero(change):
             s_star = _bisect_root(h, grid[t], grid[t + 1])
-            _check_slope(h, s_star, slope_tol, pa, pb)
+            _check_slope(h, s_star, pa, pb)
             crossings.append((pa, pb, float(s_star)))
     return ResonanceTensor(nspaces=k, g=g, crossing_points=crossings, flagged=flagged)
 
 
-def _check_slope(h, s, slope_tol, pa, pb):
+def _check_slope(h, s, pa, pb):
     step = 1e-6
     lo = max(s - step, 0.0)
     hi = min(s + step, 1.0)
     slope = (h(hi) - h(lo)) / (hi - lo)
-    if abs(slope) < slope_tol:
+    if abs(slope) < _SLOPE_TOL:
         raise TangentialCrossing(
             f"gap functions {pa} and {pb} touch at s={s:.6f} with slope "
-            f"{slope:.3e} below {slope_tol:.1e}"
+            f"{slope:.3e} below {_SLOPE_TOL:.1e}"
         )

@@ -17,10 +17,10 @@ two at a time: :func:`integrate_pairs` steps the exact and the approximate
 equation of both in one lockstep pass, whose generators share their
 gamma-independent pieces chunk by chunk, and :func:`run_point` receives
 each gamma's two lab-frame trajectories, hands them to an optional
-``export`` and returns the metrics row.  :func:`integrate` is the one-pair
-pass.  Direct lab-frame integration of the same equations is available in
-:mod:`.generators` and is checked against this representation by the
-frame-equivalence tests.
+``export`` and returns the metrics row; :func:`integrate_pairs` is the one
+integration entry.  Direct lab-frame integration of the same equations is
+available in :mod:`.generators` and is checked against this representation
+by the frame-equivalence tests.
 """
 from __future__ import annotations
 
@@ -38,7 +38,6 @@ from .generators import RotatedFrameGenerator
 from .linalg import dag, frobenius
 from .propagation import (
     Trajectory,
-    divides,
     hs_error_max,
     intensity_loss,
     normalized_fidelity,
@@ -51,7 +50,6 @@ from .spectral import build_transport_frame, vectorized
 __all__ = [
     "RunContext",
     "holonomy_context",
-    "integrate",
     "integrate_pairs",
     "random_context",
     "run_point",
@@ -64,15 +62,14 @@ _TENSOR_GRID = np.linspace(0.0, 1.0, 201)
 # gammas integrated in one pass of a T slot: their four equations hold about
 # as much state as the frame they read
 _GAMMAS_PER_PASS = 2
-# samples rotated to the lab frame at once (256 KiB per 4x4 temporary)
-_LAB_BLOCK = 1024
 
 
 @dataclass
 class RunContext:
     """Everything shared by runs at one (model, T, dt): the model the
     factories give, and the frame on the integrator's half-step grid and
-    the rotated-frame generator assembly that it builds from them."""
+    the rotated-frame generator assembly that it builds from them; that
+    grid raises ``ValueError`` naming a ``dt`` that does not divide ``T``."""
 
     family: object
     dissipator: object
@@ -86,8 +83,6 @@ class RunContext:
     generator: RotatedFrameGenerator = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not divides(self.dt, self.T):
-            raise ValueError(f"dt={self.dt} does not divide T={self.T}")
         self.frame = build_transport_frame(self.family, sample_grid(self.dt, self.T)[0],
                                            basis=self.family.analytic_basis)
         self.generator = RotatedFrameGenerator(self.dissipator, self.tensor,
@@ -102,10 +97,9 @@ class RunContext:
 
     def to_lab(self, trajectory):
         """Rotate a component-coordinate trajectory back to the lab frame,
-        ``_LAB_BLOCK`` samples at a time so that its temporaries stay small."""
+        a block of samples at a time (:meth:`.Trajectory.blocks`)."""
         states = np.empty_like(trajectory.states)
-        for first in range(0, len(states), _LAB_BLOCK):
-            block = slice(first, first + _LAB_BLOCK)
+        for block in trajectory.blocks():
             w = self.frame.rotation(trajectory.grid[block])
             states[block] = dag(w) @ trajectory.states[block] @ w
         return Trajectory(grid=trajectory.grid, states=states,
@@ -163,12 +157,6 @@ def integrate_pairs(ctx, pairs):
                                   metadata={**rotated.metadata, "generator": name,
                                             "gamma": gamma}))
             for name, gamma in zip(names, gammas)]
-
-
-def integrate(ctx, gamma, approximate):
-    """Integrate the exact or the approximate equation at one coupling
-    strength in the rotated frame; returns the lab-frame trajectory."""
-    return integrate_pairs(ctx, [(gamma, approximate)])[0]
 
 
 def run_point(ctx, gamma, export=None, trajectories=None):

@@ -56,6 +56,8 @@ __all__ = [
 _HERMITICITY_TOL = 1e-12
 # bytes of projectors per slice of a frame's grid spectrum (d^3 complex per sample)
 _SPECTRUM_SLICE_BYTES = 2 ** 20
+_GRID_TOL = 1e-9
+_FRAME_JUMP_TOL = 0.5
 
 
 def vectorized(fn):
@@ -398,24 +400,21 @@ class TransportFrame:
         return np.repeat(np.arange(len(self.block_slices)),
                          [sl.stop - sl.start for sl in self.block_slices])
 
-    def index_of(self, s, tol=1e-9):
+    def index_of(self, s):
         """Index of the grid point at ``s``, or an index array for an array
-        ``s``.  Raises ``KeyError`` if an entry is more than ``tol`` from
-        every grid point (off the grid, out of range or NaN)."""
+        ``s``.  Raises ``KeyError`` if an entry is more than ``_GRID_TOL``
+        from every grid point (off the grid, out of range or NaN)."""
         grid = self.grid
         s = np.asarray(s, dtype=float)
         hi = np.clip(np.searchsorted(grid, s), 1, len(grid) - 1)
         i = np.where(s - grid[hi - 1] <= grid[hi] - s, hi - 1, hi)
-        bad = ~(np.abs(grid[i] - s) <= tol)
+        bad = ~(np.abs(grid[i] - s) <= _GRID_TOL)
         if bad.any():
             raise KeyError(f"s={np.ravel(s)[np.ravel(bad)][0]} is not a frame grid point")
         return i if i.ndim else int(i)
 
     def u_at(self, s):
         return self.U[self.index_of(s)]
-
-    def z_at(self, s):
-        return self.Z[self.index_of(s)]
 
     def rotation(self, s):
         """``W = basis0^dagger U(s)``: maps lab-frame operators at the grid
@@ -454,13 +453,13 @@ def _polar_unitary(m):
     return m @ inv_sqrt
 
 
-def _continued_columns(family, grid, degeneracy_tol):
+def _continued_columns(family, grid):
     """Numerically gauge-continued eigencolumns and their energies along the
     grid, labelled by an overlap chain from ``family.spectrum(grid[0])``."""
     prev = family.spectrum(grid[0])
     frames, energies = [], []
     for s in grid:
-        e, raw = _eigencolumns(family, s, degeneracy_tol)
+        e, raw = _eigencolumns(family, s, family.degeneracy_tol)
         d = _decomposition(e, raw)
         order = _match_order(d, prev)
         cols = [raw[j] for j in order]
@@ -491,8 +490,7 @@ def _grouped_analytic_columns(family, grid, basis):
     return c[:, :, np.argsort(label, kind="stable")], energies, spec0.ranks
 
 
-def build_transport_frame(family, grid, basis=None, frame_jump_tol=0.5,
-                          degeneracy_tol=None):
+def build_transport_frame(family, grid, basis=None):
     """Construct a transport frame ``U(s) = sum_k |chi_k(0)><chi_k(s)|``.
 
     ``basis`` is an optional callable returning the model's analytic
@@ -507,16 +505,15 @@ def build_transport_frame(family, grid, basis=None, frame_jump_tol=0.5,
     A ``basis`` needs an ``analytic_spectrum`` too (``ValueError`` otherwise).
 
     Raises :class:`FrameDiscontinuity` when consecutive unitaries jump by
-    more than ``frame_jump_tol`` in Frobenius norm, which signals a gauge
-    singularity on the sampled path.
+    more than ``_FRAME_JUMP_TOL`` in Frobenius norm, which signals a gauge
+    singularity on the sampled path.  A numeric continuation clusters
+    eigenvalues at ``family.degeneracy_tol``.
     """
     grid = np.asarray(grid, dtype=float)
-    if degeneracy_tol is None:
-        degeneracy_tol = family.degeneracy_tol
     if basis is not None and family.analytic_spectrum is None:
         raise ValueError("basis needs a family with an analytic_spectrum")
     if basis is None:
-        cols, energies, ranks = _continued_columns(family, grid, degeneracy_tol)
+        cols, energies, ranks = _continued_columns(family, grid)
     else:
         cols, energies, ranks = _grouped_analytic_columns(family, grid, basis)
 
@@ -524,12 +521,12 @@ def build_transport_frame(family, grid, basis=None, frame_jump_tol=0.5,
     n = len(grid)
     u = c0 @ dag(cols)
     jumps = np.linalg.norm(np.diff(u, axis=0), axis=(1, 2))
-    over = np.flatnonzero(jumps > frame_jump_tol)
+    over = np.flatnonzero(jumps > _FRAME_JUMP_TOL)
     if over.size:
         i = over[0]
         raise FrameDiscontinuity(
             f"frame jump {jumps[i]:.3e} between s={grid[i]:.6g} and "
-            f"s={grid[i + 1]:.6g} exceeds {frame_jump_tol}"
+            f"s={grid[i + 1]:.6g} exceeds {_FRAME_JUMP_TOL}"
         )
 
     du = np.gradient(u, grid, axis=0, edge_order=2)

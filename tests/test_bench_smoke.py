@@ -10,7 +10,10 @@ benchmark run.  It also runs them under the benchmark's tracer
 (``bench/spans.py``), whose per-layer metrics must come out finite: a
 layer read through a name the library no longer calls reads NaN, and
 ``bench/run.py`` would print it as bare ``NaN``, which is not strict JSON.
-``bench/`` is loaded by file path and left unchanged.
+Integrations and exponentiated matrices must also be counted: a module that
+bound ``matrix_exponential`` or ``propagate_piecewise_exp`` under another
+name at import time would read a finite 0 there.  ``bench/`` is loaded by file path and
+left unchanged.
 """
 import importlib.util
 import json
@@ -67,5 +70,7 @@ def test_traced_smoke_workload_reports_strict_json(name, tmp_path):
     assert code == 0
     assert not [k for k, v in metrics.items() if not math.isfinite(v)]
     json.dumps(metrics, allow_nan=False)
+    assert metrics["propagation.integrations"] > 0
+    assert metrics["linalg.expm_matrices"] > 0
     if name != "check-gauge":       # the two sweep workloads
         assert metrics["runner.points"] > 0

@@ -92,12 +92,6 @@ class TestPiecewiseExp:
             assert abs(traj.states[i][0, 1] - rho0[0, 1] * decay) <= 1e-8
             assert abs(traj.states[i][0, 0] - rho0[0, 0]) <= 1e-10
 
-    def test_last_step_shortened(self, qubit_rho):
-        traj = propagate_piecewise_exp(lambda s: np.zeros((4, 4)), qubit_rho,
-                                       0.3, 1.0)
-        assert traj.grid[-1] == pytest.approx(1.0, abs=1e-12)
-        assert np.all(np.diff(traj.grid) > 0)
-
     def test_invalid_initial_state(self, rng):
         gen = lambda s: np.zeros((4, 4))
         with pytest.raises(InvalidInitialState):
@@ -136,14 +130,29 @@ class TestPiecewiseExp:
             i = int(np.argmin(np.abs(traj.grid - s)))
             assert frobenius(unvec(prop @ vec(rho0)) - traj.states[i]) <= 1e-12
 
+    def test_propagator_equals_step_by_step_product(self):
+        # 157 steps: chunks of 1, 64, 64 and 28; a checkpoint inside each
+        model = make_random_model(2)
+        gen = ExactGenerator(model.family(), model.dissipator(), 1.57, 0.1)
+        grid, h = propagation.sample_grid(0.01, 1.57)
+        prop, products = np.eye(16, dtype=complex), []
+        for mid in grid[1::2]:
+            prop = matrix_exponential(h * gen(mid)) @ prop
+            products.append(prop)
+        wanted = [0.005, 0.3, 0.75, 0.99]
+        got = piecewise_exp_propagator(gen, 0.01, 1.57, checkpoints=wanted)
+        assert [s for s, _ in got] == wanted + [1.0]
+        for (s, prop), step in zip(got, [1, 48, 118, 156, 157]):
+            assert np.array_equal(prop, products[step - 1])
+
 
 def step_by_step(generator, v0, dt, T, s_span=(0.0, 1.0)):
     """The scheme one step at a time on the shared grid: the reference for
     the chunked engine."""
-    grid, steps = propagation.sample_grid(dt, T, s_span)
+    grid, h = propagation.sample_grid(dt, T, s_span)
     v = np.asarray(v0, dtype=complex)
     out = [v]
-    for mid, h in zip(grid[1::2], steps):
+    for mid in grid[1::2]:
         v = matrix_exponential(h * np.asarray(generator(mid))) @ v
         out.append(v)
     return np.asarray(out)
@@ -173,26 +182,31 @@ class TestSampleGrid:
         assert len(grid) == 14601 and grid[-1] == 1.0
 
     @pytest.mark.parametrize("dt, T, s_span", [(0.005, 73.0, (0.0, 1.0)),
-                                               (0.01, 4.0, (0.5, 1.0)),
-                                               (0.0127, 1.0, (0.0, 1.0))])
+                                               (0.01, 4.0, (0.5, 1.0))])
     def test_steps_and_points(self, dt, T, s_span):
-        grid, steps = propagation.sample_grid(dt, T, s_span)
-        n = int((s_span[1] - s_span[0]) * T / dt + 1e-6)
-        assert len(grid) == 2 * len(steps) + 1
-        assert grid[0] == s_span[0] and grid[-1] == s_span[1]
-        assert np.all(steps[:n] == dt / T)
-        if propagation.divides(dt, T * (s_span[1] - s_span[0])):
-            assert len(steps) == n
-            assert np.array_equal(grid, np.linspace(*s_span, 2 * n + 1))
-        else:
-            # one shortened step lands on the end of the span
-            assert len(steps) == n + 1 and 0 < steps[-1] < dt / T
-            assert steps[-1] == s_span[1] - grid[-3]
+        grid, h = propagation.sample_grid(dt, T, s_span)
+        n = round((s_span[1] - s_span[0]) * T / dt)
+        assert h == dt / T
+        assert np.array_equal(grid, np.linspace(*s_span, 2 * n + 1))
+
+    @pytest.mark.parametrize("dt, T, s_span", [(0.0127, 1.0, (0.0, 1.0)),
+                                               (0.3, 1.0, (0.0, 1.0)),
+                                               (0.01, 4.0, (0.5, 0.9999)),
+                                               (2.0, 1.0, (0.0, 1.0))])
+    def test_dt_not_dividing_the_span_named(self, qubit_rho, dt, T, s_span):
+        # no shortened last step: every entry point refuses such a dt
+        gen = lambda s: np.zeros((4, 4))
+        for run in (lambda: propagation.sample_grid(dt, T, s_span),
+                    lambda: evolve_vector_piecewise_exp(gen, vec(qubit_rho), dt, T, s_span),
+                    lambda: propagate_piecewise_exp(gen, qubit_rho, dt, T, s_span),
+                    lambda: piecewise_exp_propagator(gen, dt, T, s_span)):
+            with pytest.raises(ValueError, match="^dt=.* does not divide"):
+                run()
 
     def test_empty_span_is_one_sample(self, qubit_rho):
         gen = lambda s: np.zeros((4, 4))
-        grid, steps = propagation.sample_grid(0.1, 1.0, (0.5, 0.5))
-        assert grid.tolist() == [0.5] and len(steps) == 0
+        grid, h = propagation.sample_grid(0.1, 1.0, (0.5, 0.5))
+        assert grid.tolist() == [0.5]
         for traj in (propagate_rk4(gen, qubit_rho, 10, 1.0, s_span=(0.5, 0.5)),
                      propagate_piecewise_exp(gen, qubit_rho, 0.1, 1.0, s_span=(0.5, 0.5))):
             assert traj.grid.tolist() == [0.5]
@@ -234,7 +248,7 @@ class TestSampleGrid:
             seen.append(np.atleast_1d(s))
             return stack(s, pairs)
         monkeypatch.setattr(ctx.generator, "stack", record)
-        traj = runner.integrate(ctx, 0.1, approximate=True)
+        [traj] = runner.integrate_pairs(ctx, [(0.1, True)])
         assert np.array_equal(np.concatenate(seen), ctx.frame.grid[1::2])
         assert np.array_equal(traj.grid, ctx.frame.grid[::2])
 
@@ -254,14 +268,6 @@ class TestChunkedSteps:
         one_at_a_time = lambda s: gen(s)
         assert np.array_equal(evolve_vector_piecewise_exp(one_at_a_time, v0, dt, T)[1],
                               vectors)
-
-    def test_shortened_last_step_equals_step_by_step(self):
-        model = make_random_model(6)
-        gen = ExactGenerator(model.family(), model.dissipator(), 1.0, 0.2)
-        v0 = vec(model.initial_density())
-        grid, vectors = evolve_vector_piecewise_exp(gen, v0, 0.0127, 1.0)
-        assert len(grid) == 80 and grid[-1] == pytest.approx(1.0, abs=1e-12)
-        assert np.array_equal(vectors, step_by_step(gen, v0, 0.0127, 1.0))
 
     @pytest.mark.parametrize("vectorized", [False, True])
     def test_oversized_step_inside_chunk(self, qubit_rho, vectorized):
@@ -354,7 +360,7 @@ class TestStackedPass:
         ctx = small_context("random_rotating", 1.0, 0.01)
         labs = runner.integrate_pairs(ctx, PASS)
         for (gamma, approximate), lab in zip(PASS, labs):
-            alone = runner.integrate(ctx, gamma, approximate)
+            [alone] = runner.integrate_pairs(ctx, [(gamma, approximate)])
             assert lab.metadata["gamma"] == gamma
             assert np.array_equal(lab.grid, alone.grid)
             if gamma == 0.0:
@@ -516,6 +522,18 @@ class TestTrajectoryMonitors:
         assert traj.hermiticity_defects().max() <= 1e-8
         assert traj.min_eigenvalues().min() >= -1e-6
         assert np.all(traj.purities() <= 1.0 + 1e-9)
+
+    def test_blockwise_monitors_equal_one_shot(self):
+        # 4,001 samples: three full blocks and a partial one
+        model = make_random_model(3)
+        gen = ExactGenerator(model.family(), model.dissipator(), 40.0, 0.03)
+        traj = propagate_piecewise_exp(gen, model.initial_density(), 0.01, 40.0)
+        assert [b.stop for b in traj.blocks()] == [1024, 2048, 3072, 4096]
+        rho = traj.states
+        assert np.array_equal(traj.hermiticity_defects(),
+                              np.linalg.norm(rho - dag(rho), axis=(1, 2)))
+        assert np.array_equal(traj.min_eigenvalues(),
+                              np.linalg.eigvalsh(0.5 * (rho + dag(rho)))[:, 0])
 
 
 class TestMetrics:
