@@ -11,19 +11,17 @@ divide the span is a ``ValueError``.  For generators in Lindblad form each
 step is exactly a completely positive trace-preserving map, so the
 discrete flow inherits both properties up to rounding.
 
-One equation, or a pass of ``P`` equations stacked on one grid, is stepped
-in chunks by one loop for every entry point (64 steps of one ``D = 16``
-equation, 16 of a pass of four; see ``_CHUNK_BYTES``): the generators at a
-chunk's midpoints are built as one ``(n, D, D)`` stack (``(n, P, D, D)``
-for a pass), and each step's ``h ||M||`` is checked against
-``_STEP_NORM_BUDGET``.  Each equation then
-takes one of two step rules.  The Pade rule sends the chunk's step
-generators through one batched :func:`.linalg.matrix_exponential`, and a
-plain loop of matrix-vector (or matrix-matrix) products applies each
-equation's step maps in order; it is the default.  The action rule
-(``action=True``) never forms the exponential: its equations move
-together, one step at a time, by :func:`.linalg.expm_action`, whose
-Taylor degree comes from the chunk's largest ``||h M||_1``.
+One loop steps every entry point: one equation, a pass of ``P`` equations
+stacked on one grid, or the flow map started from the identity at ``s0``.
+It goes in chunks whose length the stack's size fixes before the first step
+(64 steps of one ``D = 16`` equation, 16 of a pass of four; see
+``_CHUNK_BYTES``): a chunk's generators are built as one ``(n, P, D, D)``
+stack, and each step's ``h ||M||`` is checked against ``_STEP_NORM_BUDGET``.
+The Pade rule (the default) exponentiates the chunk's step generators in one
+batched :func:`.linalg.matrix_exponential` call; the action rule
+(``action=True``) applies :func:`.linalg.expm_action`, whose Taylor degree
+comes from the chunk's largest ``||h M||_1``.  Each step moves the whole
+stack at once, each equation by its own rule.
 A generator marked ``vectorized`` (the rotated-frame ones that
 :class:`.runner.RunContext` hands out from its
 :class:`.generators.RotatedFrameGenerator`, and the lab-frame
@@ -36,6 +34,7 @@ step-size check.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -80,11 +79,11 @@ _STEP_NORM_BUDGET = 20.0
 # generator of the shipped models, 16 steps of a pass of four.  Longer
 # chunks gain little, and the exponential holds about ten such stacks at a
 # time, so chunks are sized by bytes, not steps, to bound memory at any
-# dimension and any number of equations.
+# dimension and any number of equations.  Per-sample work on a trajectory
+# takes that many bytes of states at once: 1,024 states of a 4x4 one.
 _CHUNK_BYTES = 64 * 16 * 16 * 16
-# samples taken at once by per-sample work (256 KiB per 4x4 temporary)
-_SAMPLE_BLOCK = 1024
 _EMPTY_TRACE = 1e-12
+_DENSITY_TOL = 1e-10    # initial states: Hermitian, unit trace, eigenvalues >= -tol
 
 
 @dataclass
@@ -108,8 +107,9 @@ class Trajectory:
         return self.states[-1]
 
     def blocks(self):
-        """Slices of at most ``_SAMPLE_BLOCK`` samples covering the trajectory."""
-        return [slice(i, i + _SAMPLE_BLOCK) for i in range(0, len(self.grid), _SAMPLE_BLOCK)]
+        """Slices of at most ``_CHUNK_BYTES`` of states covering the trajectory."""
+        n = _CHUNK_BYTES // (16 * self.dim ** 2)
+        return [slice(i, i + n) for i in range(0, len(self.grid), n)]
 
     def traces(self):
         return np.einsum("nii->n", self.states).real
@@ -165,16 +165,16 @@ def sample_grid(dt, T, s_span=(0.0, 1.0), steps=None):
     return np.linspace(s0, s1, 2 * steps + 1), dt / T
 
 
-def _check_density(rho, tol=1e-10):
+def _check_density(rho):
     rho = np.asarray(rho, dtype=complex)
-    if frobenius(rho - dag(rho)) > tol:
+    if frobenius(rho - dag(rho)) > _DENSITY_TOL:
         raise InvalidInitialState("initial operator is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:
+    if abs(np.trace(rho).real - 1.0) > _DENSITY_TOL or abs(np.trace(rho).imag) > _DENSITY_TOL:
         raise InvalidInitialState("initial operator does not have unit trace")
-    w, _ = hermitian_eigendecompose(rho, tol)
-    if w.min() < -tol:
+    w, _ = hermitian_eigendecompose(rho, _DENSITY_TOL)
+    if w.min() < -_DENSITY_TOL:
         raise InvalidInitialState(
-            f"initial operator has eigenvalue {w.min():.3e} below -{tol:.0e}"
+            f"initial operator has eigenvalue {w.min():.3e} below -{_DENSITY_TOL:.0e}"
         )
     return rho
 
@@ -196,45 +196,37 @@ def _check_step_sizes(h, m):
 
 
 def _stepped(generator, v0, dt, T, s_span, action=False):
-    """The chunk loop of every piecewise-exponential entry point: steps a
+    """The step loop of every piecewise-exponential entry point: steps a
     stack ``v0`` of ``P`` states ``(P, D, c)`` (``c = 1`` for vectors,
-    ``c = D`` for flow maps; ``None`` for one flow map from the identity,
-    sized by the first chunk) over :func:`sample_grid`, each equation by
-    the step rule ``action`` picks for it (see the module docstring).
-    Returns the step points and an iterator yielding ``(k, states)`` per
-    chunk, ``states[j]`` the stack at ``points[k + j + 1]``."""
+    ``c = D`` for flow maps) over :func:`sample_grid`, each equation by the
+    step rule ``action`` picks for it (see the module docstring).  Returns
+    the step points and an iterator yielding ``(k, states)`` per chunk,
+    ``states[j]`` the stack at ``points[k + j + 1]``."""
     grid, h = sample_grid(dt, T, s_span)
     mid = grid[1::2]
-    act = np.broadcast_to(action, 1 if v0 is None else len(v0))
+    act = np.broadcast_to(action, len(v0))
     pade, taylor = np.flatnonzero(~act), np.flatnonzero(act)
+    n = max(1, _CHUNK_BYTES // (16 * len(v0) * v0.shape[1] ** 2))
 
-    def chunks(v):
-        k, n = 0, 1     # a first chunk of one step gives the generator's size
-        while k < len(mid):
+    def chunks(x):
+        for k in range(0, len(mid), n):
             m = np.asarray(evaluate_on(generator, mid[k:k + n]))
             _check_step_sizes(h, m)
             hm = (h * m).reshape((len(m), len(act)) + m.shape[-2:])
-            if v is None:
-                v = np.eye(m.shape[-1], dtype=complex)[None]
-            out = np.empty((len(hm),) + v.shape, dtype=complex)
-            if pade.size:   # maps[j * len(pade) + q]: step j of pade[q]
+            if pade.size:   # maps[j, q]: step j of pade[q]
                 maps = matrix_exponential(hm[:, pade].reshape((-1,) + hm.shape[-2:]))
-            for q, p in enumerate(pade):
-                x, seq = v[p], out[:, p]
-                for j, step in enumerate(maps[q::len(pade)]):
-                    x = seq[j] = step @ x
+                maps = maps.reshape((len(hm), len(pade)) + hm.shape[-2:])
             if taylor.size:
                 a = hm[:, taylor]
                 degree = taylor_degree(np.abs(a).sum(axis=-2).max())
-                x = v[taylor]
-                moved = np.empty((len(a),) + x.shape, dtype=complex)
-                for j, step in enumerate(a):
-                    x = moved[j] = expm_action(step, x, degree)
-                out[:, taylor] = moved
+            out = np.empty((len(hm),) + x.shape, dtype=complex)
+            for j in range(len(hm)):
+                if pade.size:
+                    out[j, pade] = maps[j] @ x[pade]
+                if taylor.size:
+                    out[j, taylor] = expm_action(a[j], x[taylor], degree)
+                x = out[j]
             yield k, out
-            v = out[-1]
-            k += len(hm)
-            n = max(1, _CHUNK_BYTES // (16 * m[0].size))
     return grid[::2], chunks(v0)
 
 
@@ -322,21 +314,23 @@ def propagate_rk4(generator, rho0, steps, T, s_span=(0.0, 1.0), metadata=None):
 
 def piecewise_exp_propagator(generator, dt, T, s_span=(0.0, 1.0),
                              checkpoints=None):
-    """Accumulate the flow map of the piecewise-exponential scheme.
+    """Accumulate the flow map of the piecewise-exponential scheme from the
+    identity at ``s0`` (sized by one generator call there).
 
-    Returns a list of ``(s, propagator)`` pairs at the requested checkpoint
-    values (grid-aligned within one step) plus always the final endpoint.
-    An empty span gives the identity, sized by one generator call at ``s0``.
-    """
-    points, chunks = _stepped(generator, None, dt, T, s_span)
-    wanted = sorted(checkpoints) if checkpoints else []
+    Returns ``(s, propagator)`` at each checkpoint (the first grid point at
+    or after it, within 1e-12), then at the end point.  A checkpoint outside
+    ``s_span`` raises ``ValueError`` naming ``checkpoints``."""
+    grid, _ = sample_grid(dt, T, s_span)
+    points, wanted = grid[::2], sorted(checkpoints or [])
+    if wanted and not points[0] - 1e-12 <= wanted[0] <= wanted[-1] <= points[-1] + 1e-12:
+        raise ValueError(f"checkpoints must lie in s_span {tuple(s_span)}, got {wanted}")
+    eye = np.eye(np.shape(evaluate_on(generator, grid[:1]))[-1], dtype=complex)
+    _, chunks = _stepped(generator, eye[None], dt, T, s_span)
+    flow = ((s, prop) for k, props in chunks for s, prop in zip(points[k + 1:], props[:, 0]))
     out = []
-    for k, props in chunks:
-        for s, prop in zip(points[k + 1:], props[:, 0]):
-            while wanted and wanted[0] <= s + 1e-12:
-                out.append((wanted.pop(0), prop.copy()))
-    if len(points) == 1:
-        prop = np.eye(np.shape(evaluate_on(generator, points))[-1], dtype=complex)
+    for s, prop in itertools.chain([(points[0], eye)], flow):
+        while wanted and wanted[0] <= s + 1e-12:
+            out.append((wanted.pop(0), prop.copy()))
     out.append((points[-1], prop))
     return out
 
@@ -375,10 +369,12 @@ def normalized_fidelity(rho_a, rho_b, p_comp):
 
 
 def hs_error_max(traj_a, traj_b):
-    """Maximum Hilbert-Schmidt (Frobenius) distance over a shared grid."""
+    """Maximum Hilbert-Schmidt (Frobenius) distance over a shared grid,
+    a block of samples at a time (:meth:`Trajectory.blocks`)."""
     if traj_a.grid.shape != traj_b.grid.shape:
         raise GridMismatch("trajectories have different sample counts")
     if np.max(np.abs(traj_a.grid - traj_b.grid)) > 1e-12:
         raise GridMismatch("trajectories are sampled on different grids")
-    diffs = np.linalg.norm(traj_a.states - traj_b.states, axis=(1, 2))
-    return float(diffs.max())
+    a, b = traj_a.states, traj_b.states
+    return float(np.max([np.linalg.norm(a[k] - b[k], axis=(1, 2)).max()
+                         for k in traj_a.blocks()]))

@@ -58,6 +58,9 @@ _HERMITICITY_TOL = 1e-12
 _SPECTRUM_SLICE_BYTES = 2 ** 20
 _GRID_TOL = 1e-9
 _FRAME_JUMP_TOL = 0.5
+_PROJECTOR_TOL = 1e-10          # SpectralDecomposition.validate
+_DISTINCT_ENERGY_TOL = 1e-8
+_DEFECT_SAMPLES = 32            # grid samples TransportFrame.transport_defect checks
 
 
 def vectorized(fn):
@@ -115,7 +118,7 @@ class SpectralDecomposition:
                    projectors=[np.stack(p) for p in zip(*(d.projectors for d in decomps))],
                    ranks=ranks.pop())
 
-    def validate(self, tol=1e-10, degeneracy_tol=1e-8):
+    def validate(self):
         """Check projector algebra, completeness, distinctness and rank sum."""
         d = self.dim
         total = np.zeros((d, d), dtype=complex)
@@ -123,14 +126,14 @@ class SpectralDecomposition:
             total += p
             for l, q in enumerate(self.projectors):
                 expected = p if k == l else 0.0
-                if frobenius(p @ q - expected) > tol:
+                if frobenius(p @ q - expected) > _PROJECTOR_TOL:
                     raise AssertionError(f"projector algebra violated for pair ({k}, {l})")
-        if frobenius(total - np.eye(d)) > tol:
+        if frobenius(total - np.eye(d)) > _PROJECTOR_TOL:
             raise AssertionError("projectors do not resolve the identity")
         if sum(self.ranks) != d:
             raise AssertionError("ranks do not sum to the dimension")
         e = np.sort(self.energies)
-        if len(e) > 1 and np.min(np.diff(e)) <= degeneracy_tol:
+        if len(e) > 1 and np.min(np.diff(e)) <= _DISTINCT_ENERGY_TOL:
             raise AssertionError("eigenspace energies are not pairwise distinct")
 
 
@@ -424,11 +427,10 @@ class TransportFrame:
     def max_jump(self):
         return float(np.linalg.norm(np.diff(self.U, axis=0), axis=(1, 2)).max())
 
-    def transport_defect(self, family, stride=None):
+    def transport_defect(self, family):
         """Worst deviation of ``U P_k(s) U^dagger`` from ``P_k(0)`` over the
         grid (labels chained sample to sample)."""
-        if stride is None:
-            stride = max(1, len(self.grid) // 32)
+        stride = max(1, len(self.grid) // _DEFECT_SAMPLES)
         prev = family.spectrum(self.grid[0])
         p0 = prev.projectors
         worst = 0.0

@@ -10,10 +10,12 @@ benchmark run.  It also runs them under the benchmark's tracer
 (``bench/spans.py``), whose per-layer metrics must come out finite: a
 layer read through a name the library no longer calls reads NaN, and
 ``bench/run.py`` would print it as bare ``NaN``, which is not strict JSON.
-Integrations and exponentiated matrices must also be counted: a module that
-bound ``matrix_exponential`` or ``propagate_piecewise_exp`` under another
-name at import time would read a finite 0 there.  ``bench/`` is loaded by file path and
-left unchanged.
+Integrations must also be counted, and exponentiated matrices and steps
+exactly as the smoke inputs imply: a module that bound
+``matrix_exponential`` or ``propagate_piecewise_exp`` under another name at
+import time would read a finite 0 there, and a stack of step generators
+passed to the exponential unflattened would be counted as fewer matrices.
+``bench/`` is loaded by file path and left unchanged.
 """
 import importlib.util
 import json
@@ -41,6 +43,10 @@ def load(name):
 workloads = load("workloads")
 reference = load("reference")
 spans = load("spans")
+
+# (linalg.expm_matrices, propagation.steps) of each workload's smoke inputs
+TRACED_COUNTS = {"holonomy-export": (60, 30), "random-sweep": (60, 90),
+                 "check-gauge": (200, 600)}
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -71,6 +77,7 @@ def test_traced_smoke_workload_reports_strict_json(name, tmp_path):
     assert not [k for k, v in metrics.items() if not math.isfinite(v)]
     json.dumps(metrics, allow_nan=False)
     assert metrics["propagation.integrations"] > 0
-    assert metrics["linalg.expm_matrices"] > 0
+    counts = (metrics["linalg.expm_matrices"], metrics["propagation.steps"])
+    assert counts == TRACED_COUNTS[name]
     if name != "check-gauge":       # the two sweep workloads
         assert metrics["runner.points"] > 0

@@ -131,7 +131,7 @@ class TestPiecewiseExp:
             assert frobenius(unvec(prop @ vec(rho0)) - traj.states[i]) <= 1e-12
 
     def test_propagator_equals_step_by_step_product(self):
-        # 157 steps: chunks of 1, 64, 64 and 28; a checkpoint inside each
+        # 157 steps: chunks of 64, 64 and 29; a checkpoint inside each
         model = make_random_model(2)
         gen = ExactGenerator(model.family(), model.dissipator(), 1.57, 0.1)
         grid, h = propagation.sample_grid(0.01, 1.57)
@@ -144,6 +144,31 @@ class TestPiecewiseExp:
         assert [s for s, _ in got] == wanted + [1.0]
         for (s, prop), step in zip(got, [1, 48, 118, 156, 157]):
             assert np.array_equal(prop, products[step - 1])
+
+    def test_checkpoint_at_start_is_identity(self):
+        gen = lambda s: np.diag([1.0, -1.0]) + 0j
+        got = piecewise_exp_propagator(gen, 0.1, 1.0, checkpoints=[1.0 + 5e-13, 0.0, -5e-13])
+        assert [s for s, _ in got] == [-5e-13, 0.0, 1.0 + 5e-13, 1.0]
+        assert np.array_equal(got[0][1], np.eye(2)) and np.array_equal(got[1][1], np.eye(2))
+        assert np.array_equal(got[2][1], got[3][1])
+        assert np.allclose(got[3][1], np.diag([math.e, 1 / math.e]), rtol=1e-12)
+
+    @pytest.mark.parametrize("name, dt, T, s_span, wanted", [
+        ("checkpoints", 0.1, 1.0, (0.0, 1.0), [0.0, -1.0, 2.0]),
+        ("checkpoints", 0.1, 1.0, (0.0, 1.0), [-1e-9]),
+        ("checkpoints", 0.1, 1.0, (0.5, 1.0), [0.25]),
+        ("checkpoints", 0.1, 1.0, (0.0, 1.0), [1.0 + 1e-9]),
+        ("s_span", 0.1, 1.0, (1.0, 0.0), [2.0]),
+        ("dt", 0.0, 1.0, (0.0, 1.0), [2.0]),
+        ("T", 0.1, math.nan, (0.0, 1.0), [2.0]),
+    ], ids=["both-sides", "before-start", "before-late-start", "after-end", "bad-span",
+            "bad-dt", "bad-T"])
+    def test_bad_checkpoint_named_before_the_generator_runs(self, name, dt, T, s_span,
+                                                              wanted):
+        def gen(s):
+            raise AssertionError("generator called")
+        with pytest.raises(ValueError, match=f"^{name}"):
+            piecewise_exp_propagator(gen, dt, T, s_span, checkpoints=wanted)
 
 
 def step_by_step(generator, v0, dt, T, s_span=(0.0, 1.0)):
@@ -276,24 +301,25 @@ class TestChunkedSteps:
             big = (s > 0.3)[..., None, None]
             return np.where(big, 1e4 * np.eye(4), np.zeros((4, 4))) + 0j
         gen.vectorized = vectorized
-        # step 30 of 100 is the first oversized one: inside the second chunk,
-        # which holds every step after the first
+        # step 30 of 100 is the first oversized one: inside the one chunk,
+        # which holds every step
         assert propagation._CHUNK_BYTES // (16 * 4 * 4) >= 99
         with pytest.raises(StepTooLarge):
             propagate_piecewise_exp(gen, qubit_rho, 0.01, 1.0)
         with pytest.raises(StepTooLarge):
             piecewise_exp_propagator(gen, 0.01, 1.0)
 
-    @pytest.mark.parametrize("dim, sizes", [(16, [1, 64, 64, 29]), (128, [1] * 5)])
+    @pytest.mark.parametrize("dim, sizes", [(16, [1, 64, 64, 30]), (128, [1] * 6)])
     def test_chunks_bounded_in_bytes(self, dim, sizes):
-        # 64 steps of a 16x16 generator per chunk, one step of a 128x128
+        # the call at s0 that sizes the identity, then 64 steps of a 16x16
+        # generator per chunk, one step of a 128x128
         seen = []
 
         def gen(s):
             seen.append(len(s))
             return np.zeros((len(s), dim, dim), dtype=complex)
         gen.vectorized = True
-        steps = sum(sizes)
+        steps = sum(sizes) - 1
         piecewise_exp_propagator(gen, 1.0 / steps, 1.0)
         assert seen == sizes
 
@@ -330,8 +356,8 @@ def stacked_pass(ctx, action, pairs=PASS):
 class TestStackedPass:
     @pytest.mark.parametrize("model", ["holonomy", "random_rotating"])
     def test_pade_pairs_equal_one_equation_runs(self, model):
-        # 157 steps: chunks of 1, 16, ... steps for the pass, of 1, 64, ...
-        # for one equation; gamma = 0 pairs next to action-rule ones
+        # 157 steps: chunks of 16 steps for the pass, of 64 for one
+        # equation; gamma = 0 pairs next to action-rule ones
         ctx = small_context(model, 1.57, 0.01)
         grid, vectors = stacked_pass(ctx, [False, False, True, True])
         assert len(grid) == 158
@@ -534,6 +560,9 @@ class TestTrajectoryMonitors:
                               np.linalg.norm(rho - dag(rho), axis=(1, 2)))
         assert np.array_equal(traj.min_eigenvalues(),
                               np.linalg.eigvalsh(0.5 * (rho + dag(rho)))[:, 0])
+        reversed_traj = Trajectory(grid=traj.grid, states=rho[::-1].copy())
+        assert hs_error_max(traj, reversed_traj) == np.linalg.norm(rho - rho[::-1],
+                                                                   axis=(1, 2)).max()
 
 
 class TestMetrics:
