@@ -55,7 +55,8 @@ SWEEP_COLUMNS = ["model", "gamma", "T", "dt", "elem11_exact", "elem11_approx",
 # largest Hilbert-space dimension a config may ask for
 _MAX_DIM = 16
 # largest max(T)/dt: a T slot peaks at ~3.2 KB per step (1.6 GB here) while
-# its frame is built; a pass of four equations stays below that
+# its frame is built; its one pass, which keeps no whole trajectory unless
+# the points are exported, stays below that
 _MAX_STEPS = 500_000
 # run-time fractions of the orange-slice legs when a config gives none
 _DEFAULT_SPLIT = (0.4, 0.2, 0.4, 0.0)
@@ -415,8 +416,8 @@ def gauge_check_rows(T=2.0, gamma=0.1, dt=1e-4):
     # gauge: only the frame and the generator assembly are rebuilt
     ctx_eq = dataclasses.replace(ctx_np, family=models.holonomy_family(
         models.build_orange_path(dphi, T, split), models.Gauge.EQUATOR_REGULAR))
-    [approx_np] = runner.integrate_pairs(ctx_np, [(gamma, True)])
-    [approx_eq] = runner.integrate_pairs(ctx_eq, [(gamma, True)])
+    [approx_np], [approx_eq] = (runner.integrate_pairs(ctx, [gamma], (True,), keep=True)
+                                .trajectories() for ctx in (ctx_np, ctx_eq))
 
     fam = ctx_np.family
     q_of_s = vectorized(functools.partial(geometric_term, fam, h=1e-3, richardson=True))

@@ -293,8 +293,8 @@ def frame_unpack(frame, component_vec, s):
 class RotatedFrameGenerator:
     """Rotated-frame generators of one ``(dissipator, tensor, frame, T)``
     on the component vector of :func:`frame_components`, called as
-    ``(s, gamma, approximate)`` with ``s`` a frame grid point or an array,
-    or for several ``(gamma, approximate)`` pairs at once by :meth:`stack`.
+    ``(s, gamma, approximate)`` with ``s`` a frame grid point or an array;
+    :meth:`pieces` gives the parts that every gamma shares.
 
     Exact: ``-iT Delta(s) - i[Z^, .] + Gamma T D~_s``, with ``Delta`` the
     gaps of ``frame.energies`` at ``s``, ``Z^ = C0^dagger Z(s) C0`` and
@@ -317,12 +317,15 @@ class RotatedFrameGenerator:
         self._same_block = np.equal.outer(self.frame.labels, self.frame.labels)
 
     def __call__(self, s, gamma, approximate):
-        return self.stack(s, [(gamma, approximate)])[..., 0, :, :]
+        base, dhat = self.pieces(s, [approximate], gamma != 0.0)
+        return (base if dhat is None else base + gamma * dhat)[..., 0, :, :]
 
-    def stack(self, s, pairs):
-        """The generators of several ``(gamma, approximate)`` pairs at
-        ``s``, stacked on the axis before the matrix axes: the pieces that
-        do not depend on gamma are built once for all of them."""
+    def pieces(self, s, kinds, dissipative=True):
+        """The gamma-independent pieces of the generators at ``s`` of each
+        kind in ``kinds`` (``approximate`` flags), stacked on the axis before
+        the matrix axes: the base, and ``T D^``, the dissipator part (None
+        unless ``dissipative``).  The generator of ``(gamma, approximate)``
+        is ``base + gamma T D^``, so these pieces serve every gamma."""
         frame, c0 = self.frame, self.frame.basis0
         i = frame.index_of(s)       # one grid lookup serves E, Z and W
         e = frame.energies[i]
@@ -331,22 +334,19 @@ class RotatedFrameGenerator:
         delta = np.zeros(gaps.shape + gaps.shape[-1:], dtype=complex)
         delta[..., diag, diag] = gaps
         zhat = dag(c0) @ frame.Z[i] @ c0
-        base = {approx: delta + hamiltonian_superop(
-                    np.where(self._same_block, zhat, 0.0) if approx else zhat)
-                for approx in {approx for _, approx in pairs}}
-        dissipative = {approx for gamma, approx in pairs if gamma != 0.0}
-        if dissipative:
-            w = dag(c0) @ frame.U[i]        # frame.rotation(s)
-            diss = self.dissipator
-            f = None if diss.hamiltonian_part is None else w @ diss.f_at(s) @ dag(w)
-            dhat = _lindblad_superop(f, [w @ v @ dag(w) for v in diss.jumps_at(s)])
-            dhat = {approx: np.where(self._mask, dhat, 0.0) if approx else dhat
-                    for approx in dissipative}
-        out = np.empty(delta.shape[:-2] + (len(pairs),) + delta.shape[-2:], dtype=complex)
-        for p, (gamma, approx) in enumerate(pairs):
-            out[..., p, :, :] = (base[approx] if gamma == 0.0
-                                 else base[approx] + gamma * self.T * dhat[approx])
-        return out
+        base = np.stack([delta + hamiltonian_superop(
+            np.where(self._same_block, zhat, 0.0) if approx else zhat) for approx in kinds],
+            axis=-3)
+        if not dissipative:
+            return base, None
+        w = dag(c0) @ frame.U[i]        # frame.rotation(s)
+        diss = self.dissipator
+        # a zero F only when there is nothing else to build, as in superoperator
+        f = (None if diss.hamiltonian_part is None and diss.jump_operators
+             else w @ diss.f_at(s) @ dag(w))
+        dhat = self.T * _lindblad_superop(f, [w @ v @ dag(w) for v in diss.jumps_at(s)])
+        return base, np.stack([np.where(self._mask, dhat, 0.0) if approx else dhat
+                               for approx in kinds], axis=-3)
 
 
 def rotated_block_generator(family, dissipator, tensor, frame, T, gamma, s,

@@ -14,14 +14,21 @@ discrete flow inherits both properties up to rounding.
 One loop steps every entry point: one equation, a pass of ``P`` equations
 stacked on one grid, or the flow map started from the identity at ``s0``.
 It goes in chunks whose length the stack's size fixes before the first step
-(64 steps of one ``D = 16`` equation, 16 of a pass of four; see
-``_CHUNK_BYTES``): a chunk's generators are built as one ``(n, P, D, D)``
-stack, and each step's ``h ||M||`` is checked against ``_STEP_NORM_BUDGET``.
+(64 steps of one ``D = 16`` equation; see ``_CHUNK_BYTES``): a chunk's
+generators are built as one ``(n, P, D, D)`` stack, and each step's
+``h ||M||`` is checked against ``_STEP_NORM_BUDGET``.  A pass may instead
+give a pencil, the pieces ``b`` and ``d`` of ``K`` kinds of equation, each
+``(n, K, D, D)``, shared by the equations ``b + gamma d`` of every gamma
+(see :func:`_stepped`); its chunks are sized by those pieces.
 The Pade rule (the default) exponentiates the chunk's step generators in one
 batched :func:`.linalg.matrix_exponential` call; the action rule
-(``action=True``) applies :func:`.linalg.expm_action`, whose Taylor degree
-comes from the chunk's largest ``||h M||_1``.  Each step moves the whole
-stack at once, each equation by its own rule.
+(``action=True``, or gamma > 0 in a pencil) applies
+:func:`.linalg.expm_action`, whose Taylor degree comes from the chunk's
+largest ``||h M||_1``, or for a pencil from the bound
+``||h b||_1 + max(gamma) ||h d||_1``.  Each step moves the whole stack at
+once, each equation by its own rule, the Pade-rule ones, which come first,
+as one slice and the action-rule ones as another.  The states go, a chunk
+at a time, into the trajectory or to a ``sink`` that keeps what it needs.
 A generator marked ``vectorized`` (the rotated-frame ones that
 :class:`.runner.RunContext` hands out from its
 :class:`.generators.RotatedFrameGenerator`, and the lab-frame
@@ -74,13 +81,16 @@ __all__ = [
 ]
 
 _STEP_NORM_BUDGET = 20.0
-# Bytes of one chunk's complex generator stack over all the equations it
-# steps, which is built and exponentiated at once: 64 steps of one 16x16
-# generator of the shipped models, 16 steps of a pass of four.  Longer
-# chunks gain little, and the exponential holds about ten such stacks at a
-# time, so chunks are sized by bytes, not steps, to bound memory at any
-# dimension and any number of equations.  Per-sample work on a trajectory
-# takes that many bytes of states at once: 1,024 states of a 4x4 one.
+# Bytes of one chunk's complex generator stacks over all the equations it
+# steps, which are built and exponentiated at once: 64 steps of one 16x16
+# generator of the shipped models, 16 steps of a sweep's pencil (the base
+# and dissipator pieces of the exact and the approximate equation, for
+# every gamma).  Longer chunks gain little, and the exponential holds about
+# ten such stacks at a time, so chunks are sized by bytes, not steps, to
+# bound memory at any dimension and any number of equations.  Per-sample
+# work on a trajectory takes that many bytes of states at once: 1,024
+# states of a 4x4 one, and the runner's lab-frame blocks take half that
+# over all the equations of a pass.
 _CHUNK_BYTES = 64 * 16 * 16 * 16
 _EMPTY_TRACE = 1e-12
 _DENSITY_TOL = 1e-10    # initial states: Hermitian, unit trace, eigenvalues >= -tol
@@ -91,8 +101,12 @@ class Trajectory:
     """States on a parameter grid plus run metadata.
 
     ``states`` has shape (n_samples, d, d); entry 0 is the initial state.
-    A pass of several equations (:func:`propagate_piecewise_exp` of a stack
-    of initial states) holds a list of such arrays, one per equation.
+    A pass of ``P`` equations (:func:`propagate_piecewise_exp` of a stack
+    of initial states) holds ``(P, n_samples, d, d)``, and the monitors
+    (:meth:`traces`, :meth:`hermiticity_defects`, :meth:`min_eigenvalues`)
+    then give one row per equation.  They go a block of samples at a time
+    and see each state alone, so a trajectory cut into blocks gives the
+    same bits block by block as whole.
     """
 
     grid: np.ndarray
@@ -101,27 +115,29 @@ class Trajectory:
 
     @property
     def dim(self):
-        return self.states.shape[1]
+        return self.states.shape[-1]
 
     def final_state(self):
-        return self.states[-1]
+        return self.states[..., -1, :, :]
 
     def blocks(self):
-        """Slices of at most ``_CHUNK_BYTES`` of states covering the trajectory."""
+        """Slices of at most ``_CHUNK_BYTES`` of one equation's states
+        covering the trajectory."""
         n = _CHUNK_BYTES // (16 * self.dim ** 2)
         return [slice(i, i + n) for i in range(0, len(self.grid), n)]
 
+    def _per_block(self, fn):
+        return np.concatenate([fn(self.states[..., b, :, :]) for b in self.blocks()],
+                              axis=-1)
+
     def traces(self):
-        return np.einsum("nii->n", self.states).real
+        return np.einsum("...ii->...", self.states).real
 
     def hermiticity_defects(self):
-        blocks = (self.states[b] for b in self.blocks())
-        return np.concatenate([np.linalg.norm(rho - dag(rho), axis=(1, 2)) for rho in blocks])
+        return self._per_block(lambda rho: np.linalg.norm(rho - dag(rho), axis=(-2, -1)))
 
     def min_eigenvalues(self):
-        blocks = (self.states[b] for b in self.blocks())
-        return np.concatenate([np.linalg.eigvalsh(0.5 * (rho + dag(rho)))[:, 0]
-                               for rho in blocks])
+        return self._per_block(lambda rho: np.linalg.eigvalsh(0.5 * (rho + dag(rho)))[..., 0])
 
     def purities(self):
         return np.einsum("nij,nji->n", self.states, self.states).real
@@ -179,14 +195,24 @@ def _check_density(rho):
     return rho
 
 
-def _check_step_sizes(h, m):
+def _check_step_sizes(h, b, d=None, gammas=None):
     """The step-size check of both integrators: the first step whose
     ``h ||M||`` exceeds ``_STEP_NORM_BUDGET``, in ``s`` order, raises
     :class:`StepTooLarge`, or :class:`NonFinite` if it is NaN.  ``h`` is the
-    step size and ``m`` a stack of step generators, each step's possibly
-    holding several equations'."""
-    with np.errstate(over="ignore"):    # an overflowing norm is an infinite size
-        size = (h * np.linalg.norm(m, axis=(-2, -1))).ravel()
+    step size and ``b`` a stack of step generators, each step's possibly
+    holding several equations'.  With the pencil pieces ``d`` and its
+    ``gammas`` (see :func:`_stepped`), equation ``(g, k)`` is
+    ``b[:, k] + gammas[g] d[:, k]``, whose norm comes without forming it from
+    ``||b||^2 + 2 gamma Re<b, d> + gamma^2 ||d||^2``."""
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is an infinite size
+        if d is None:
+            size = (h * np.linalg.norm(b, axis=(-2, -1))).ravel()
+        else:       # Re<x, y> is the dot product of the float views
+            def dot(x, y):      # (n, 1, K), against gammas (G, 1)
+                return np.einsum("...ij,...ij->...", x.view(float), y.view(float))[:, None]
+            g = np.asarray(gammas)[:, None]
+            cross = np.where(g != 0.0, g * (2.0 * dot(b, d) + g * dot(d, d)), 0.0)
+            size = (h * np.sqrt(dot(b, b) + cross)).ravel()
     bad = np.flatnonzero(~(size <= _STEP_NORM_BUDGET))
     if bad.size and np.isnan(size[bad[0]]):
         raise NonFinite("generator contains NaN entries")
@@ -195,36 +221,72 @@ def _check_step_sizes(h, m):
                            f"over {_STEP_NORM_BUDGET}")
 
 
-def _stepped(generator, v0, dt, T, s_span, action=False):
+def _one_norm(a):
+    """The largest 1-norm in a stack of matrices."""
+    return np.abs(a).sum(axis=-2).max()
+
+
+def _stepped(generator, v0, dt, T, s_span, action=False, gammas=None):
     """The step loop of every piecewise-exponential entry point: steps a
     stack ``v0`` of ``P`` states ``(P, D, c)`` (``c = 1`` for vectors,
     ``c = D`` for flow maps) over :func:`sample_grid`, each equation by the
-    step rule ``action`` picks for it (see the module docstring).  Returns
-    the step points and an iterator yielding ``(k, states)`` per chunk,
-    ``states[j]`` the stack at ``points[k + j + 1]``."""
+    step rule ``action`` picks for it (see the module docstring).  The
+    Pade-rule equations come first, so that each rule steps a slice of the
+    stack.
+
+    With ``gammas`` (``G`` values), ``generator`` is a pencil: called with
+    an array of ``n`` midpoints it returns the pieces ``(b, d)``, each
+    ``(n, K, D, D)`` with ``K = P / G`` (``d`` may be None when every gamma
+    is 0), and equation ``g K + k`` is ``b[:, k] + gammas[g] d[:, k]``.  Its
+    rule is the Pade rule at gamma = 0, which only the first gamma may be,
+    and the action rule otherwise, its generators formed a few steps at a
+    time.
+
+    Returns the step points and an iterator yielding ``(k, states)`` per
+    chunk, ``states[j]`` the stack at ``points[k + j + 1]``."""
     grid, h = sample_grid(dt, T, s_span)
     mid = grid[1::2]
-    act = np.broadcast_to(action, len(v0))
-    pade, taylor = np.flatnonzero(~act), np.flatnonzero(act)
-    n = max(1, _CHUNK_BYTES // (16 * len(v0) * v0.shape[1] ** 2))
+    if gammas is None:
+        act, stacks = np.broadcast_to(action, len(v0)), len(v0)
+    else:
+        gammas = np.asarray(gammas, dtype=float)
+        kinds = len(v0) // len(gammas)
+        act = np.repeat(gammas != 0.0, kinds)
+        stacks = kinds * (2 if act.any() else 1)
+        rows = gammas[int(not act[0]):, None, None, None]   # the action-rule ones
+    npade = len(act) - np.count_nonzero(act)
+    if act[:npade].any() or (gammas is not None and 0.0 in gammas[1:]):
+        raise ValueError("the Pade-rule equations (gamma = 0) must come first")
+    n = max(1, _CHUNK_BYTES // (16 * stacks * v0.shape[1] ** 2))
+    # a pencil's action-rule generators are formed m steps at a time, in at
+    # most the bytes of its base pieces
+    m = n if gammas is None else max(1, n // max(1, len(rows)))
 
     def chunks(x):
         for k in range(0, len(mid), n):
-            m = np.asarray(evaluate_on(generator, mid[k:k + n]))
-            _check_step_sizes(h, m)
-            hm = (h * m).reshape((len(m), len(act)) + m.shape[-2:])
-            if pade.size:   # maps[j, q]: step j of pade[q]
-                maps = matrix_exponential(hm[:, pade].reshape((-1,) + hm.shape[-2:]))
-                maps = maps.reshape((len(hm), len(pade)) + hm.shape[-2:])
-            if taylor.size:
-                a = hm[:, taylor]
-                degree = taylor_degree(np.abs(a).sum(axis=-2).max())
-            out = np.empty((len(hm),) + x.shape, dtype=complex)
-            for j in range(len(hm)):
-                if pade.size:
-                    out[j, pade] = maps[j] @ x[pade]
-                if taylor.size:
-                    out[j, taylor] = expm_action(a[j], x[taylor], degree)
+            if gammas is None:
+                b, d = np.asarray(evaluate_on(generator, mid[k:k + n])), None
+                b = b.reshape((len(b), len(act)) + b.shape[-2:])
+            else:
+                b, d = generator(mid[k:k + n])
+            _check_step_sizes(h, b, d, gammas)
+            hb = h * b
+            if npade:       # maps[j, p]: step j of equation p
+                maps = matrix_exponential(hb[:, :npade].reshape((-1,) + hb.shape[-2:]))
+                maps = maps.reshape(hb[:, :npade].shape)
+            if npade < len(act):
+                degree = taylor_degree(_one_norm(hb[:, npade:]) if d is None else
+                                       _one_norm(hb) + h * np.abs(rows).max() * _one_norm(d))
+            out = np.empty((len(hb),) + x.shape, dtype=complex)
+            for j in range(len(hb)):
+                if npade:
+                    out[j, :npade] = maps[j] @ x[:npade]
+                if npade < len(act):
+                    if j % m == 0:      # the action-rule generators of steps j..j+m
+                        a = hb[j:j + m, npade:] if d is None else (
+                            hb[j:j + m, None] + h * rows * d[j:j + m, None]).reshape(
+                                (-1, len(act) - npade) + hb.shape[-2:])
+                    out[j, npade:] = expm_action(a[j % m], x[npade:], degree)
                 x = out[j]
             yield k, out
     return grid[::2], chunks(v0)
@@ -237,50 +299,57 @@ def evolve_vector_piecewise_exp(generator, v0, dt, T, s_span=(0.0, 1.0),
 
     A stack ``v0`` of ``P`` vectors ``(P, D)`` steps ``P`` equations
     together: the generator then returns ``(n, P, D, D)`` at ``n``
-    midpoints, and ``vectors`` is a list of ``P`` ``(n_samples, D)``
-    arrays.  ``action``, one boolean per equation or one for all, picks
+    midpoints, and ``vectors`` is ``(P, n_samples, D)``.  ``action``, one
+    boolean per equation (the Pade-rule ones first) or one for all, picks
     each equation's step rule, the Pade rule (False) or the action rule
     (True) of the module docstring.
     """
     v0 = np.asarray(v0, dtype=complex)
     stack = np.atleast_2d(v0)
     grid, chunks = _stepped(generator, stack[:, :, None], dt, T, s_span, action)
-    outs = [np.empty((len(grid), stack.shape[1]), dtype=complex) for _ in stack]
-    for out, v in zip(outs, stack):
-        out[0] = v
+    out = np.empty((len(stack), len(grid), stack.shape[1]), dtype=complex)
+    out[:, 0] = stack
     for k, states in chunks:
-        for p, out in enumerate(outs):
-            out[k + 1:k + 1 + len(states)] = states[:, p, :, 0]
-    return grid, outs[0] if v0.ndim == 1 else outs
+        out[:, k + 1:k + 1 + len(states)] = np.moveaxis(states[..., 0], 0, 1)
+    return grid, out[0] if v0.ndim == 1 else out
 
 
 def propagate_piecewise_exp(generator, rho0, dt, T, s_span=(0.0, 1.0),
-                            metadata=None, action=False):
+                            metadata=None, action=False, gammas=None, sink=None):
     """Propagate a density operator with the midpoint piecewise-exponential
     scheme; ``dt`` is the physical step, mapped to ``ds = dt/T`` in scaled
     time.
 
     A stack ``rho0`` of ``P`` initial states ``(P, d, d)`` steps ``P``
     equations together, with ``action`` their step rules (see
-    :func:`evolve_vector_piecewise_exp`); ``states`` is then a list of
-    ``P`` ``(n_samples, d, d)`` arrays, one per equation.
+    :func:`evolve_vector_piecewise_exp`), or with ``gammas`` those of a
+    pencil generator (see :func:`_stepped`); ``states`` is then
+    ``(P, n_samples, d, d)``.
+
+    ``sink(i, states)``, when given, receives the states as they are made,
+    a block ``(m, P, d, d)`` at the points ``grid[i:i + m]`` at a time, the
+    initial stack first; the trajectory then holds no states (None).
     """
     rho0 = np.asarray(rho0, dtype=complex)
     d = rho0.shape[-1]
-    rhos = [_check_density(rho) for rho in rho0.reshape(-1, d, d)]
+    rhos = np.stack([_check_density(rho) for rho in rho0.reshape(-1, d, d)])
     grid, chunks = _stepped(generator, np.stack([vec(rho)[:, None] for rho in rhos]),
-                            dt, T, s_span, action)
-    states = [np.empty((len(grid), d, d), dtype=complex) for _ in rhos]
-    for out, rho in zip(states, rhos):
-        out[0] = rho
+                            dt, T, s_span, action, gammas)
+    states = None
+    if sink is None:
+        states = np.empty((len(rhos), len(grid), d, d), dtype=complex)
+
+        def sink(i, block):
+            states[:, i:i + len(block)] = np.moveaxis(block, 0, 1)
+    sink(0, rhos[None])
     for k, chunk in chunks:
-        for p, out in enumerate(states):
-            out[k + 1:k + 1 + len(chunk)] = unvec(chunk[:, p, :, 0], d)
+        sink(k + 1, unvec(chunk[..., 0], d))
     meta = {"dt": dt, "T": T, "integrator": "piecewise_exp"}
     if metadata:
         meta.update(metadata)
-    return Trajectory(grid=grid, states=states if rho0.ndim == 3 else states[0],
-                      metadata=meta)
+    if states is not None and rho0.ndim == 2:
+        states = states[0]
+    return Trajectory(grid=grid, states=states, metadata=meta)
 
 
 def propagate_rk4(generator, rho0, steps, T, s_span=(0.0, 1.0), metadata=None):

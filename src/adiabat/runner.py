@@ -12,13 +12,15 @@ and the approximate one replaces ``Z`` by its block-diagonal part and masks
 the dissipator with the resonance tensor.  Both come from the one assembly
 :class:`.generators.RotatedFrameGenerator`.  A model factory returns a
 :class:`RunContext`, which builds the half-step grid, the frame and the
-assembly once per T slot.  :func:`run_sweep_task` takes the slot's gammas
-two at a time: :func:`integrate_pairs` steps the exact and the approximate
-equation of both in one lockstep pass, whose generators share their
-gamma-independent pieces chunk by chunk, and :func:`run_point` receives
-each gamma's two lab-frame trajectories, hands them to an optional
-``export`` and returns the metrics row; :func:`integrate_pairs` is the one
-integration entry.  Direct lab-frame integration of the same equations is
+assembly once per T slot.  :func:`run_sweep_task` steps all the slot's
+gammas in one pass: :func:`integrate_pairs`, the one integration entry,
+steps the exact and the approximate equation of every gamma in lockstep,
+each chunk's generators given as the pieces that every gamma shares
+(``base + gamma T D^``).  Its :class:`LabPass` takes the states block by
+block, rotates them to the lab frame and keeps the endpoints and running
+monitors, and whole trajectories only for an ``export``;
+:func:`run_point` turns one gamma's into the metrics row and hands its two
+lab-frame trajectories to the ``export``, when given.  Direct lab-frame integration of the same equations is
 available in :mod:`.generators` and is checked against this representation
 by the frame-equivalence tests.
 """
@@ -37,6 +39,7 @@ from .errors import ConfigInvalid
 from .generators import RotatedFrameGenerator
 from .linalg import dag, frobenius
 from .propagation import (
+    _CHUNK_BYTES,
     Trajectory,
     hs_error_max,
     intensity_loss,
@@ -48,6 +51,7 @@ from .resonance import compute_resonance_tensor
 from .spectral import build_transport_frame, vectorized
 
 __all__ = [
+    "LabPass",
     "RunContext",
     "holonomy_context",
     "integrate_pairs",
@@ -59,9 +63,6 @@ __all__ = [
 ]
 
 _TENSOR_GRID = np.linspace(0.0, 1.0, 201)
-# gammas integrated in one pass of a T slot: their four equations hold about
-# as much state as the frame they read
-_GAMMAS_PER_PASS = 2
 
 
 @dataclass
@@ -97,11 +98,12 @@ class RunContext:
 
     def to_lab(self, trajectory):
         """Rotate a component-coordinate trajectory back to the lab frame,
-        a block of samples at a time (:meth:`.Trajectory.blocks`)."""
+        a block of samples at a time (:meth:`.Trajectory.blocks`); a pass's
+        equations, on a leading axis, go together."""
         states = np.empty_like(trajectory.states)
         for block in trajectory.blocks():
             w = self.frame.rotation(trajectory.grid[block])
-            states[block] = dag(w) @ trajectory.states[block] @ w
+            states[..., block, :, :] = dag(w) @ trajectory.states[..., block, :, :] @ w
         return Trajectory(grid=trajectory.grid, states=states,
                           metadata=dict(trajectory.metadata))
 
@@ -134,39 +136,111 @@ def random_context(seed, T, dt, dim=4):
     )
 
 
-def integrate_pairs(ctx, pairs):
-    """Integrate the equations of several ``(gamma, approximate)`` pairs in
-    one lockstep pass in the rotated frame; returns their lab-frame
-    trajectories in order, each rotated back as soon as it exists."""
+class LabPass:
+    """Sink of one rotated-frame pass (see :func:`.propagation.propagate_piecewise_exp`)
+    over every ``(gamma, approximate)`` pair of ``gammas`` x ``kinds``, pair
+    ``g K + k`` the ``k``-th kind of ``gammas[g]``.
+
+    It gathers the rotated states into blocks of at most half of
+    ``_CHUNK_BYTES`` over all pairs, rotates each block to the lab frame
+    (:meth:`RunContext.to_lab`) and keeps each pair's endpoint (``final``).
+    For an (exact, approximate) pass, whose rows :func:`run_point` makes, it
+    also runs the :class:`.Trajectory` monitors on each block and keeps per
+    pair the running worst trace, Hermiticity and positivity deviations
+    (``invariants``) and per gamma the running ``max_hs_error``.  Whole lab
+    trajectories are kept only with ``keep`` (:meth:`trajectories`)."""
+
+    def __init__(self, ctx, gammas, kinds, keep=False):
+        self.ctx, self.gammas, self.kinds = ctx, list(gammas), list(kinds)
+        self.grid = sample_grid(ctx.dt, ctx.T)[0][::2]
+        pairs, d = len(self.gammas) * len(self.kinds), ctx.rho0.shape[-1]
+        # half the chunk bytes: rotating and monitoring a block holds a few copies
+        self.block = max(1, _CHUNK_BYTES // (32 * d * d * pairs))
+        self.kept = np.empty((pairs, len(self.grid), d, d), dtype=complex) if keep else None
+        # rotated states wait in place in the kept trajectories, else in one block
+        self.store = self.kept if keep else np.empty((pairs, self.block, d, d), dtype=complex)
+        self.start = self.filled = 0        # grid[start:start + filled] wait
+        self.invariants = np.array([[0.0, 0.0, np.inf]] * pairs)
+        self.max_hs_error = np.zeros(len(self.gammas))
+        self.final = None
+
+    def _waiting(self):
+        """Where the waiting states sit in the store."""
+        first = 0 if self.kept is None else self.start
+        return slice(first, first + self.filled)
+
+    def __call__(self, i, states):
+        states = np.moveaxis(states, 0, 1)
+        while states.shape[1]:
+            take = min(states.shape[1], self.block - self.filled)
+            end = self._waiting().stop
+            self.store[:, end:end + take] = states[:, :take]
+            self.filled += take
+            states = states[:, take:]
+            if self.filled == self.block or self.start + self.filled == len(self.grid):
+                self._flush()
+
+    def _flush(self):
+        window = slice(self.start, self.start + self.filled)
+        lab = self.ctx.to_lab(Trajectory(grid=self.grid[window],
+                                         states=self.store[:, self._waiting()]))
+        if self.kinds == [False, True]:
+            inv = self.invariants
+            inv[:, 0] = np.maximum(inv[:, 0], np.abs(lab.traces() - 1.0).max(axis=-1))
+            inv[:, 1] = np.maximum(inv[:, 1], lab.hermiticity_defects().max(axis=-1))
+            inv[:, 2] = np.minimum(inv[:, 2], lab.min_eigenvalues().min(axis=-1))
+            for g, (exact, approx) in enumerate(zip(lab.states[0::2], lab.states[1::2])):
+                self.max_hs_error[g] = np.maximum(self.max_hs_error[g], hs_error_max(
+                    Trajectory(lab.grid, exact), Trajectory(lab.grid, approx)))
+        if self.kept is not None:
+            self.kept[:, window] = lab.states
+        self.final = lab.final_state()
+        self.start, self.filled = window.stop, 0
+
+    def trajectories(self):
+        """Every pair's whole lab-frame trajectory, in pair order (``keep`` only)."""
+        return [Trajectory(grid=self.grid, states=states) for states in self.kept]
+
+
+def integrate_pairs(ctx, gammas, kinds=(False, True), keep=False):
+    """Step the equations of every ``(gamma, approximate)`` pair of
+    ``gammas`` x ``kinds`` (``approximate`` flags) in one pass in the
+    rotated frame, the gamma = 0 pairs first, and return its
+    :class:`LabPass`.  Every pair's generator is built from the same pieces
+    (:meth:`.generators.RotatedFrameGenerator.pieces`), a chunk of steps at
+    a time; with one gamma the pass steps the formed generators."""
+    gammas = sorted(gammas, key=lambda gamma: gamma != 0.0)
     # initial state in frame components (U(0) need not be the identity for
     # a general basis permutation, so rotate explicitly)
     w0 = ctx.frame.rotation(0.0)
     rho0 = w0 @ ctx.rho0 @ dag(w0)
-    names = ["approximate" if approximate else "exact" for _, approximate in pairs]
-    gammas = [gamma for gamma, _ in pairs]
+    sink = LabPass(ctx, gammas, kinds, keep)
     # gamma = 0 pairs keep the Pade rule: the recorded gamma = 0 references
     # pin its rounding, which fidelity_norm amplifies about 1e8-fold.  This
     # split goes away once those references are re-derived.
-    rotated = propagate_piecewise_exp(
-        vectorized(functools.partial(ctx.generator.stack, pairs=pairs)),
-        np.stack([rho0] * len(pairs)), ctx.dt, ctx.T,
-        metadata={"generator": names, "model": ctx.model_id, "gamma": gammas},
-        action=[gamma != 0.0 for gamma in gammas])
-    states = rotated.states
-    return [ctx.to_lab(Trajectory(grid=rotated.grid, states=states.pop(0),
-                                  metadata={**rotated.metadata, "generator": name,
-                                            "gamma": gamma}))
-            for name, gamma in zip(names, gammas)]
+    pieces = functools.partial(ctx.generator.pieces, kinds=kinds, dissipative=any(gammas))
+    generator, rule = pieces, {"gammas": gammas}
+    if len(gammas) == 1:    # one gamma shares no pieces: step its own generators
+        def generator(s):
+            base, dhat = pieces(s)
+            return base if dhat is None else base + gammas[0] * dhat
+        rule = {"action": gammas[0] != 0.0}
+    propagate_piecewise_exp(
+        vectorized(generator), np.stack([rho0] * len(gammas) * len(kinds)), ctx.dt, ctx.T,
+        metadata={"model": ctx.model_id, "gamma": [g for g in gammas for _ in kinds],
+                  "generator": ["approximate" if a else "exact" for a in kinds] * len(gammas)},
+        sink=sink, **rule)
+    return sink
 
 
-def run_point(ctx, gamma, export=None, trajectories=None):
+def run_point(ctx, gamma, done, export=None):
     """The sweep metrics of both equations at one coupling strength, from
-    their lab-frame ``trajectories`` ``(exact, approx)``, integrated here
-    when not given.  ``export(ctx, metrics, exact, approx)``, when given,
-    receives the lab-frame trajectories before they are dropped."""
-    exact, approx = trajectories or integrate_pairs(ctx, [(gamma, False), (gamma, True)])
-
-    rho_e, rho_a = exact.final_state(), approx.final_state()
+    the :class:`LabPass` ``done`` of the (exact, approximate) pass that
+    stepped them.  ``export(ctx, metrics, exact, approx)``, when given, receives
+    their lab-frame trajectories, which the pass then kept."""
+    g = done.gammas.index(gamma)
+    e, a = 2 * g, 2 * g + 1
+    rho_e, rho_a = done.final[e], done.final[a]
     metrics = {
         "model": ctx.model_id,
         "gamma": gamma,
@@ -178,16 +252,13 @@ def run_point(ctx, gamma, export=None, trajectories=None):
         "loss_exact": intensity_loss(rho_e, ctx.p_comp),
         "loss_approx": intensity_loss(rho_a, ctx.p_comp),
         "end_hs_error": frobenius(rho_e - rho_a),
-        "max_hs_error": hs_error_max(exact, approx),
-        "_invariants": {
-            name: (float(np.abs(traj.traces() - 1.0).max()),
-                   float(traj.hermiticity_defects().max()),
-                   float(traj.min_eigenvalues().min()))
-            for name, traj in (("exact", exact), ("approximate", approx))
-        },
+        "max_hs_error": float(done.max_hs_error[g]),
+        "_invariants": {name: tuple(float(v) for v in done.invariants[p])
+                        for name, p in (("exact", e), ("approximate", a))},
     }
     if export is not None:
-        export(ctx, metrics, exact, approx)
+        trajectories = done.trajectories()
+        export(ctx, metrics, trajectories[e], trajectories[a])
     return metrics
 
 
@@ -197,23 +268,19 @@ def run_point(ctx, gamma, export=None, trajectories=None):
 
 def run_sweep_task(task, export=None):
     """Process-pool entry point: build the context and run every gamma of
-    one T slot.  ``task`` is a plain dict so it pickles cheaply: ``kind``,
-    ``gamma_list``, and every parameter of the ``kind``'s context factory.
+    one T slot in one pass.  ``task`` is a plain dict so it pickles cheaply:
+    ``kind``, ``gamma_list``, and every parameter of the ``kind``'s context
+    factory.
 
     ``export``, when given, is handed to :func:`run_point` and runs in the
     process that integrated the point; only the metric rows travel back.
+    The pass keeps whole lab trajectories only then.
     """
     factory = {"holonomy": holonomy_context, "random_rotating": random_context}[task["kind"]]
     # passed by position: the benchmark's tracer tells contexts apart by them
     ctx = factory(*(task[name] for name in inspect.signature(factory).parameters))
-    gammas, rows = list(task["gamma_list"]), []
-    for first in range(0, len(gammas), _GAMMAS_PER_PASS):
-        group = gammas[first:first + _GAMMAS_PER_PASS]
-        labs = integrate_pairs(ctx, [(gamma, approximate) for gamma in group
-                                     for approximate in (False, True)])
-        for gamma in group:     # each pair's trajectories go once its row is made
-            rows.append(run_point(ctx, gamma, export, (labs.pop(0), labs.pop(0))))
-    return rows
+    done = integrate_pairs(ctx, task["gamma_list"], keep=export is not None)
+    return [run_point(ctx, gamma, done, export) for gamma in task["gamma_list"]]
 
 
 def worker_count(requested=None):

@@ -177,8 +177,7 @@ def test_criterion_05_closed_system_limit():
     for T in (20.0, 50.0, 100.0, 200.0):
         ctx = runner.holonomy_context(DPHI, SPLIT, Gauge.NORTH_POLE_REGULAR,
                                       T, 0.01, X, Y)
-        [exact] = runner.integrate_pairs(ctx, [(0.0, False)])
-        block = exact.final_state()[:2, :2]
+        block = runner.integrate_pairs(ctx, [0.0], (False,)).final[0][:2, :2]
         dists.append(frobenius(block - target))
     monotone = all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
     ok = monotone and dists[-1] < 0.02

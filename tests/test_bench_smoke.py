@@ -45,7 +45,7 @@ reference = load("reference")
 spans = load("spans")
 
 # (linalg.expm_matrices, propagation.steps) of each workload's smoke inputs
-TRACED_COUNTS = {"holonomy-export": (60, 30), "random-sweep": (60, 90),
+TRACED_COUNTS = {"holonomy-export": (60, 30), "random-sweep": (60, 30),
                  "check-gauge": (200, 600)}
 
 

@@ -396,7 +396,7 @@ class TestFrameLabelsAndGaps:
     generators read them from it."""
 
     @pytest.mark.parametrize("basis", [True, False], ids=["analytic", "numeric"])
-    def test_descending_spectrum_same_metrics(self, basis):
+    def test_descending_spectrum_same_metrics(self, basis, monkeypatch):
         model = make_random_model(7)
         fam = model.family()
         if not basis:
@@ -404,12 +404,17 @@ class TestFrameLabelsAndGaps:
                                     analytic_spectrum=fam.analytic_spectrum, n_eigenspaces=4)
 
         def metrics(family):
-            ctx = runner.RunContext(
-                family=family, dissipator=model.dissipator(),
-                tensor=compute_resonance_tensor(family.spectrum, GRID),
-                T=5.0, dt=0.01, p_comp=np.eye(4, dtype=complex),
-                rho0=model.initial_density(), model_id="random_rotating")
-            return runner.run_point(ctx, 0.004)
+            def context(seed, T, dt, dim):
+                return runner.RunContext(
+                    family=family, dissipator=model.dissipator(),
+                    tensor=compute_resonance_tensor(family.spectrum, GRID),
+                    T=T, dt=dt, p_comp=np.eye(dim, dtype=complex),
+                    rho0=model.initial_density(), model_id="random_rotating")
+            task = {"kind": "random_rotating", "seed": 7, "T": 5.0, "dt": 0.01, "dim": 4,
+                    "gamma_list": [0.004]}
+            monkeypatch.setattr(runner, "random_context", context)
+            [row] = runner.run_sweep_task(task)
+            return row
 
         want = metrics(fam)
         got = metrics(reversed_spectrum_family(fam, basis))

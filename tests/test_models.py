@@ -262,8 +262,7 @@ class TestHolonomyIndependence:
             ctx = runner.holonomy_context(dphi, (0.4, 0.2, 0.4, 0.0),
                                           Gauge.NORTH_POLE_REGULAR,
                                           50.0, 0.01, X, Y)
-            [approx] = runner.integrate_pairs(ctx, [(0.1, True)])
-            comp = approx.final_state()[:2, :2]
+            comp = runner.integrate_pairs(ctx, [0.1], (True,)).final[0][:2, :2]
             u = holonomy_gate(dphi)
             outs.append(u @ comp @ dag(u))
         assert frobenius(outs[0] - outs[1]) <= 1e-6

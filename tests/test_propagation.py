@@ -267,13 +267,13 @@ class TestSampleGrid:
         # the generator sees exactly the frame's odd points (step midpoints)
         # and the trajectory carries its even points
         ctx = small_context(model, 20.0, 0.01)
-        stack, seen = ctx.generator.stack, []
+        pieces, seen = ctx.generator.pieces, []
 
-        def record(s, pairs):
+        def record(s, kinds, dissipative):
             seen.append(np.atleast_1d(s))
-            return stack(s, pairs)
-        monkeypatch.setattr(ctx.generator, "stack", record)
-        [traj] = runner.integrate_pairs(ctx, [(0.1, True)])
+            return pieces(s, kinds, dissipative)
+        monkeypatch.setattr(ctx.generator, "pieces", record)
+        [traj] = runner.integrate_pairs(ctx, [0.1], (True,), keep=True).trajectories()
         assert np.array_equal(np.concatenate(seen), ctx.frame.grid[1::2])
         assert np.array_equal(traj.grid, ctx.frame.grid[::2])
 
@@ -348,7 +348,9 @@ PASS = [(0.0, False), (0.0, True), (0.1, False), (0.1, True)]
 
 def stacked_pass(ctx, action, pairs=PASS):
     """Every pair's vectors of one lockstep pass of ``ctx``'s equations."""
-    gen = vectorized(functools.partial(ctx.generator.stack, pairs=pairs))
+    gens = [functools.partial(ctx.generator, gamma=gamma, approximate=approximate)
+            for gamma, approximate in pairs]
+    gen = vectorized(lambda s: np.stack([g(s) for g in gens], axis=-3))
     v0 = np.stack([vec(ctx.rho0)] * len(pairs))
     return evolve_vector_piecewise_exp(gen, v0, ctx.dt, ctx.T, action=action)
 
@@ -384,10 +386,10 @@ class TestStackedPass:
         # the runner's pass: gamma = 0 by the Pade rule, gamma > 0 by the
         # action rule, each pair's lab-frame trajectory in order
         ctx = small_context("random_rotating", 1.0, 0.01)
-        labs = runner.integrate_pairs(ctx, PASS)
+        labs = runner.integrate_pairs(ctx, [0.1, 0.0], keep=True).trajectories()
         for (gamma, approximate), lab in zip(PASS, labs):
-            [alone] = runner.integrate_pairs(ctx, [(gamma, approximate)])
-            assert lab.metadata["gamma"] == gamma
+            [alone] = runner.integrate_pairs(ctx, [gamma], (approximate,),
+                                             keep=True).trajectories()
             assert np.array_equal(lab.grid, alone.grid)
             if gamma == 0.0:
                 assert np.array_equal(lab.states, alone.states)
@@ -412,6 +414,30 @@ class TestStackedPass:
             with pytest.raises(error):
                 propagate_piecewise_exp(gen, np.stack([qubit_rho] * 2), 0.01, 1.0,
                                         action=action)
+
+    @pytest.mark.parametrize("first, error", [("big", StepTooLarge), ("nan", NonFinite)])
+    def test_pair_bad_only_through_its_dissipator_stops_the_pass(self, qubit_rho, first,
+                                                                 error):
+        # a pencil of two kinds: every base is harmless, and the dissipator
+        # piece of kind 1 goes bad at s > 0.3 and that of kind 0 at s > 0.6,
+        # so only the gamma > 0 pairs go bad, first in s order
+        bad = {"big": 1e4 * np.eye(4), "nan": np.full((4, 4), np.nan)}
+        other = "nan" if first == "big" else "big"
+
+        def pencil(s):
+            s = np.asarray(s)[:, None, None, None]
+            b = np.broadcast_to(0.1j * np.eye(4), (len(s), 2, 4, 4))
+            d = np.concatenate([np.where(s > 0.6, bad[other], 0.0),
+                                np.where(s > 0.3, bad[first], 0.0)], axis=1) + 0j
+            return b, d
+        rho0 = np.stack([qubit_rho] * 4)
+        with pytest.raises(error):
+            propagate_piecewise_exp(pencil, rho0, 0.01, 1.0, gammas=[0.0, 0.5])
+        # the gamma = 0 pairs alone never read the bad pieces
+        traj = propagate_piecewise_exp(pencil, rho0[:2], 0.01, 1.0, gammas=[0.0])
+        assert np.isfinite(traj.states).all()
+        with pytest.raises(ValueError, match="Pade-rule equations"):
+            propagate_piecewise_exp(pencil, rho0, 0.01, 1.0, gammas=[0.5, 0.0])
 
     def test_stacked_states_are_one_list_entry_per_equation(self, qubit_rho):
         gen = vectorized(lambda s: np.zeros(np.shape(s) + (3, 4, 4), dtype=complex))
