@@ -38,7 +38,7 @@ class DegeneracyChange(AdiabatError):
 
 
 class AmbiguousClustering(AdiabatError):
-    """An eigenvalue gap falls in the gray zone of the clustering tolerance."""
+    """Eigenspaces cannot be labelled: a gap in the clustering gray zone, or bad projectors."""
 
 
 class FrameDiscontinuity(AdiabatError):

@@ -17,12 +17,13 @@ integrator hands them a chunk's midpoints at once.  Operator callables
 called once per array, any other once per sample.
 
 All superoperators use the column-stacking convention of :mod:`.linalg`.
-The rotated-frame machinery expresses operators in the component
-coordinates of the transport frame's initial eigenbasis (``frame.basis0``),
-where eigenspace blocks are contiguous index ranges; this keeps the block
-structure of the approximate equation exact in floating point.  One
-assembly, :class:`RotatedFrameGenerator`, builds both rotated-frame
-generators, and one Lindblad formula serves every dissipator.
+In a basis with the eigenspaces in block order, the projector filter of
+the approximate equation is a 0/1 mask on the dissipator's components.
+The rotated frame uses the transport frame's initial eigenbasis
+(``frame.basis0``); the lab-frame filter uses an eigenbasis of
+``sum_k (k + 1) P_k(s)`` and changes back.  One assembly,
+:class:`RotatedFrameGenerator`, builds both rotated-frame generators, and
+one Lindblad formula serves every dissipator.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import BlockNotClosed, DimensionMismatch, NegativeGSpectrum
+from .errors import AmbiguousClustering, BlockNotClosed, DimensionMismatch, NegativeGSpectrum
 from .linalg import (
     dag,
     frobenius,
@@ -63,6 +64,7 @@ __all__ = [
 ]
 
 _G_EIGENVALUE_CUTOFF = 1e-12
+_LABEL_TOL = 1e-8               # filtered_dissipator_superop's eigenvalue labels
 
 
 # ---------------------------------------------------------------------------
@@ -110,11 +112,15 @@ class LindbladDissipator:
     def jumps_at(self, s):
         return [np.asarray(evaluate_on(v, s), dtype=complex) for v in self.jump_operators]
 
-    def superoperator(self, s):
-        """``D_s`` as a ``(d^2, d^2)`` matrix; a stack for an array ``s``."""
+    def superoperator(self, s, w=None):
+        """``D_s`` as a ``(d^2, d^2)`` matrix; a stack for an array ``s``.
+        With a unitary ``w`` (a stack for an array ``s``), the dissipator of
+        ``w F w^dagger`` and ``w V_n w^dagger`` instead."""
+        conj = (lambda m: m) if w is None else (lambda m: w @ m @ dag(w))
         # a zero F only when there is nothing else to build
-        f = None if self.hamiltonian_part is None and self.jump_operators else self.f_at(s)
-        return _lindblad_superop(f, self.jumps_at(s))
+        f = (None if self.hamiltonian_part is None and self.jump_operators
+             else conj(self.f_at(s)))
+        return _lindblad_superop(f, [conj(v) for v in self.jumps_at(s)])
 
     def apply(self, s, rho):
         return unvec(self.superoperator(s) @ vec(rho), self.dim)
@@ -174,25 +180,23 @@ def exact_generator(family, dissipator, T, gamma, s):
 def filtered_dissipator_superop(dissipator, tensor, decomp, s):
     """Projector-filtered dissipator
     ``sum_{klk'l'} g_klk'l' P_k D_s(P_k' . P_l') P_l`` as a superoperator;
-    a stack for an array ``s`` with the decomposition stacked over it."""
-    dsup = dissipator.superoperator(s)
-    projs = decomp.projectors
-    k = decomp.nspaces
-    right = {}
-    for kp in range(k):
-        for lp in range(k):
-            if tensor.g[:, :, kp, lp].any():
-                right[(kp, lp)] = dsup @ sandwich_superop(projs[kp], projs[lp])
-    out = np.zeros(dsup.shape, dtype=complex)
-    for a in range(k):
-        for b in range(k):
-            inner = None
-            for (kp, lp), mat in right.items():
-                if tensor.g[a, b, kp, lp]:
-                    inner = mat if inner is None else inner + mat
-            if inner is not None:
-                out += sandwich_superop(projs[a], projs[b]) @ inner
-    return out
+    a stack for an array ``s`` with the decomposition stacked over it.
+
+    In the eigenbasis ``W`` of ``sum_k (k + 1) P_k`` (labels ``k`` in block
+    order) the sum is the tensor's coupling mask on ``D'``, the dissipator
+    of ``W^dagger F W`` and ``W^dagger V_n W``.  The weights are positive,
+    so eigenvalues ``k + 1`` prove that the projectors, of the stated ranks,
+    resolve the identity orthogonally; else :class:`AmbiguousClustering`."""
+    labels = np.repeat(np.arange(decomp.nspaces), decomp.ranks)
+    weighted = sum((k + 1.0) * p for k, p in enumerate(decomp.projectors))
+    values, w = np.linalg.eigh(0.5 * (weighted + dag(weighted)))
+    worst = np.abs(values - labels - 1.0).max() if labels.size == decomp.dim else np.inf
+    if not worst <= _LABEL_TOL:
+        raise AmbiguousClustering(f"projectors do not resolve the identity: an eigenvalue"
+                                  f" of sum (k+1) P_k is {worst:.3e} off its label plus one")
+    masked = np.where(_coupling_mask(tensor, labels), dissipator.superoperator(s, dag(w)), 0.0)
+    back = sandwich_superop(w, dag(w))      # X -> W X W^dagger; its adjoint rotates in
+    return back @ masked @ dag(back)
 
 
 def approximate_generator(family, dissipator, tensor, T, gamma, s, q_of_s=None):
@@ -211,8 +215,7 @@ def approximate_generator(family, dissipator, tensor, T, gamma, s, q_of_s=None):
     q = geometric_term(family, s) if q_of_s is None else evaluate_on(q_of_s, s)
     g = hamiltonian_superop(T * family.hamiltonian(s) + q)
     if gamma != 0.0:
-        decomp = family.spectrum(s)
-        g = g + gamma * T * filtered_dissipator_superop(dissipator, tensor, decomp, s)
+        g = g + gamma * T * filtered_dissipator_superop(dissipator, tensor, family.spectrum(s), s)
     return g
 
 
@@ -264,16 +267,22 @@ def _block_table(frame, block_set):
     return blocks
 
 
-def _component_labels(frame):
-    """Labels ``(k, l)`` of each vec component ``p = col*d + row``: two (d^2,) arrays."""
-    labels = frame.labels
-    return np.tile(labels, frame.dim), np.repeat(labels, frame.dim)
+def _component_labels(labels):
+    """Labels ``(k, l)`` of each vec component ``p = col*d + row`` of a basis
+    with eigenspace ``labels``: two (d^2,) arrays."""
+    return np.tile(labels, len(labels)), np.repeat(labels, len(labels))
+
+
+def _coupling_mask(tensor, labels):
+    """The tensor's couplings of vec components, ``mask[p, q] = g[k_p, l_p, k_q, l_q]``."""
+    k, l = _component_labels(labels)
+    return tensor.g[k[:, None], l[:, None], k[None, :], l[None, :]]
 
 
 def block_component_indices(frame, block_set):
     """Vectorization indices carrying the selected ``(k, l)`` blocks, in
     column-stacking order, for states expressed in ``frame.basis0``."""
-    return np.flatnonzero(_block_table(frame, block_set)[_component_labels(frame)]).tolist()
+    return np.flatnonzero(_block_table(frame, block_set)[_component_labels(frame.labels)]).tolist()
 
 
 def frame_components(frame, rho_lab, s):
@@ -312,8 +321,8 @@ class RotatedFrameGenerator:
     T: float
 
     def __post_init__(self):
-        self._k, self._l = k, l = _component_labels(self.frame)
-        self._mask = self.tensor.g[k[:, None], l[:, None], k[None, :], l[None, :]]
+        self._k, self._l = _component_labels(self.frame.labels)
+        self._mask = _coupling_mask(self.tensor, self.frame.labels)
         self._same_block = np.equal.outer(self.frame.labels, self.frame.labels)
 
     def __call__(self, s, gamma, approximate):
@@ -340,11 +349,7 @@ class RotatedFrameGenerator:
         if not dissipative:
             return base, None
         w = dag(c0) @ frame.U[i]        # frame.rotation(s)
-        diss = self.dissipator
-        # a zero F only when there is nothing else to build, as in superoperator
-        f = (None if diss.hamiltonian_part is None and diss.jump_operators
-             else w @ diss.f_at(s) @ dag(w))
-        dhat = self.T * _lindblad_superop(f, [w @ v @ dag(w) for v in diss.jumps_at(s)])
+        dhat = self.T * self.dissipator.superoperator(s, w)
         return base, np.stack([np.where(self._mask, dhat, 0.0) if approx else dhat
                                for approx in kinds], axis=-3)
 
@@ -377,7 +382,7 @@ def rotated_block_generator(family, dissipator, tensor, frame, T, gamma, s,
         raise BlockNotClosed(f"block ({a},{b}) couples to omitted block ({kp},{lp})")
 
     gen = RotatedFrameGenerator(dissipator, tensor, frame, T)(s, gamma, approximate=True)
-    keep = blocks[_component_labels(frame)]
+    keep = blocks[_component_labels(frame.labels)]
     gen[..., ~keep, :] = 0.0
     gen[..., :, ~keep] = 0.0
     return gen
@@ -391,9 +396,10 @@ def rotated_block_generator(family, dissipator, tensor, frame, T, gamma, s,
 class LindbladFactorization:
     """Lindblad form of the projector-filtered dissipator at one ``s``.
 
-    ``superoperator()`` rebuilds the dissipator from the factorized pieces;
-    agreement with :func:`filtered_dissipator_superop` certifies that the
-    approximate equation generates completely positive dynamics.
+    ``superoperator()`` rebuilds the dissipator from the factorized pieces,
+    built from projector sandwiches; agreement with the independent basis
+    and mask construction of :func:`filtered_dissipator_superop` certifies
+    that the approximate equation generates completely positive dynamics.
     """
 
     effective_hamiltonian: np.ndarray
@@ -430,25 +436,19 @@ def lindblad_factorize(dissipator, tensor, decomp, s):
     lam = np.clip(lam, 0.0, None)
 
     projs = decomp.projectors
-    k = decomp.nspaces
-    f_eff = np.zeros((dissipator.dim, dissipator.dim), dtype=complex)
     fmat = dissipator.f_at(s)
-    for p in projs:
-        f_eff += p @ fmat @ p
 
     ops = []
     for v in dissipator.jumps_at(s):
-        sandwiches = [[projs[a] @ v @ projs[b] for b in range(k)] for a in range(k)]
+        # sandwich a * K + b is P_a V P_b, matching the rows of cvecs
+        sandwiches = [pa @ v @ pb for pa in projs for pb in projs]
         for m in range(len(lam)):
             if lam[m] <= _G_EIGENVALUE_CUTOFF:
                 continue
-            op = np.zeros_like(v)
-            for a in range(k):
-                for b in range(k):
-                    op += cvecs[a * k + b, m] * sandwiches[a][b]
+            op = sum(c * x for c, x in zip(cvecs[:, m], sandwiches))
             ops.append(np.sqrt(lam[m]) * op)
     return LindbladFactorization(
-        effective_hamiltonian=f_eff,
+        effective_hamiltonian=sum(p @ fmat @ p for p in projs),
         lindblad_ops=ops,
         g_eigenvalues=lam,
         g_vectors=cvecs,

@@ -3,10 +3,10 @@
 ``bench/run.py`` binds ``cli.main``, ``ExperimentConfig.from_dict`` and
 ``tasks``, ``runner.sweep``, ``cli._assert_invariants``,
 ``cli.write_sweep_csv`` and ``cli.gauge_check_rows``.  This test runs each
-workload's smoke inputs in-process and gates the outputs against the
-recorded smoke references at the benchmark's tolerance, so a change that
-breaks an entry point or moves an output fails here rather than in a
-benchmark run.  It also runs them under the benchmark's tracer
+workload's smoke inputs in-process, and ``check-gauge`` also at its full
+inputs, and gates the outputs against the recorded references at the
+benchmark's tolerance, so a change that breaks an entry point or moves an
+output fails here rather than in a benchmark run.  It also runs them under the benchmark's tracer
 (``bench/spans.py``), whose per-layer metrics must come out finite: a
 layer read through a name the library no longer calls reads NaN, and
 ``bench/run.py`` would print it as bare ``NaN``, which is not strict JSON.
@@ -49,10 +49,9 @@ TRACED_COUNTS = {"holonomy-export": (60, 30), "random-sweep": (60, 30),
                  "check-gauge": (200, 600)}
 
 
-@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_smoke_workload_matches_reference(name, tmp_path):
+def run_against_reference(name, smoke, tmp_path):
     wl = workloads.WORKLOADS[name]
-    inputs = wl.inputs(workloads.DEFAULT_SEED, smoke=True)
+    inputs = wl.inputs(workloads.DEFAULT_SEED, smoke=smoke)
     run = wl.prepare(adiabat, inputs, str(tmp_path))
     out = tmp_path / "out"
     out.mkdir()
@@ -60,6 +59,17 @@ def test_smoke_workload_matches_reference(name, tmp_path):
     points, failed = reference.compare(
         str(out), str(BENCH / "reference" / wl.reference_key(inputs)))
     assert points and not failed, sorted(failed)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_smoke_workload_matches_reference(name, tmp_path):
+    run_against_reference(name, True, tmp_path)
+
+
+def test_check_gauge_full_inputs_match_reference(tmp_path):
+    # the benchmark's own check-gauge job (about 0.5 s): the only workload
+    # through the lab-frame filtered dissipator, gated at its full size
+    run_against_reference("check-gauge", False, tmp_path)
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))

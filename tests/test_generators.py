@@ -1,11 +1,17 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
 
 from adiabat import runner
 
-from adiabat.errors import BlockNotClosed, DimensionMismatch, NegativeGSpectrum
+from adiabat.errors import (
+    AmbiguousClustering,
+    BlockNotClosed,
+    DimensionMismatch,
+    NegativeGSpectrum,
+)
 from adiabat.generators import (
     ApproximateGenerator,
     ExactGenerator,
@@ -45,6 +51,7 @@ from adiabat.propagation import evolve_vector_piecewise_exp, propagate_piecewise
 from adiabat.resonance import ResonanceTensor, compute_resonance_tensor
 from adiabat.spectral import (
     HamiltonianFamily,
+    SpectralDecomposition,
     build_transport_frame,
     geometric_term,
     vectorized,
@@ -262,6 +269,108 @@ class TestLabGeneratorArrays:
                 a = propagate_piecewise_exp(gen_plain, rho0, 0.02, 2.0)
                 b = propagate_piecewise_exp(gen_marked, rho0, 0.02, 2.0)
                 assert np.array_equal(a.states, b.states)
+
+
+def defining_sum(diss, tensor, decomp, s):
+    """``sum g_abk'l' P_a D_s(P_k' E_ij P_l') P_b`` on every matrix unit
+    ``E_ij``, written out term by term, as a superoperator."""
+    d, projs = decomp.dim, decomp.projectors
+    out = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[i, j] = 1.0
+            image = np.zeros((d, d), dtype=complex)
+            for a, b, kp, lp in np.argwhere(tensor.g):
+                image += projs[a] @ diss.apply(s, projs[kp] @ unit @ projs[lp]) @ projs[b]
+            out[:, j * d + i] = vec(image)
+    return out
+
+
+def filtered_case(name):
+    """Family, dissipator and tensor of a named filtered-dissipator case."""
+    if name in ("north_pole", "equator"):
+        gauge = Gauge.EQUATOR_REGULAR if name == "equator" else Gauge.NORTH_POLE_REGULAR
+        fam = holonomy_family(build_orange_path(np.pi / 4, 10.0), gauge)
+        diss = holonomy_dissipator()
+    elif name == "single":
+        rng = np.random.default_rng(5)
+        fam = constant_family(2.5 * np.eye(3), n_eigenspaces=1)
+        diss = LindbladDissipator.constant(
+            [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))],
+            f=random_hermitian(rng, 3))
+    else:
+        model = make_random_model(3 if name == "random_3" else 7)
+        fam, diss = model.family(), model.dissipator()
+    tensor = compute_resonance_tensor(fam.spectrum, GRID)
+    if name == "random_pair_cut":
+        # drop the population transfer between eigenspaces 0 and 2
+        g = tensor.g.copy()
+        assert g[0, 0, 2, 2] and g[2, 2, 0, 0]
+        g[0, 0, 2, 2] = g[2, 2, 0, 0] = False
+        tensor = ResonanceTensor(nspaces=tensor.nspaces, g=g)
+    return fam, diss, tensor
+
+
+class TestFilteredDissipator:
+    """The masked change of basis equals the defining projector sum, takes
+    its labels from the decomposition's order and refuses projectors that
+    do not resolve the identity."""
+
+    @pytest.mark.parametrize("name", ["north_pole", "equator", "random_7", "random_3",
+                                      "single", "random_pair_cut"])
+    def test_equals_defining_sum(self, name):
+        fam, diss, tensor = filtered_case(name)
+        for s in (0.13, 0.5, 0.86):
+            decomp = fam.spectrum(s)
+            want = defining_sum(diss, tensor, decomp, s)
+            got = filtered_dissipator_superop(diss, tensor, decomp, s)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_cut_pair_changes_result(self):
+        # the reference case above is not vacuous: the cut coupling matters
+        fam, diss, cut = filtered_case("random_pair_cut")
+        full = compute_resonance_tensor(fam.spectrum, GRID)
+        decomp = fam.spectrum(0.5)
+        diff = (filtered_dissipator_superop(diss, full, decomp, 0.5)
+                - filtered_dissipator_superop(diss, cut, decomp, 0.5))
+        assert np.abs(diff).max() > 1e-3
+
+    @pytest.mark.parametrize("name", ["north_pole", "random_pair_cut"])
+    def test_labels_follow_decomposition_order(self, name):
+        fam, diss, tensor = filtered_case(name)
+        s = np.array([0.2, 0.55, 0.9])
+        decomp = fam.spectrum(s)
+        want = filtered_dissipator_superop(diss, tensor, decomp, s)
+        for perm in itertools.permutations(range(decomp.nspaces)):
+            perm = list(perm)
+            permuted = SpectralDecomposition(
+                energies=decomp.energies[..., perm],
+                projectors=[decomp.projectors[k] for k in perm],
+                ranks=tuple(decomp.ranks[k] for k in perm))
+            g = tensor.g[np.ix_(perm, perm, perm, perm)]
+            got = filtered_dissipator_superop(
+                diss, ResonanceTensor(nspaces=tensor.nspaces, g=g), permuted, s)
+            # the result is a lab-frame superoperator: it carries no labels
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("case", ["overlapping", "incomplete", "wrong_ranks"])
+    def test_projectors_must_resolve_identity(self, case):
+        e0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        e1 = np.diag([0.0, 1.0, 0.0]).astype(complex)
+        e2 = np.diag([0.0, 0.0, 1.0]).astype(complex)
+        projectors, ranks = {
+            "overlapping": ([e0 + e1, e1, e2], (2, 1, 1)),
+            "incomplete": ([e0, e1], (1, 1)),
+            "wrong_ranks": ([e0, e1 + e2], (2, 1)),
+        }[case]
+        decomp = SpectralDecomposition(energies=np.arange(len(ranks), dtype=float),
+                                       projectors=projectors, ranks=ranks)
+        tensor = ResonanceTensor(nspaces=len(ranks),
+                                 g=np.ones((len(ranks),) * 4, dtype=bool))
+        diss = LindbladDissipator.constant([np.diag([1.0, 2.0, 3.0])])
+        with pytest.raises(AmbiguousClustering, match="off its label"):
+            filtered_dissipator_superop(diss, tensor, decomp, 0.0)
 
 
 class TestRotatedBlocks:
