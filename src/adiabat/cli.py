@@ -42,7 +42,13 @@ from .errors import (
 )
 from .generators import ApproximateGenerator, lindblad_factorize
 from .linalg import frobenius
-from .propagation import divides, intensity_loss, propagate_piecewise_exp
+from .propagation import (
+    _CHUNK_BYTES,
+    Trajectory,
+    divides,
+    intensity_loss,
+    propagate_piecewise_exp,
+)
 from .resonance import compute_resonance_tensor
 from .spectral import build_transport_frame, geometric_term, vectorized
 
@@ -219,40 +225,166 @@ class ExperimentConfig:
 # CSV output
 # ---------------------------------------------------------------------------
 
-def _write_table(columns, rows, path, timestamp):
+# 10^k for k in [_POW10_LOW, 341], each the long double nearest it (strtold
+# rounds correctly): the scales 10^(16 - e) of the block formatter, e from
+# the smallest subnormal's -324 to DBL_MAX's 308, and one past either end
+_POW10_LOW = -293
+_POW10 = np.array([np.longdouble(f"1e{k}") for k in range(_POW10_LOW, 342)])
+# the rounding bound of _csv_lines needs a 64-bit long double mantissa
+# (x86-64); with fewer bits every nonzero value takes the exact path
+_FAST_DIGITS = np.finfo(np.longdouble).nmant >= 63
+# "0000" to "9999", four ASCII bytes each
+_FOUR_DIGITS = (np.arange(10000, dtype=np.uint16)[:, None]
+                // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10
+                + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+# the 46 byte slots of one value's cell: the sign, the "0." and up to three
+# zeros that lead 1e-4 <= |x| < 0.1, the 17 digits with a point slot after
+# each of the first 16, the exponent "e+XXX" and the separator
+_DIGITS, _POINTS = slice(6, 39, 2), slice(7, 38, 2)
+_E_MIN = -324
+
+
+def _cells():
+    """The cells of the exponents ``e = _E_MIN..308``, then of the same
+    negated, with their digits left out: NUL bytes mark the slots that the
+    ``%.17g`` text of such a value does not use."""
+    e = np.arange(_E_MIN, 309)
+    fixed = (e >= -4) & (e < 17)
+    cells = np.zeros((2, len(e), 46), dtype=np.uint8)
+    cells[1, :, 0] = ord("-")
+    lead = np.where(fixed & (e < 0), 1 - e, 0)      # "0." and -1 - e zeros
+    cells[:, :, 1:6] = np.where(np.arange(5) < lead[:, None],
+                                np.frombuffer(b"0.000", dtype=np.uint8), 0)
+    point = np.where(fixed, e, 0)   # the point follows digit e (none when e < 0)
+    cells[:, :, _POINTS] = np.where(np.arange(16) == point[:, None], ord("."), 0)
+    cells[:, ~fixed, 39:44] = np.array([b"e%+03d" % k for k in e[~fixed].tolist()],
+                                       dtype="S5").view(np.uint8).reshape(-1, 5)
+    cells[:, :, 44] = ord(",")
+    return cells.reshape(-1, 46)
+
+
+_CELLS = _cells()
+
+
+def _csv_lines(table):
+    """The CSV lines of a 2-D float array, as bytes: each value exactly as
+    ``'%.17g' % v`` prints it, ``,`` between the values of a row and
+    ``\\r\\n`` after each row.
+
+    A finite nonzero ``x`` with ``e = floor(log10|x|)`` takes its 17
+    significant digits from ``q = |x| 10^(16 - e)``, computed in long double
+    and renormalised once into ``[1e16, 1e17)``: the digits are
+    ``floor(q) + (frac(q) > 1/2)``.  The table entry of ``10^(16 - e)`` and
+    the product are each rounded once, so with a 64-bit mantissa ``q`` is
+    within ``2 * 2^-64 * 1e17 < 0.011`` of its exact value, and the rounding
+    is certain unless ``frac(q)`` lies within 1/64 of 1/2 (ties included).
+    Those values, any ``q`` within 1 of either end of the interval (exact
+    powers of ten, and all that could round up to the next one), non-finite
+    values, and every nonzero value when the long double has fewer than 64
+    mantissa bits (``_FAST_DIGITS``), take the exact path: Python's own
+    ``%.17g``.
+    Zeros print as ``0`` and ``-0``.
+
+    The text follows ``%g``: fixed notation for exponents ``-4 <= e < 17``
+    with trailing zeros and a bare point dropped, else ``d.ddd`` and
+    ``e+XX``/``e-XX`` with at least two exponent digits.  Each value fills
+    a copy of its exponent's ``_CELLS`` row, and one pass over the block
+    deletes the NUL bytes of the unused slots."""
+    x = np.ascontiguousarray(table, dtype=float)
+    shape = x.shape + (_CELLS.shape[1],)
+    x = x.ravel()
+    fast = np.isfinite(x) & (x != 0.0) & _FAST_DIGITS
+    ax = np.where(fast, np.abs(x), 1.0)
+    e = np.floor(np.log10(ax)).astype(np.int64)
+    ax = ax.astype(np.longdouble)
+    q = ax * _POW10[16 - e - _POW10_LOW]
+    e += (q >= 1e17).astype(np.int64) - (q < 1e16)
+    q = ax * _POW10[16 - e - _POW10_LOW]
+    m = q.astype(np.int64)      # floor(q); frac(q) needs no long double outside the band
+    frac = (q - m).astype(float)
+    fast &= (m > 10**16) & (m < 10**17 - 1) & (np.abs(frac - 0.5) > 1 / 64)
+    m += frac > 0.5
+
+    cells = np.take(_CELLS, e - _E_MIN + len(_CELLS) // 2 * np.signbit(x), axis=0)
+    groups = np.empty((len(x), 5), dtype=np.int64)      # the first digit, then 4 x 4
+    for j, scale in enumerate((10**16, 10**12, 10**8, 10**4)):
+        groups[:, j] = m // scale
+        m -= groups[:, j] * scale
+    groups[:, 4] = m
+    digits = _FOUR_DIGITS[groups].view(np.uint8)[:, 3:]
+    cells[:, _DIGITS] = digits
+    # trailing zeros go, and the point with them when no digit follows it
+    tail = np.flatnonzero(digits[:, -1] == ord("0"))
+    if tail.size:
+        part, et = cells[tail], e[tail]
+        last = 16 - np.argmax(part[:, _DIGITS][:, ::-1] != ord("0"), axis=1)
+        keep = np.maximum(last, np.where((et >= 0) & (et < 17), et, 0))
+        part[:, _DIGITS] *= np.arange(17) <= keep[:, None]
+        part[:, _POINTS] *= np.arange(16) < last[:, None]
+        cells[tail] = part
+    zero = np.flatnonzero(x == 0.0)    # "0", or "-0" from the sign slot
+    cells[zero, 1:-2] = 0
+    cells[zero, 1] = ord("0")
+    exact = np.flatnonzero(~fast & (x != 0.0))
+    if exact.size:
+        text = np.array(["%.17g" % v for v in x[exact].tolist()], dtype=f"S{shape[-1] - 2}")
+        cells[exact, :-2] = text.view(np.uint8).reshape(len(exact), -1)
+
+    cells = cells.reshape(shape)
+    cells[:, -1, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
+    return cells.tobytes().translate(None, b"\0")
+
+
+def _write_table(columns, lines, path, timestamp):
     """Write one CSV table: the optional ``# generated`` line, the header,
-    then one line per row of values in column order, each made by a single
-    ``%``-format.  Floats print as ``%.17g`` (enough digits to read back
-    exactly), anything else as ``str``; lines end in ``\\r\\n``, as
-    :mod:`csv` writes them.  No value may contain a comma or a quote."""
-    with open(path, "w", newline="") as fh:
+    then ``lines``, an iterable of bytes from :func:`_csv_lines` or
+    :func:`_record_lines`, in order.  Every float prints as ``%.17g``
+    (enough digits to read back exactly), through :func:`_csv_lines`,
+    whose long double digits are certain outside a band of 1/64 around
+    each rounding tie and which sends that band, non-finite values and,
+    without a 64-bit long double mantissa, every nonzero value to Python's
+    own conversion.  Lines end in ``\\r\\n``, as :mod:`csv` writes them."""
+    with open(path, "wb") as fh:
         if timestamp:
-            fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
-        fh.write(",".join(columns) + "\r\n")
-        for row in rows:
-            fmt = ",".join("%.17g" if isinstance(v, float) else "%s" for v in row)
-            fh.write(fmt % tuple(row) + "\r\n")
+            fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n".encode())
+        fh.write((",".join(columns) + "\r\n").encode())
+        for chunk in lines:
+            fh.write(chunk)
 
 
-def _records(rows, columns):
-    return [[row[c] for c in columns] for row in rows]
+def _record_lines(rows, columns):
+    """The CSV lines of dict rows, the values in column order: floats through
+    :func:`_csv_lines`, anything else as ``str``.  No value may contain a
+    comma or a quote."""
+    records = [[row[c] for c in columns] for row in rows]
+    floats = [v for record in records for v in record if isinstance(v, float)]
+    text = iter(_csv_lines(np.reshape(floats, (-1, 1))).split(b"\r\n"))
+    return b"".join(b",".join(next(text) if isinstance(v, float) else str(v).encode()
+                              for v in record) + b"\r\n" for record in records)
 
 
 def write_sweep_csv(rows, path, timestamp=True):
-    _write_table(SWEEP_COLUMNS, _records(rows, SWEEP_COLUMNS), path, timestamp)
+    _write_table(SWEEP_COLUMNS, [_record_lines(rows, SWEEP_COLUMNS)], path, timestamp)
 
 
 def write_trajectory_csv(trajectory, p_comp, path, timestamp=True):
     """One row per sample: s, trace, loss, purity, then Re/Im of the
-    column-stacked state components."""
-    states = trajectory.states
-    vecs = np.transpose(states, (0, 2, 1)).reshape(len(states), -1)
-    table = np.column_stack([trajectory.grid, trajectory.traces(),
-                             intensity_loss(states, p_comp),
-                             trajectory.purities(), vecs.real, vecs.imag])
+    column-stacked state components.  The table is built and written a
+    block of rows at a time, whose cells take half of ``_CHUNK_BYTES``:
+    formatting a block holds a few copies of them."""
+    grid, states = trajectory.grid, trajectory.states
     header = ["s", "trace", "loss", "purity"] + [
-        f"{part}_{i}" for part in ("re", "im") for i in range(vecs.shape[1])]
-    _write_table(header, (row.tolist() for row in table), path, timestamp)
+        f"{part}_{i}" for part in ("re", "im") for i in range(trajectory.dim ** 2)]
+    rows = max(1, _CHUNK_BYTES // (2 * _CELLS.shape[1] * len(header)))
+
+    def lines():
+        for i in range(0, len(grid), rows):
+            part = Trajectory(grid[i:i + rows], states[i:i + rows])
+            vecs = np.transpose(part.states, (0, 2, 1)).reshape(len(part.grid), -1)
+            yield _csv_lines(np.column_stack([
+                part.grid, part.traces(), intensity_loss(part.states, p_comp),
+                part.purities(), vecs.real, vecs.imag]))
+    _write_table(header, lines(), path, timestamp)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +519,7 @@ def _lindblad_check_rows(seed=7):
 def _preset_check_lindblad(cfg, out_dir, timestamp, workers):
     rows = _lindblad_check_rows(cfg.seed)
     columns = ["model", "s", "reconstruction_error", "lambda_min"]
-    _write_table(columns, _records(rows, columns),
+    _write_table(columns, [_record_lines(rows, columns)],
                  os.path.join(out_dir, "lindblad_check.csv"), timestamp)
     for row in rows:
         tag = f"{row['model']} s={row['s']:.3f}"
@@ -464,7 +596,7 @@ def _preset_check_gauge(cfg, out_dir, timestamp, workers):
     (T,), (gamma,) = cfg.T_list, cfg.gamma_list
     rows = gauge_check_rows(T, gamma, cfg.dt)
     columns = ["check", "value", "bound"]
-    _write_table(columns, _records(rows, columns),
+    _write_table(columns, [_record_lines(rows, columns)],
                  os.path.join(out_dir, "gauge_check.csv"), timestamp)
     for row in rows:
         if isinstance(row["bound"], float):

@@ -356,25 +356,32 @@ def propagate_rk4(generator, rho0, steps, T, s_span=(0.0, 1.0), metadata=None):
     """Classical fixed-step RK4 on the vectorized equation; independent
     cross-check for the exponential integrator, sampling the generator on the
     points of :func:`sample_grid` (``steps`` steps over the span) and
-    checking each step's three generators as that integrator does."""
+    checking each step's three generators as that integrator does.
+
+    The generator is evaluated (:func:`.spectral.evaluate_on`) a slice of
+    steps at a time, as many as take ``_CHUNK_BYTES`` of generators; each
+    slice starts from the end point of the one before, so every grid point
+    is sampled once, in order."""
     rho0 = _check_density(rho0)
     grid, h = sample_grid(None, None, s_span, steps=steps)
     v = vec(rho0)
     d = rho0.shape[0]
     states = np.empty((len(grid) // 2 + 1, d, d), dtype=complex)
     states[0] = rho0
-    m2 = np.asarray(generator(grid[0]))     # each step's end is the next one's start
-    for n in range(len(states) - 1):
-        m1 = m2
-        mm = np.asarray(generator(grid[2 * n + 1]))
-        m2 = np.asarray(generator(grid[2 * n + 2]))
-        _check_step_sizes(h, np.stack((m1, mm, m2)))
-        k1 = m1 @ v
-        k2 = mm @ (v + 0.5 * h * k1)
-        k3 = mm @ (v + 0.5 * h * k2)
-        k4 = m2 @ (v + h * k3)
-        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[n + 1] = unvec(v, d)
+    n = max(1, _CHUNK_BYTES // (32 * len(v) ** 2))
+    ends = np.asarray(evaluate_on(generator, grid[:1]))
+    for k in range(0, len(states) - 1, n):
+        # the midpoint and end point of each step of the slice
+        pts = np.asarray(evaluate_on(generator, grid[2 * k + 1:2 * (k + n) + 1]))
+        starts, mids, ends = np.concatenate((ends[-1:], pts[1:-1:2])), pts[0::2], pts[1::2]
+        _check_step_sizes(h, np.stack((starts, mids, ends), axis=1))
+        for j, (m1, mm, m2) in enumerate(zip(starts, mids, ends)):
+            k1 = m1 @ v
+            k2 = mm @ (v + 0.5 * h * k1)
+            k3 = mm @ (v + 0.5 * h * k2)
+            k4 = m2 @ (v + h * k3)
+            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            states[k + j + 1] = unvec(v, d)
     meta = {"steps": steps, "T": T, "integrator": "rk4"}
     if metadata:
         meta.update(metadata)

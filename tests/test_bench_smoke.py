@@ -23,12 +23,14 @@ import math
 import pathlib
 import time
 
+import numpy as np
 import pytest
 
 # the submodules the workloads reach through the package, as bench/job.py has them
 import adiabat
 import adiabat.cli
 import adiabat.runner
+from adiabat.propagation import intensity_loss
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
@@ -64,6 +66,31 @@ def run_against_reference(name, smoke, tmp_path):
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_smoke_workload_matches_reference(name, tmp_path):
     run_against_reference(name, True, tmp_path)
+
+
+def test_export_bytes_are_per_value_formatting(tmp_path, monkeypatch):
+    # every trajectory CSV of the holonomy-export smoke run, byte for byte
+    # against the whole table rendered a value at a time by '%.17g'
+    written = []
+    write = adiabat.cli.write_trajectory_csv
+
+    def capture(trajectory, p_comp, path, timestamp=True):
+        written.append((trajectory, p_comp, path))
+        write(trajectory, p_comp, path, timestamp)
+    monkeypatch.setattr(adiabat.cli, "write_trajectory_csv", capture)
+    run_against_reference("holonomy-export", True, tmp_path)
+    assert len(written) == 8
+    for traj, p_comp, path in written:
+        states = traj.states
+        vecs = np.transpose(states, (0, 2, 1)).reshape(len(states), -1)
+        table = np.column_stack([traj.grid, traj.traces(), intensity_loss(states, p_comp),
+                                 traj.purities(), vecs.real, vecs.imag])
+        header = ["s", "trace", "loss", "purity"] + [
+            f"{part}_{i}" for part in ("re", "im") for i in range(vecs.shape[1])]
+        expected = "".join(",".join(cells) + "\r\n" for cells in [header] + [
+            ["%.17g" % v for v in row] for row in table.tolist()])
+        with open(path, "rb") as fh:
+            assert fh.read() == expected.encode()
 
 
 def test_check_gauge_full_inputs_match_reference(tmp_path):

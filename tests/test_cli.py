@@ -6,6 +6,7 @@ import math
 import os
 import pickle
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -433,6 +434,79 @@ class TestCsvFormat:
             b"direct-vs-rotated,0.33333333333333331,0.5\r\n"
             b"gauge-equivalence,-0,1e-300\r\n"
             b"equator-gauge-discontinuity-detected,1,must raise\r\n")
+
+    def test_writer_memory_is_one_block(self):
+        # 100,000 samples of d = 4: a 29 MB float table, written a block of
+        # rows at a time, so the writer's peak is one block's, not the table's
+        rng = np.random.default_rng(0)
+        states = rng.standard_normal((100_000, 4, 4)) + 1j * rng.standard_normal((100_000, 4, 4))
+        traj = Trajectory(grid=np.linspace(0.0, 1.0, len(states)), states=states)
+        tracemalloc.start()
+        try:
+            cli.write_trajectory_csv(traj, np.eye(4, dtype=complex), os.devnull,
+                                     timestamp=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+def per_value(table):
+    """The reference rendering: each value through Python's own ``%.17g``."""
+    return b"".join((",".join("%.17g" % v for v in row) + "\r\n").encode()
+                    for row in np.asarray(table, dtype=float).tolist())
+
+
+def edge_values():
+    """Both signs of: zero, the ends of the subnormal and normal ranges,
+    10^k and its two neighbours for k in -320..308 (the largest double
+    below each power is the one that could round up to it; none does at
+    17 digits), the %g switch points near 1e-5, 1e-4, 1e16 and 1e17, and
+    exact ties at the 18th digit, which round half to even."""
+    fi = np.finfo(float)
+    powers = np.array([float(f"1e{k}") for k in range(-320, 309)])
+    switch = [9.99995e-5, 1.00005e-4, 0.000123456789, 9.999999999999999e15,
+              1.2345678901234567e16, 9.8765432109876543e16, 1.5e17, 12345678.9]
+    ties = [1000000000000000.25, 131073 / 131072, 26215 / 262144, 5243 / 524288]
+    values = np.concatenate([
+        [0.0, fi.smallest_subnormal, fi.tiny, np.nextafter(fi.tiny, 0.0), fi.max],
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), switch, ties])
+    return np.concatenate([values, -values])
+
+
+class TestFloatFormatter:
+    """``cli._csv_lines`` gives exactly the bytes of ``'%.17g' % v``, with
+    ``,`` between values and ``\\r\\n`` after each row."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40),
+           st.integers(1, 4))
+    def test_bit_patterns(self, bits, rows):
+        # arbitrary doubles: NaNs and infinities included
+        table = np.array(bits * rows, dtype=np.uint64).view(float).reshape(rows, -1)
+        assert cli._csv_lines(table) == per_value(table)
+
+    def test_edge_table(self):
+        table = edge_values()[:, None]
+        assert cli._csv_lines(table) == per_value(table)
+
+    def test_scaled_and_rounded_values(self):
+        rng = np.random.default_rng(5)
+        scaled = rng.standard_normal(20_000) * 10.0 ** rng.integers(-40, 40, 20_000)
+        rounded = [round(v, k) for v, k in zip(rng.standard_normal(2_000).tolist(),
+                                               rng.integers(0, 17, 2_000).tolist())]
+        table = np.concatenate([scaled, rounded]).reshape(-1, 11)
+        assert cli._csv_lines(table) == per_value(table)
+
+    def test_exact_path_alone_gives_the_same_bytes(self, monkeypatch):
+        # the guard of a long double with fewer than 64 mantissa bits
+        monkeypatch.setattr(cli, "_FAST_DIGITS", False)
+        rng = np.random.default_rng(6)
+        table = np.concatenate([edge_values(), rng.standard_normal(1_000)])[:, None]
+        assert cli._csv_lines(table) == per_value(table)
+
+    def test_no_rows(self):
+        assert cli._csv_lines(np.empty((0, 3))) == b""
 
 
 class TestRunner:
