@@ -43,8 +43,8 @@ from .errors import (
 from .generators import ApproximateGenerator, lindblad_factorize
 from .linalg import frobenius
 from .propagation import (
-    _CHUNK_BYTES,
     Trajectory,
+    block_length,
     divides,
     intensity_loss,
     propagate_piecewise_exp,
@@ -64,8 +64,6 @@ _MAX_DIM = 16
 # its frame is built; its one pass, which keeps no whole trajectory unless
 # the points are exported, stays below that
 _MAX_STEPS = 500_000
-# run-time fractions of the orange-slice legs when a config gives none
-_DEFAULT_SPLIT = (0.4, 0.2, 0.4, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +137,7 @@ class ExperimentConfig:
     initial_state: dict = field(default_factory=lambda: {"x": math.pi / 5,
                                                          "y": 3 * math.pi / 4})
     path: dict = field(default_factory=lambda: {"delta_phi": math.pi / 4,
-                                                "split": _DEFAULT_SPLIT})
+                                                "split": models.DEFAULT_SPLIT})
     gauge: str = "north_pole"
     seed: int = 7
     dim: int = 4
@@ -200,7 +198,7 @@ class ExperimentConfig:
                 raise ConfigInvalid("path needs delta_phi", field="path")
             try:
                 models.build_orange_path(self.path["delta_phi"], 1.0,
-                                         self.path.get("split", _DEFAULT_SPLIT))
+                                         self.path.get("split", models.DEFAULT_SPLIT))
             except BadSplit as exc:
                 raise ConfigInvalid(f"path: {exc}", field="path") from None
 
@@ -209,7 +207,7 @@ class ExperimentConfig:
         if self.model == "holonomy":
             model = dict(
                 delta_phi=float(self.path["delta_phi"]),
-                split=tuple(self.path.get("split", _DEFAULT_SPLIT)),
+                split=tuple(self.path.get("split", models.DEFAULT_SPLIT)),
                 gauge=models.Gauge(self.gauge),
                 x=float(self.initial_state["x"]),
                 y=float(self.initial_state["y"]),
@@ -369,13 +367,13 @@ def write_sweep_csv(rows, path, timestamp=True):
 
 def write_trajectory_csv(trajectory, p_comp, path, timestamp=True):
     """One row per sample: s, trace, loss, purity, then Re/Im of the
-    column-stacked state components.  The table is built and written a
-    block of rows at a time, whose cells take half of ``_CHUNK_BYTES``:
-    formatting a block holds a few copies of them."""
+    column-stacked state components.  The table is built and written half
+    a block of rows at a time (:func:`.propagation.block_length`):
+    formatting a block holds a few copies of its cells."""
     grid, states = trajectory.grid, trajectory.states
     header = ["s", "trace", "loss", "purity"] + [
         f"{part}_{i}" for part in ("re", "im") for i in range(trajectory.dim ** 2)]
-    rows = max(1, _CHUNK_BYTES // (2 * _CELLS.shape[1] * len(header)))
+    rows = block_length(2 * _CELLS.shape[1] * len(header))
 
     def lines():
         for i in range(0, len(grid), rows):
@@ -505,7 +503,7 @@ def _lindblad_check_rows(seed=7):
     )
     rows = []
     for model_id, fam, diss in cases:
-        tensor = compute_resonance_tensor(fam.spectrum, np.linspace(0, 1, 201))
+        tensor = compute_resonance_tensor(fam.spectrum, runner._TENSOR_GRID)
         for s in samples:
             decomp = fam.spectrum(s)
             fact = lindblad_factorize(diss, tensor, decomp, s)
@@ -539,17 +537,20 @@ def gauge_check_rows(T=2.0, gamma=0.1, dt=1e-4):
     block at ten checkpoints, plus the frame-discontinuity behaviour of the
     two gauges on a pole-crossing path.
     """
-    x, y, dphi, split = math.pi / 5, 3 * math.pi / 4, math.pi / 4, _DEFAULT_SPLIT
+    gate = ExperimentConfig()       # the sweep's gate: its path and input state
+    dphi, split = gate.path["delta_phi"], gate.path["split"]
     rows = []
 
     ctx_np = runner.holonomy_context(dphi, split, models.Gauge.NORTH_POLE_REGULAR,
-                                     T, dt, x, y)
+                                     T, dt, gate.initial_state["x"], gate.initial_state["y"])
     # the spectrum, hence the resonance tensor, does not depend on the
     # gauge: only the frame and the generator assembly are rebuilt
     ctx_eq = dataclasses.replace(ctx_np, family=models.holonomy_family(
         models.build_orange_path(dphi, T, split), models.Gauge.EQUATOR_REGULAR))
-    [approx_np], [approx_eq] = (runner.integrate_pairs(ctx, [gamma], (True,), keep=True)
-                                .trajectories() for ctx in (ctx_np, ctx_eq))
+    # under runner's name, where the benchmark tracer counts rotated-frame integrations
+    approx_np, approx_eq = (ctx.to_lab(runner.propagate_piecewise_exp(
+        ctx.approximate_generator(gamma), ctx.initial_components(), dt, T,
+        action=gamma != 0.0)) for ctx in (ctx_np, ctx_eq))
 
     fam = ctx_np.family
     q_of_s = vectorized(functools.partial(geometric_term, fam, h=1e-3, richardson=True))

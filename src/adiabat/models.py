@@ -185,7 +185,10 @@ class HolonomyPath:
         return self._which(s).angles(s)
 
 
-def build_orange_path(delta_phi, T, split=(0.4, 0.2, 0.4, 0.0)):
+DEFAULT_SPLIT = (0.4, 0.2, 0.4, 0.0)     # run-time fractions of the four legs
+
+
+def build_orange_path(delta_phi, T, split=DEFAULT_SPLIT):
     """Orange-slice loop: down the zero meridian, along the equator by
     ``delta_phi``, back up the ``delta_phi`` meridian, plus an optional
     zero-length return at the pole.

@@ -14,7 +14,7 @@ discrete flow inherits both properties up to rounding.
 One loop steps every entry point: one equation, a pass of ``P`` equations
 stacked on one grid, or the flow map started from the identity at ``s0``.
 It goes in chunks whose length the stack's size fixes before the first step
-(64 steps of one ``D = 16`` equation; see ``_CHUNK_BYTES``): a chunk's
+(64 steps of one ``D = 16`` equation; see :func:`block_length`): a chunk's
 generators are built as one ``(n, P, D, D)`` stack, and each step's
 ``h ||M||`` is checked against ``_STEP_NORM_BUDGET``.  A pass may instead
 give a pencil, the pieces ``b`` and ``d`` of ``K`` kinds of equation, each
@@ -70,6 +70,7 @@ from .spectral import evaluate_on
 
 __all__ = [
     "Trajectory",
+    "block_length",
     "divides",
     "propagate_piecewise_exp",
     "propagate_rk4",
@@ -81,19 +82,21 @@ __all__ = [
 ]
 
 _STEP_NORM_BUDGET = 20.0
-# Bytes of one chunk's complex generator stacks over all the equations it
-# steps, which are built and exponentiated at once: 64 steps of one 16x16
-# generator of the shipped models, 16 steps of a sweep's pencil (the base
-# and dissipator pieces of the exact and the approximate equation, for
-# every gamma).  Longer chunks gain little, and the exponential holds about
-# ten such stacks at a time, so chunks are sized by bytes, not steps, to
-# bound memory at any dimension and any number of equations.  Per-sample
-# work on a trajectory takes that many bytes of states at once: 1,024
-# states of a 4x4 one, and the runner's lab-frame blocks take half that
-# over all the equations of a pass.
-_CHUNK_BYTES = 64 * 16 * 16 * 16
+_CHUNK_BYTES = 64 * 16 * 16 * 16      # read only by block_length
 _EMPTY_TRACE = 1e-12
 _DENSITY_TOL = 1e-10    # initial states: Hermitian, unit trace, eigenvalues >= -tol
+
+
+def block_length(item_bytes):
+    """How many items of ``item_bytes`` bytes make one block: as many as
+    ``_CHUNK_BYTES`` holds, and at least one; the package's one block rule.
+    A chunk of steps takes its generator stacks over all the equations it
+    steps (64 steps of one 16x16 generator, 16 of a sweep's pencil), of
+    which the exponential holds about ten at a time: sizing chunks by bytes
+    bounds memory at any dimension and number of equations, and longer ones
+    gain little.  Per-sample work takes one equation's states (1,024 of a
+    4x4 one); a block held in a few copies at once counts its items twice."""
+    return max(1, _CHUNK_BYTES // item_bytes)
 
 
 @dataclass
@@ -121,9 +124,9 @@ class Trajectory:
         return self.states[..., -1, :, :]
 
     def blocks(self):
-        """Slices of at most ``_CHUNK_BYTES`` of one equation's states
-        covering the trajectory."""
-        n = _CHUNK_BYTES // (16 * self.dim ** 2)
+        """Slices of one block (:func:`block_length`) of one equation's
+        states covering the trajectory."""
+        n = block_length(16 * self.dim ** 2)
         return [slice(i, i + n) for i in range(0, len(self.grid), n)]
 
     def _per_block(self, fn):
@@ -257,7 +260,7 @@ def _stepped(generator, v0, dt, T, s_span, action=False, gammas=None):
     npade = len(act) - np.count_nonzero(act)
     if act[:npade].any() or (gammas is not None and 0.0 in gammas[1:]):
         raise ValueError("the Pade-rule equations (gamma = 0) must come first")
-    n = max(1, _CHUNK_BYTES // (16 * stacks * v0.shape[1] ** 2))
+    n = block_length(16 * stacks * v0.shape[1] ** 2)
     # a pencil's action-rule generators are formed m steps at a time, in at
     # most the bytes of its base pieces
     m = n if gammas is None else max(1, n // max(1, len(rows)))
@@ -359,7 +362,7 @@ def propagate_rk4(generator, rho0, steps, T, s_span=(0.0, 1.0), metadata=None):
     checking each step's three generators as that integrator does.
 
     The generator is evaluated (:func:`.spectral.evaluate_on`) a slice of
-    steps at a time, as many as take ``_CHUNK_BYTES`` of generators; each
+    steps at a time, as many as take one block of generators; each
     slice starts from the end point of the one before, so every grid point
     is sampled once, in order."""
     rho0 = _check_density(rho0)
@@ -368,7 +371,7 @@ def propagate_rk4(generator, rho0, steps, T, s_span=(0.0, 1.0), metadata=None):
     d = rho0.shape[0]
     states = np.empty((len(grid) // 2 + 1, d, d), dtype=complex)
     states[0] = rho0
-    n = max(1, _CHUNK_BYTES // (32 * len(v) ** 2))
+    n = block_length(32 * len(v) ** 2)
     ends = np.asarray(evaluate_on(generator, grid[:1]))
     for k in range(0, len(states) - 1, n):
         # the midpoint and end point of each step of the slice

@@ -13,16 +13,19 @@ the dissipator with the resonance tensor.  Both come from the one assembly
 :class:`.generators.RotatedFrameGenerator`.  A model factory returns a
 :class:`RunContext`, which builds the half-step grid, the frame and the
 assembly once per T slot.  :func:`run_sweep_task` steps all the slot's
-gammas in one pass: :func:`integrate_pairs`, the one integration entry,
-steps the exact and the approximate equation of every gamma in lockstep,
-each chunk's generators given as the pieces that every gamma shares
-(``base + gamma T D^``).  Its :class:`LabPass` takes the states block by
-block, rotates them to the lab frame and keeps the endpoints and running
-monitors, and whole trajectories only for an ``export``;
+gammas in one pass: :func:`integrate_pairs`, the sweep's one integration
+entry, steps the exact and the approximate equation of every gamma in
+lockstep, each chunk's generators given as the pieces that every gamma
+shares (``base + gamma T D^``).  Its :class:`LabPass` takes the states
+block by block, rotates them to the lab frame and keeps the endpoints and
+running monitors, and whole trajectories only for an ``export``;
 :func:`run_point` turns one gamma's into the metrics row and hands its two
-lab-frame trajectories to the ``export``, when given.  Direct lab-frame integration of the same equations is
-available in :mod:`.generators` and is checked against this representation
-by the frame-equivalence tests.
+lab-frame trajectories to the ``export``, when given.  One equation alone,
+such as each of ``check-gauge``'s, steps a generator of the context's
+factories from :meth:`RunContext.initial_components` and is rotated by
+:meth:`RunContext.to_lab`.  Direct lab-frame integration of the same
+equations is available in :mod:`.generators` and is checked against this
+representation by the frame-equivalence tests.
 """
 from __future__ import annotations
 
@@ -39,8 +42,8 @@ from .errors import ConfigInvalid
 from .generators import RotatedFrameGenerator
 from .linalg import dag, frobenius
 from .propagation import (
-    _CHUNK_BYTES,
     Trajectory,
+    block_length,
     hs_error_max,
     intensity_loss,
     normalized_fidelity,
@@ -96,6 +99,11 @@ class RunContext:
     def approximate_generator(self, gamma):
         return vectorized(functools.partial(self.generator, gamma=gamma, approximate=True))
 
+    def initial_components(self):
+        """``rho0`` in frame components: ``U(0)`` need not be the identity."""
+        w0 = self.frame.rotation(0.0)
+        return w0 @ self.rho0 @ dag(w0)
+
     def to_lab(self, trajectory):
         """Rotate a component-coordinate trajectory back to the lab frame,
         a block of samples at a time (:meth:`.Trajectory.blocks`); a pass's
@@ -138,43 +146,34 @@ def random_context(seed, T, dt, dim=4):
 
 class LabPass:
     """Sink of one rotated-frame pass (see :func:`.propagation.propagate_piecewise_exp`)
-    over every ``(gamma, approximate)`` pair of ``gammas`` x ``kinds``, pair
-    ``g K + k`` the ``k``-th kind of ``gammas[g]``.
+    of the exact and the approximate equation of each of ``gammas``, pairs
+    ``2 g`` and ``2 g + 1`` those of ``gammas[g]``.
 
-    It gathers the rotated states into blocks of at most half of
-    ``_CHUNK_BYTES`` over all pairs, rotates each block to the lab frame
-    (:meth:`RunContext.to_lab`) and keeps each pair's endpoint (``final``).
-    For an (exact, approximate) pass, whose rows :func:`run_point` makes, it
-    also runs the :class:`.Trajectory` monitors on each block and keeps per
-    pair the running worst trace, Hermiticity and positivity deviations
-    (``invariants``) and per gamma the running ``max_hs_error``.  Whole lab
-    trajectories are kept only with ``keep`` (:meth:`trajectories`)."""
+    It gathers the states in one buffer of half a block over all pairs
+    (:func:`.propagation.block_length`), rotates each block to the lab frame
+    (:meth:`RunContext.to_lab`) and keeps per pair the endpoint (``final``)
+    and the running worst trace, Hermiticity and positivity deviations that
+    the :class:`.Trajectory` monitors give (``invariants``), per gamma the
+    running ``max_hs_error``, and with ``keep`` the whole lab trajectories
+    (:meth:`trajectories`)."""
 
-    def __init__(self, ctx, gammas, kinds, keep=False):
-        self.ctx, self.gammas, self.kinds = ctx, list(gammas), list(kinds)
+    def __init__(self, ctx, gammas, keep=False):
+        self.ctx, self.gammas = ctx, list(gammas)
         self.grid = sample_grid(ctx.dt, ctx.T)[0][::2]
-        pairs, d = len(self.gammas) * len(self.kinds), ctx.rho0.shape[-1]
-        # half the chunk bytes: rotating and monitoring a block holds a few copies
-        self.block = max(1, _CHUNK_BYTES // (32 * d * d * pairs))
+        pairs, d = 2 * len(self.gammas), ctx.rho0.shape[-1]
+        self.block = block_length(32 * d * d * pairs)
+        self.store = np.empty((pairs, self.block, d, d), dtype=complex)
         self.kept = np.empty((pairs, len(self.grid), d, d), dtype=complex) if keep else None
-        # rotated states wait in place in the kept trajectories, else in one block
-        self.store = self.kept if keep else np.empty((pairs, self.block, d, d), dtype=complex)
-        self.start = self.filled = 0        # grid[start:start + filled] wait
+        self.start = self.filled = 0        # grid[start:start + filled] wait in the store
         self.invariants = np.array([[0.0, 0.0, np.inf]] * pairs)
         self.max_hs_error = np.zeros(len(self.gammas))
         self.final = None
-
-    def _waiting(self):
-        """Where the waiting states sit in the store."""
-        first = 0 if self.kept is None else self.start
-        return slice(first, first + self.filled)
 
     def __call__(self, i, states):
         states = np.moveaxis(states, 0, 1)
         while states.shape[1]:
             take = min(states.shape[1], self.block - self.filled)
-            end = self._waiting().stop
-            self.store[:, end:end + take] = states[:, :take]
+            self.store[:, self.filled:self.filled + take] = states[:, :take]
             self.filled += take
             states = states[:, take:]
             if self.filled == self.block or self.start + self.filled == len(self.grid):
@@ -183,15 +182,14 @@ class LabPass:
     def _flush(self):
         window = slice(self.start, self.start + self.filled)
         lab = self.ctx.to_lab(Trajectory(grid=self.grid[window],
-                                         states=self.store[:, self._waiting()]))
-        if self.kinds == [False, True]:
-            inv = self.invariants
-            inv[:, 0] = np.maximum(inv[:, 0], np.abs(lab.traces() - 1.0).max(axis=-1))
-            inv[:, 1] = np.maximum(inv[:, 1], lab.hermiticity_defects().max(axis=-1))
-            inv[:, 2] = np.minimum(inv[:, 2], lab.min_eigenvalues().min(axis=-1))
-            for g, (exact, approx) in enumerate(zip(lab.states[0::2], lab.states[1::2])):
-                self.max_hs_error[g] = np.maximum(self.max_hs_error[g], hs_error_max(
-                    Trajectory(lab.grid, exact), Trajectory(lab.grid, approx)))
+                                         states=self.store[:, :self.filled]))
+        inv = self.invariants
+        inv[:, 0] = np.maximum(inv[:, 0], np.abs(lab.traces() - 1.0).max(axis=-1))
+        inv[:, 1] = np.maximum(inv[:, 1], lab.hermiticity_defects().max(axis=-1))
+        inv[:, 2] = np.minimum(inv[:, 2], lab.min_eigenvalues().min(axis=-1))
+        for g, (exact, approx) in enumerate(zip(lab.states[0::2], lab.states[1::2])):
+            self.max_hs_error[g] = np.maximum(self.max_hs_error[g], hs_error_max(
+                Trajectory(lab.grid, exact), Trajectory(lab.grid, approx)))
         if self.kept is not None:
             self.kept[:, window] = lab.states
         self.final = lab.final_state()
@@ -202,23 +200,18 @@ class LabPass:
         return [Trajectory(grid=self.grid, states=states) for states in self.kept]
 
 
-def integrate_pairs(ctx, gammas, kinds=(False, True), keep=False):
-    """Step the equations of every ``(gamma, approximate)`` pair of
-    ``gammas`` x ``kinds`` (``approximate`` flags) in one pass in the
-    rotated frame, the gamma = 0 pairs first, and return its
-    :class:`LabPass`.  Every pair's generator is built from the same pieces
+def integrate_pairs(ctx, gammas, keep=False):
+    """Step the exact and the approximate equation of every gamma in one
+    pass in the rotated frame, the gamma = 0 ones first, and return its
+    :class:`LabPass`.  Every generator is built from the same pieces
     (:meth:`.generators.RotatedFrameGenerator.pieces`), a chunk of steps at
     a time; with one gamma the pass steps the formed generators."""
     gammas = sorted(gammas, key=lambda gamma: gamma != 0.0)
-    # initial state in frame components (U(0) need not be the identity for
-    # a general basis permutation, so rotate explicitly)
-    w0 = ctx.frame.rotation(0.0)
-    rho0 = w0 @ ctx.rho0 @ dag(w0)
-    sink = LabPass(ctx, gammas, kinds, keep)
+    sink = LabPass(ctx, gammas, keep)
     # gamma = 0 pairs keep the Pade rule: the recorded gamma = 0 references
     # pin its rounding, which fidelity_norm amplifies about 1e8-fold.  This
     # split goes away once those references are re-derived.
-    pieces = functools.partial(ctx.generator.pieces, kinds=kinds, dissipative=any(gammas))
+    pieces = functools.partial(ctx.generator.pieces, kinds=(False, True), dissipative=any(gammas))
     generator, rule = pieces, {"gammas": gammas}
     if len(gammas) == 1:    # one gamma shares no pieces: step its own generators
         def generator(s):
@@ -226,10 +219,8 @@ def integrate_pairs(ctx, gammas, kinds=(False, True), keep=False):
             return base if dhat is None else base + gammas[0] * dhat
         rule = {"action": gammas[0] != 0.0}
     propagate_piecewise_exp(
-        vectorized(generator), np.stack([rho0] * len(gammas) * len(kinds)), ctx.dt, ctx.T,
-        metadata={"model": ctx.model_id, "gamma": [g for g in gammas for _ in kinds],
-                  "generator": ["approximate" if a else "exact" for a in kinds] * len(gammas)},
-        sink=sink, **rule)
+        vectorized(generator), np.stack([ctx.initial_components()] * 2 * len(gammas)),
+        ctx.dt, ctx.T, sink=sink, **rule)
     return sink
 
 

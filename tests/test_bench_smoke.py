@@ -118,3 +118,5 @@ def test_traced_smoke_workload_reports_strict_json(name, tmp_path):
     assert counts == TRACED_COUNTS[name]
     if name != "check-gauge":       # the two sweep workloads
         assert metrics["runner.points"] > 0
+    else:       # four chunks of each gauge's rotated equation and of the lab-frame one
+        assert metrics["generators.assembly_calls"] == 12

@@ -357,16 +357,14 @@ class TestRunConfig:
         calls = []
         propagate = runner.propagate_piecewise_exp
 
-        def counting(*args, **kwargs):
-            calls.append(list(zip(kwargs["metadata"]["gamma"],
-                                  kwargs["metadata"]["generator"])))
-            return propagate(*args, **kwargs)
+        def counting(generator, rho0, *args, **kwargs):
+            calls.append((len(rho0), kwargs["gammas"]))
+            return propagate(generator, rho0, *args, **kwargs)
         monkeypatch.setattr(runner, "propagate_piecewise_exp", counting)
         path = write_config(tmp_path, T_list=[1.0, 2.0], dt=0.1)
         code, rows = cli.run_config(str(path), {"workers": 1, "no_timestamp": True})
         assert code == 0 and len(rows) == 4
-        assert calls == 2 * [[(0.0, "exact"), (0.0, "approximate"),
-                              (0.1, "exact"), (0.1, "approximate")]]
+        assert calls == 2 * [(4, [0.0, 0.1])]     # the exact and approximate pair of each
         assert len(list((tmp_path / "out").glob("trajectory_*.csv"))) == 2 * len(rows)
 
     def test_pool_writes_same_files(self, tmp_path):
@@ -521,15 +519,22 @@ class TestRunner:
                 gen(s)
 
     def test_gauge_check_integrates_only_the_approximate_equation(self, monkeypatch):
-        calls = []
+        # each gauge steps the generator of its context's approximate factory
+        made, stepped = [], []
+        for name in ("exact_generator", "approximate_generator"):
+            def recording(ctx, gamma, name=name, factory=getattr(runner.RunContext, name)):
+                made.append((name, gamma, factory(ctx, gamma)))
+                return made[-1][-1]
+            monkeypatch.setattr(runner.RunContext, name, recording)
         propagate = runner.propagate_piecewise_exp
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs["metadata"]["generator"])
-            return propagate(*args, **kwargs)
+        def counting(generator, *args, **kwargs):
+            stepped.append(generator)
+            return propagate(generator, *args, **kwargs)
         monkeypatch.setattr(runner, "propagate_piecewise_exp", counting)
         rows = cli.gauge_check_rows(T=0.2, gamma=0.1, dt=1e-3)
-        assert calls == [["approximate"], ["approximate"]]      # one per gauge
+        assert [m[:2] for m in made] == [("approximate_generator", 0.1)] * 2  # one per gauge
+        assert stepped == [m[2] for m in made]
         assert [r["check"] for r in rows][:2] == ["direct-vs-rotated",
                                                   "gauge-equivalence"]
 

@@ -16,7 +16,7 @@ from adiabat.models import (
     initial_state,
     make_random_model,
 )
-from adiabat.propagation import evolve_vector_piecewise_exp
+from adiabat.propagation import evolve_vector_piecewise_exp, propagate_piecewise_exp
 
 X, Y, DPHI = np.pi / 5, 3 * np.pi / 4, np.pi / 4
 
@@ -262,7 +262,10 @@ class TestHolonomyIndependence:
             ctx = runner.holonomy_context(dphi, (0.4, 0.2, 0.4, 0.0),
                                           Gauge.NORTH_POLE_REGULAR,
                                           50.0, 0.01, X, Y)
-            comp = runner.integrate_pairs(ctx, [0.1], (True,)).final[0][:2, :2]
+            approx = propagate_piecewise_exp(ctx.approximate_generator(0.1),
+                                             ctx.initial_components(), ctx.dt, ctx.T,
+                                             action=True)
+            comp = ctx.to_lab(approx).final_state()[:2, :2]
             u = holonomy_gate(dphi)
             outs.append(u @ comp @ dag(u))
         assert frobenius(outs[0] - outs[1]) <= 1e-6

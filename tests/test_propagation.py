@@ -273,7 +273,7 @@ class TestSampleGrid:
             seen.append(np.atleast_1d(s))
             return pieces(s, kinds, dissipative)
         monkeypatch.setattr(ctx.generator, "pieces", record)
-        [traj] = runner.integrate_pairs(ctx, [0.1], (True,), keep=True).trajectories()
+        traj, _ = runner.integrate_pairs(ctx, [0.1], keep=True).trajectories()
         assert np.array_equal(np.concatenate(seen), ctx.frame.grid[1::2])
         assert np.array_equal(traj.grid, ctx.frame.grid[::2])
 
@@ -303,7 +303,7 @@ class TestChunkedSteps:
         gen.vectorized = vectorized
         # step 30 of 100 is the first oversized one: inside the one chunk,
         # which holds every step
-        assert propagation._CHUNK_BYTES // (16 * 4 * 4) >= 99
+        assert propagation.block_length(16 * 4 * 4) >= 99
         with pytest.raises(StepTooLarge):
             propagate_piecewise_exp(gen, qubit_rho, 0.01, 1.0)
         with pytest.raises(StepTooLarge):
@@ -384,12 +384,14 @@ class TestStackedPass:
 
     def test_rotated_pass_matches_lab_frame_runs(self):
         # the runner's pass: gamma = 0 by the Pade rule, gamma > 0 by the
-        # action rule, each pair's lab-frame trajectory in order
+        # action rule, each pair's lab-frame trajectory in order, against
+        # each equation stepped alone from the context's factories
         ctx = small_context("random_rotating", 1.0, 0.01)
         labs = runner.integrate_pairs(ctx, [0.1, 0.0], keep=True).trajectories()
         for (gamma, approximate), lab in zip(PASS, labs):
-            [alone] = runner.integrate_pairs(ctx, [gamma], (approximate,),
-                                             keep=True).trajectories()
+            factory = ctx.approximate_generator if approximate else ctx.exact_generator
+            alone = ctx.to_lab(propagate_piecewise_exp(
+                factory(gamma), ctx.initial_components(), ctx.dt, ctx.T, action=gamma != 0.0))
             assert np.array_equal(lab.grid, alone.grid)
             if gamma == 0.0:
                 assert np.array_equal(lab.states, alone.states)
@@ -574,6 +576,21 @@ class TestTrajectoryMonitors:
         assert traj.hermiticity_defects().max() <= 1e-8
         assert traj.min_eigenvalues().min() >= -1e-6
         assert np.all(traj.purities() <= 1.0 + 1e-9)
+
+    def test_monitors_of_states_larger_than_a_block(self):
+        # one 129x129 state takes more than a block: a block is one sample
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((2, 129, 129)) + 1j * rng.standard_normal((2, 129, 129))
+        rho = a @ dag(a)
+        rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+        traj = Trajectory(grid=np.array([0.0, 1.0]), states=rho)
+        assert traj.blocks() == [slice(0, 1), slice(1, 2)]
+        assert np.array_equal(traj.hermiticity_defects(),
+                              np.linalg.norm(rho - dag(rho), axis=(1, 2)))
+        assert np.array_equal(traj.min_eigenvalues(),
+                              np.linalg.eigvalsh(0.5 * (rho + dag(rho)))[:, 0])
+        assert hs_error_max(traj, Trajectory(grid=traj.grid, states=rho[::-1])) == (
+            np.linalg.norm(rho - rho[::-1], axis=(1, 2)).max())
 
     def test_blockwise_monitors_equal_one_shot(self):
         # 4,001 samples: three full blocks and a partial one
