@@ -60,9 +60,10 @@ SWEEP_COLUMNS = ["model", "gamma", "T", "dt", "elem11_exact", "elem11_approx",
 
 # largest Hilbert-space dimension a config may ask for
 _MAX_DIM = 16
-# largest max(T)/dt: a T slot peaks at ~3.2 KB per step (1.6 GB here) while
-# its frame is built; its one pass, which keeps no whole trajectory unless
-# the points are exported, stays below that
+# largest max(T)/dt.  An unexported T slot grows by ~32 B per step (its
+# frame goes a window at a time, its pass keeps no trajectory); an exported
+# one keeps 2 len(gamma_list) lab trajectories, 256 B per sample each at
+# d = 4, so six gammas (fig-sweep-random's) at this limit take ~1.6 GB
 _MAX_STEPS = 500_000
 
 
@@ -547,31 +548,45 @@ def gauge_check_rows(T=2.0, gamma=0.1, dt=1e-4):
     # gauge: only the frame and the generator assembly are rebuilt
     ctx_eq = dataclasses.replace(ctx_np, family=models.holonomy_family(
         models.build_orange_path(dphi, T, split), models.Gauge.EQUATOR_REGULAR))
+    points = ctx_np.frame.grid[::2]
+    n = len(points) - 1
+    checkpoints = [max(1, (n * (j + 1)) // 10) for j in range(10)]
+
+    def checkpoint_states(integrate, generator, rho0, action):
+        """The states of one integration at the checkpoints only."""
+        kept = np.empty((len(checkpoints),) + rho0.shape, dtype=complex)
+
+        def sink(i, states):
+            for j, idx in enumerate(checkpoints):
+                if i <= idx < i + len(states):
+                    kept[j] = states[idx - i, 0]
+        integrate(generator, rho0, dt, T, action=action, sink=sink)
+        return kept
+
     # under runner's name, where the benchmark tracer counts rotated-frame integrations
-    approx_np, approx_eq = (ctx.to_lab(runner.propagate_piecewise_exp(
-        ctx.approximate_generator(gamma), ctx.initial_components(), dt, T,
-        action=gamma != 0.0)) for ctx in (ctx_np, ctx_eq))
+    approx_np, approx_eq = (ctx.to_lab(Trajectory(points[checkpoints], checkpoint_states(
+        runner.propagate_piecewise_exp, ctx.approximate_generator(gamma),
+        ctx.initial_components(), gamma != 0.0))).states for ctx in (ctx_np, ctx_eq))
 
     fam = ctx_np.family
-    q_of_s = vectorized(functools.partial(geometric_term, fam, h=1e-3, richardson=True))
+    # the geometric term's spectra at s serve the dissipator filter too
+    q_of_s = vectorized(functools.partial(geometric_term, fam, h=1e-3, richardson=True,
+                                          with_spectrum=True))
     gen_lab = ApproximateGenerator(fam, ctx_np.dissipator, ctx_np.tensor, T, gamma,
                                    q_of_s=q_of_s)
-    traj_lab = propagate_piecewise_exp(gen_lab, ctx_np.rho0, dt, T)
+    lab = checkpoint_states(propagate_piecewise_exp, gen_lab, ctx_np.rho0, False)
 
-    n = len(traj_lab.grid) - 1
-    checkpoints = [max(1, (n * (j + 1)) // 10) for j in range(10)]
     worst_direct = 0.0
     worst_gauge = 0.0
-    for idx in checkpoints:
-        s = traj_lab.grid[idx]
-        spec = fam.spectrum(s)
+    for j, idx in enumerate(checkpoints):
+        spec = fam.spectrum(points[idx])
         for pk in spec.projectors:
             for pl in spec.projectors:
                 block = lambda rho: pk @ rho @ pl
                 worst_direct = max(worst_direct, frobenius(
-                    block(traj_lab.states[idx]) - block(approx_np.states[idx])))
+                    block(lab[j]) - block(approx_np[j])))
                 worst_gauge = max(worst_gauge, frobenius(
-                    block(approx_eq.states[idx]) - block(approx_np.states[idx])))
+                    block(approx_eq[j]) - block(approx_np[j])))
     rows.append({"check": "direct-vs-rotated", "value": worst_direct, "bound": 1e-8})
     rows.append({"check": "gauge-equivalence", "value": worst_gauge, "bound": 1e-8})
 

@@ -205,17 +205,24 @@ def approximate_generator(family, dissipator, tensor, T, gamma, s, q_of_s=None):
     ``-i[T H(s) + Q(s), .] + Gamma T sum g_klk'l' P_k D_s(P_k' . P_l') P_l``
 
     ``q_of_s`` supplies the geometric term; by default it is computed by
-    finite differences of the eigenprojectors.  The resonance tensor must
-    have been built from the same family (same eigenspace labels).
+    finite differences of the eigenprojectors.  A ``q_of_s`` marked
+    :func:`.spectral.vectorized` may return ``(Q, spectrum)`` instead, as
+    :func:`.spectral.geometric_term` does with ``with_spectrum=True``; the
+    filter then reads that spectrum at ``s`` rather than building it again.
+    The resonance tensor must have been built from the same family (same
+    eigenspace labels).
     """
     if family.dim != dissipator.dim:
         raise DimensionMismatch(
             f"Hamiltonian dim {family.dim} != dissipator dim {dissipator.dim}"
         )
-    q = geometric_term(family, s) if q_of_s is None else evaluate_on(q_of_s, s)
+    q = (geometric_term(family, s, with_spectrum=True) if q_of_s is None
+         else evaluate_on(q_of_s, s))
+    q, spectrum = q if isinstance(q, tuple) else (q, None)
     g = hamiltonian_superop(T * family.hamiltonian(s) + q)
     if gamma != 0.0:
-        g = g + gamma * T * filtered_dissipator_superop(dissipator, tensor, family.spectrum(s), s)
+        spectrum = family.spectrum(s) if spectrum is None else spectrum
+        g = g + gamma * T * filtered_dissipator_superop(dissipator, tensor, spectrum, s)
     return g
 
 
@@ -337,18 +344,18 @@ class RotatedFrameGenerator:
         is ``base + gamma T D^``, so these pieces serve every gamma."""
         frame, c0 = self.frame, self.frame.basis0
         i = frame.index_of(s)       # one grid lookup serves E, Z and W
-        e = frame.energies[i]
+        e = frame.energies(i)
         gaps = -1j * self.T * (e[..., self._k] - e[..., self._l])
         diag = np.arange(gaps.shape[-1])
         delta = np.zeros(gaps.shape + gaps.shape[-1:], dtype=complex)
         delta[..., diag, diag] = gaps
-        zhat = dag(c0) @ frame.Z[i] @ c0
+        zhat = dag(c0) @ frame.z(i) @ c0
         base = np.stack([delta + hamiltonian_superop(
             np.where(self._same_block, zhat, 0.0) if approx else zhat) for approx in kinds],
             axis=-3)
         if not dissipative:
             return base, None
-        w = dag(c0) @ frame.U[i]        # frame.rotation(s)
+        w = dag(c0) @ frame.u(i)        # frame.rotation(s)
         dhat = self.T * self.dissipator.superoperator(s, w)
         return base, np.stack([np.where(self._mask, dhat, 0.0) if approx else dhat
                                for approx in kinds], axis=-3)

@@ -17,8 +17,9 @@ gammas in one pass: :func:`integrate_pairs`, the sweep's one integration
 entry, steps the exact and the approximate equation of every gamma in
 lockstep, each chunk's generators given as the pieces that every gamma
 shares (``base + gamma T D^``).  Its :class:`LabPass` takes the states
-block by block, rotates them to the lab frame and keeps the endpoints and
-running monitors, and whole trajectories only for an ``export``;
+block by block, rotates them to the lab frame with the frame's ``U`` read
+chunk by chunk and keeps the endpoints and running monitors, and whole
+trajectories only for an ``export``;
 :func:`run_point` turns one gamma's into the metrics row and hands its two
 lab-frame trajectories to the ``export``, when given.  One equation alone,
 such as each of ``check-gauge``'s, steps a generator of the context's
@@ -104,13 +105,16 @@ class RunContext:
         w0 = self.frame.rotation(0.0)
         return w0 @ self.rho0 @ dag(w0)
 
-    def to_lab(self, trajectory):
+    def to_lab(self, trajectory, u=None):
         """Rotate a component-coordinate trajectory back to the lab frame,
         a block of samples at a time (:meth:`.Trajectory.blocks`); a pass's
-        equations, on a leading axis, go together."""
+        equations, on a leading axis, go together.  ``u``, when given, is
+        the frame's ``U`` at the trajectory's samples, read while the
+        frame's window held them."""
         states = np.empty_like(trajectory.states)
         for block in trajectory.blocks():
-            w = self.frame.rotation(trajectory.grid[block])
+            w = (self.frame.rotation(trajectory.grid[block]) if u is None
+                 else dag(self.frame.basis0) @ u[block])
             states[..., block, :, :] = dag(w) @ trajectory.states[..., block, :, :] @ w
         return Trajectory(grid=trajectory.grid, states=states,
                           metadata=dict(trajectory.metadata))
@@ -150,8 +154,10 @@ class LabPass:
     ``2 g`` and ``2 g + 1`` those of ``gammas[g]``.
 
     It gathers the states in one buffer of half a block over all pairs
-    (:func:`.propagation.block_length`), rotates each block to the lab frame
-    (:meth:`RunContext.to_lab`) and keeps per pair the endpoint (``final``)
+    (:func:`.propagation.block_length`), with the frame's ``U`` at their
+    samples read as each chunk comes, while the frame's window still holds
+    them; rotates each block to the lab frame (:meth:`RunContext.to_lab`)
+    and keeps per pair the endpoint (``final``)
     and the running worst trace, Hermiticity and positivity deviations that
     the :class:`.Trajectory` monitors give (``invariants``), per gamma the
     running ``max_hs_error``, and with ``keep`` the whole lab trajectories
@@ -159,10 +165,11 @@ class LabPass:
 
     def __init__(self, ctx, gammas, keep=False):
         self.ctx, self.gammas = ctx, list(gammas)
-        self.grid = sample_grid(ctx.dt, ctx.T)[0][::2]
+        self.grid = ctx.frame.grid[::2]      # the frame's half-step grid
         pairs, d = 2 * len(self.gammas), ctx.rho0.shape[-1]
         self.block = block_length(32 * d * d * pairs)
         self.store = np.empty((pairs, self.block, d, d), dtype=complex)
+        self.u = np.empty((self.block, d, d), dtype=complex)
         self.kept = np.empty((pairs, len(self.grid), d, d), dtype=complex) if keep else None
         self.start = self.filled = 0        # grid[start:start + filled] wait in the store
         self.invariants = np.array([[0.0, 0.0, np.inf]] * pairs)
@@ -171,18 +178,21 @@ class LabPass:
 
     def __call__(self, i, states):
         states = np.moveaxis(states, 0, 1)
+        u = self.ctx.frame.u(slice(2 * i, 2 * (i + states.shape[1]), 2))
         while states.shape[1]:
             take = min(states.shape[1], self.block - self.filled)
             self.store[:, self.filled:self.filled + take] = states[:, :take]
+            self.u[self.filled:self.filled + take] = u[:take]
             self.filled += take
-            states = states[:, take:]
+            states, u = states[:, take:], u[take:]
             if self.filled == self.block or self.start + self.filled == len(self.grid):
                 self._flush()
 
     def _flush(self):
         window = slice(self.start, self.start + self.filled)
         lab = self.ctx.to_lab(Trajectory(grid=self.grid[window],
-                                         states=self.store[:, :self.filled]))
+                                         states=self.store[:, :self.filled]),
+                              u=self.u[:self.filled])
         inv = self.invariants
         inv[:, 0] = np.maximum(inv[:, 0], np.abs(lab.traces() - 1.0).max(axis=-1))
         inv[:, 1] = np.maximum(inv[:, 1], lab.hermiticity_defects().max(axis=-1))

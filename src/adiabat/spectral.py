@@ -18,8 +18,8 @@ Arrays of ``s``: :meth:`HamiltonianFamily.hamiltonian`,
 :meth:`HamiltonianFamily.spectrum`, :func:`projector_derivative` and
 :func:`geometric_term` also take a 1-D array of parameter values and return
 stacks along a leading axis (a stacked decomposition holds one ``(n, d, d)``
-stack per eigenspace), and :func:`build_transport_frame` evaluates an
-analytic basis on the whole grid at once.  A callable marked with
+stack per eigenspace), and a :class:`TransportFrame` evaluates an
+analytic basis a window of grid samples at a time.  A callable marked with
 :func:`vectorized` takes the array in one call; any other callable is
 called once per sample and the results are stacked.  Each sample of a
 stack gets the same floating-point operations as a scalar call.
@@ -54,8 +54,9 @@ __all__ = [
 ]
 
 _HERMITICITY_TOL = 1e-12
-# bytes of projectors per slice of a frame's grid spectrum (d^3 complex per sample)
-_SPECTRUM_SLICE_BYTES = 2 ** 20
+# bytes of one frame window, four (d, d) complex stacks (256 samples at d = 4)
+_WINDOW_BYTES = 2 ** 18
+_HALO = 2                       # frame window samples either side: Z's stencils reach +-2
 _GRID_TOL = 1e-9
 _FRAME_JUMP_TOL = 0.5
 _PROJECTOR_TOL = 1e-10          # SpectralDecomposition.validate
@@ -355,9 +356,11 @@ def projector_derivative(family, s, h=1e-4, richardson=False):
     return [dp.reshape(np.shape(s) + dp.shape[1:]) for dp in derivs]
 
 
-def geometric_term(family, s, h=1e-4, richardson=False):
+def geometric_term(family, s, h=1e-4, richardson=False, with_spectrum=False):
     """The coherent correction ``Q(s) = i sum_k dP_k/ds P_k``; an
-    ``(n, d, d)`` stack for a 1-D array ``s``.
+    ``(n, d, d)`` stack for a 1-D array ``s``.  ``with_spectrum=True``
+    returns ``(Q, spectrum)``, the spectrum at ``s`` (stacked over the
+    samples of ``s``) that the stencils were built around.
 
     Hermitian up to the finite-difference truncation error; the residual is
     a useful self-check and is asserted (not enforced) by the test suite.
@@ -366,36 +369,58 @@ def geometric_term(family, s, h=1e-4, richardson=False):
     q = np.zeros_like(derivs[0])
     for pd, p in zip(derivs, base.projectors):
         q += 1j * (pd @ p)
-    return q.reshape(np.shape(s) + q.shape[1:])
+    q = q.reshape(np.shape(s) + q.shape[1:])
+    if not with_spectrum:
+        return q
+    return q, (base.take(0) if np.ndim(s) == 0 else base)
 
 
 # ---------------------------------------------------------------------------
 # transport frames
 # ---------------------------------------------------------------------------
 
-@dataclass
 class TransportFrame:
-    """Grid-sampled unitaries ``U(s)`` mapping instantaneous projectors to
-    their initial values, with ``Z = i dU/ds U^dagger`` from grid differences.
+    """Unitaries ``U(s)`` on a grid mapping instantaneous projectors to their
+    initial values, with ``Z = i dU/ds U^dagger`` from grid differences and
+    the eigenspace energies, evaluated a window of samples at a time.
 
     ``basis0`` holds the eigencolumns at ``grid[0]`` that generated the
     frame, grouped per eigenspace as recorded in ``block_slices``; rotated
     component representations are expressed in these columns.  Eigenspace
-    ``k`` is that of ``family.spectrum``, with energy ``energies[i, k]`` at
-    ``grid[i]``.  The lookups by ``s`` take a number or an array of grid
-    points.
+    ``k`` is that of ``family.spectrum``, with energy ``energies(i)[k]`` at
+    ``grid[i]``.  :meth:`u`, :meth:`z` and :meth:`energies` take grid
+    indices (a number, an array or a slice); the lookups by ``s`` take a
+    number or an array of grid points.
+
+    No whole-grid ``U`` or ``Z`` is held.  A window is ``_window_length``
+    grid samples from the first index a lookup misses, its ``U`` with a halo
+    of ``_HALO`` samples either side: ``Z`` reads the samples +-1 (+-2 for
+    the one-sided stencils of edges and kinks).  ``Z`` and the energies are
+    evaluated, once per window, only at the window samples of the parity
+    asked for (a pass asks at midpoints only).  Only the latest window is
+    kept.  Each sample gets the floating-point operations of
+    ``np.gradient(U, grid, axis=0, edge_order=2)`` on the whole grid (its
+    uniform branch exactly when every spacing of the grid is bit-equal), so
+    any window size gives the same bits.
     """
 
-    grid: np.ndarray
-    U: np.ndarray                 # (n, d, d)
-    Z: np.ndarray                 # (n, d, d)
-    basis0: np.ndarray            # (d, d) columns
-    block_slices: tuple           # per-eigenspace column ranges in basis0
-    energies: np.ndarray          # (n, K)
+    def __init__(self, grid, columns, energies, basis0, block_slices, breakpoints):
+        self.grid = grid
+        self.basis0 = basis0
+        self.block_slices = block_slices
+        self._columns = columns         # (start, stop) -> grouped columns on grid[start:stop]
+        self._energies = energies       # index array -> (m, K) energies
+        self._breakpoints = tuple(breakpoints)
+        self._length = _window_length(self.dim)
+        spacing = np.diff(grid)
+        # np.gradient's uniform branch: one scalar step, when every spacing is equal
+        self._step = spacing[0] if (spacing == spacing[0]).all() else None
+        self._window = None
+        self._max_jump = 0.0
 
     @property
     def dim(self):
-        return self.U.shape[1]
+        return self.basis0.shape[0]
 
     @property
     def labels(self):
@@ -416,8 +441,21 @@ class TransportFrame:
             raise KeyError(f"s={np.ravel(s)[np.ravel(bad)][0]} is not a frame grid point")
         return i if i.ndim else int(i)
 
+    def u(self, index):
+        """``U`` at the grid indices ``index``: ``(d, d)``, or a stack."""
+        return self._lookup(index, True, lambda w, i: w.u[i - w.lo])
+
+    def z(self, index):
+        """``Z = i dU/ds U^dagger`` at the grid indices ``index``."""
+        return self._lookup(index, False, lambda w, i: self._per_parity(w, i, "z", self._z))
+
+    def energies(self, index):
+        """Eigenspace energies ``(K,)`` at the grid indices ``index``, or a stack."""
+        return self._lookup(index, False, lambda w, i: self._per_parity(
+            w, i, "energies", lambda w, j: self._energies(j)))
+
     def u_at(self, s):
-        return self.U[self.index_of(s)]
+        return self.u(self.index_of(s))
 
     def rotation(self, s):
         """``W = basis0^dagger U(s)``: maps lab-frame operators at the grid
@@ -425,22 +463,199 @@ class TransportFrame:
         return dag(self.basis0) @ self.u_at(s)
 
     def max_jump(self):
-        return float(np.linalg.norm(np.diff(self.U, axis=0), axis=(1, 2)).max())
+        return self._max_jump
 
     def transport_defect(self, family):
         """Worst deviation of ``U P_k(s) U^dagger`` from ``P_k(0)`` over the
         grid (labels chained sample to sample)."""
-        stride = max(1, len(self.grid) // _DEFECT_SAMPLES)
+        samples = np.arange(0, len(self.grid), max(1, len(self.grid) // _DEFECT_SAMPLES))
         prev = family.spectrum(self.grid[0])
         p0 = prev.projectors
         worst = 0.0
-        for i in range(0, len(self.grid), stride):
+        for i, u in zip(samples, self.u(samples)):
             d = _relabel(family.spectrum(self.grid[i]), prev)
-            u = self.U[i]
             for k, p in enumerate(d.projectors):
                 worst = max(worst, frobenius(u @ p @ dag(u) - p0[k]))
             prev = d
         return worst
+
+    # -- windows ------------------------------------------------------------
+
+    def _unitaries(self, start, stop):
+        """``U = basis0 cols^dagger`` on ``grid[start:stop]``."""
+        return self.basis0 @ dag(self._columns(start, stop))
+
+    def _check_jumps(self):
+        """Raise :class:`FrameDiscontinuity` at the first consecutive pair of
+        unitaries, in ``s`` order, more than ``_FRAME_JUMP_TOL`` apart; each
+        pair is checked once, a window at a time.  Records :meth:`max_jump`."""
+        grid, last = self.grid, None
+        for start in range(0, len(grid), self._length):
+            u = self._unitaries(start, min(len(grid), start + self._length))
+            first = start if last is None else start - 1
+            if last is not None:
+                u = np.concatenate((last, u))
+            jumps = np.linalg.norm(np.diff(u, axis=0), axis=(1, 2))
+            over = np.flatnonzero(jumps > _FRAME_JUMP_TOL)
+            if over.size:
+                i = first + over[0]
+                raise FrameDiscontinuity(
+                    f"frame jump {jumps[over[0]]:.3e} between s={grid[i]:.6g} and "
+                    f"s={grid[i + 1]:.6g} exceeds {_FRAME_JUMP_TOL}")
+            if jumps.size:
+                self._max_jump = max(self._max_jump, float(jumps.max()))
+            last = u[-1:]
+
+    def _lookup(self, index, halo, read):
+        """``read(window, i)`` at the grid indices ``index``, in their shape:
+        each index from the window that holds it (its halo counts when
+        ``halo``), the misses, in ascending order, from new windows."""
+        idx, first, last = self._indices(index)
+        flat = idx.ravel()
+        w = self._window
+        if not flat.size:       # no index: the shape of one sample's value
+            out = read(self._window_at(0, halo), np.zeros(1, dtype=int))[:0]
+        elif w is not None and w.holds(first, halo) and w.holds(last, halo):
+            out = read(w, flat)
+        else:
+            order = np.argsort(flat, kind="stable")
+            ranked = flat[order]
+            out, j = None, 0
+            while j < len(ranked):
+                w = self._window_at(ranked[j], halo)
+                stop = np.searchsorted(ranked, w.hi if halo else w.stop)
+                values = read(w, ranked[j:stop])
+                if out is None:
+                    out = np.empty((len(flat),) + values.shape[1:], dtype=values.dtype)
+                out[order[j:stop]] = values
+                j = stop
+        return out.reshape(idx.shape + out.shape[1:])
+
+    def _indices(self, index):
+        """Grid indices as an integer array, with their least and largest."""
+        n = len(self.grid)
+        idx = np.arange(*index.indices(n)) if isinstance(index, slice) else np.asarray(index)
+        if idx.dtype.kind not in "iu":
+            raise IndexError(f"grid indices must be integers, got {idx.dtype}")
+        if not idx.size:
+            return idx, None, None
+        first, last = idx.min(), idx.max()
+        if first < 0:
+            idx = np.where(idx < 0, idx + n, idx)
+            first, last = idx.min(), idx.max()
+        if first < 0 or last >= n:
+            raise IndexError(f"grid index out of range for {n} samples")
+        return idx, first, last
+
+    def _window_at(self, i, halo):
+        """The latest window if it holds sample ``i``, else a new one from ``i``."""
+        w = self._window
+        if w is None or not w.holds(i, halo):
+            n = len(self.grid)
+            w = self._window = _Window(int(i), min(n, int(i) + self._length), n)
+            w.u = self._unitaries(w.lo, w.hi)
+        return w
+
+    def _per_parity(self, w, i, name, fn):
+        """``fn(w, j)`` at the samples ``i`` of the window ``w``, evaluated
+        once per parity of index at every window sample of that parity."""
+        parity = i % 2
+        if (parity == parity[0]).all():     # one parity: no scatter
+            first, values = self._parity_values(w, parity[0], name, fn)
+            return values[(i - first) // 2]
+        out = None
+        for p in (0, 1):
+            sel = parity == p
+            first, values = self._parity_values(w, p, name, fn)
+            if out is None:
+                out = np.empty(i.shape + values.shape[1:], dtype=values.dtype)
+            out[sel] = values[(i[sel] - first) // 2]
+        return out
+
+    def _parity_values(self, w, p, name, fn):
+        key = (name, int(p))
+        if key not in w.cache:
+            first = w.start + (p - w.start) % 2
+            w.cache[key] = first, fn(w, np.arange(first, w.stop, 2))
+        return w.cache[key]
+
+    def _z(self, w, i):
+        """``Z`` at the samples ``i`` of the window ``w``: the stencils of
+        ``np.gradient(U, grid, axis=0, edge_order=2)``, one-sided near kinks."""
+        x, n, u, h = self.grid, len(self.grid), w.u, self._step
+        k = i - w.lo                    # window rows of the samples
+        du = np.empty((len(i),) + u.shape[1:], dtype=complex)
+        inner = (0 < i) & (i < n - 1)
+        if inner.any():
+            m = k[inner]
+            if h is not None:
+                du[inner] = (u[m + 1] - u[m - 1]) / (2. * h)
+            else:
+                dx1 = x[i[inner]] - x[i[inner] - 1]
+                dx2 = x[i[inner] + 1] - x[i[inner]]
+                a = (-(dx2) / (dx1 * (dx1 + dx2)))[:, None, None]
+                b = ((dx2 - dx1) / (dx1 * dx2))[:, None, None]
+                c = (dx1 / (dx2 * (dx1 + dx2)))[:, None, None]
+                du[inner] = a * u[m - 1] + b * u[m] + c * u[m + 1]
+        for j in np.flatnonzero(~inner):
+            if i[j] == 0:
+                if h is not None:
+                    a, b, c = -1.5 / h, 2. / h, -0.5 / h
+                else:
+                    dx1, dx2 = x[1] - x[0], x[2] - x[1]
+                    a = -(2. * dx1 + dx2) / (dx1 * (dx1 + dx2))
+                    b = (dx1 + dx2) / (dx1 * dx2)
+                    c = - dx1 / (dx2 * (dx1 + dx2))
+                du[j] = a * u[k[j]] + b * u[k[j] + 1] + c * u[k[j] + 2]
+            else:
+                if h is not None:
+                    a, b, c = 0.5 / h, -2. / h, 1.5 / h
+                else:
+                    dx1, dx2 = x[n - 2] - x[n - 3], x[n - 1] - x[n - 2]
+                    a = (dx2) / (dx1 * (dx1 + dx2))
+                    b = - (dx2 + dx1) / (dx1 * dx2)
+                    c = (2. * dx2 + dx1) / (dx2 * (dx1 + dx2))
+                du[j] = a * u[k[j] - 2] + b * u[k[j] - 1] + c * u[k[j]]
+        # near a schedule kink the symmetric stencil mixes two smooth pieces;
+        # redo those samples one-sided (a sample exactly on a kink takes the
+        # backward value)
+        if self._breakpoints:
+            lo, hi = x[np.maximum(i - 1, 0)], x[np.minimum(i + 1, n - 1)]
+            near = [((lo < b) & (b < hi)) | (np.abs(b - x[i]) < 1e-15)
+                    for b in self._breakpoints]
+            for j in np.flatnonzero(np.any(near, axis=0)):
+                b = next(b for b, hit in zip(self._breakpoints, near) if hit[j])
+                r = k[j]
+                if x[i[j]] <= b and i[j] >= 2:
+                    dx = x[i[j]] - x[i[j] - 1]
+                    du[j] = (3 * u[r] - 4 * u[r - 1] + u[r - 2]) / (2 * dx)
+                elif i[j] + 2 < n:
+                    dx = x[i[j] + 1] - x[i[j]]
+                    du[j] = (-3 * u[r] + 4 * u[r + 1] - u[r + 2]) / (2 * dx)
+        z = np.einsum("nij,nkj->nik", 1j * du, np.conj(u[k]))
+        # i dU/ds U^dagger is exactly Hermitian; drop the finite-difference
+        # anti-Hermitian residue so downstream generators preserve Hermiticity
+        return 0.5 * (z + np.conj(np.transpose(z, (0, 2, 1))))
+
+
+class _Window:
+    """Grid samples ``[start, stop)`` of a frame, its ``U`` on the halo
+    range ``[lo, hi)`` and the values :meth:`TransportFrame._per_parity` made."""
+
+    def __init__(self, start, stop, n):
+        self.start, self.stop = start, stop
+        self.lo, self.hi = max(0, start - _HALO), min(n, stop + _HALO)
+        self.u = None
+        self.cache = {}
+
+    def holds(self, i, halo):
+        """Whether sample ``i`` is in the window (its halo counts for ``U``)."""
+        return (self.lo if halo else self.start) <= i < (self.hi if halo else self.stop)
+
+
+def _window_length(dim):
+    """Grid samples per frame window: 256 at d = 4, fewer at larger ``d``."""
+    return max(1, _WINDOW_BYTES // (64 * dim * dim))
 
 
 def _polar_unitary(m):
@@ -473,87 +688,65 @@ def _continued_columns(family, grid):
     return np.stack([np.hstack(f) for f in frames]), np.stack(energies), prev.ranks
 
 
-def _grouped_analytic_columns(family, grid, basis):
-    """Evaluate an analytic basis on the whole grid, its columns grouped by
-    the eigenspace of ``family.spectrum(grid[0])`` that holds them, and the
-    spectrum's energies on the grid, evaluated in slices of bounded size."""
-    step = max(1, _SPECTRUM_SLICE_BYTES // (16 * family.dim ** 3))
-    spec0 = family.spectrum(grid[:step])
-    energies = np.concatenate([spec0.energies] + [family.spectrum(grid[i:i + step]).energies
-                                                  for i in range(step, len(grid), step)])
-    c = np.asarray(evaluate_on(basis, grid), dtype=complex)
+def _analytic_columns(family, grid, basis):
+    """An analytic basis on ``grid[start:stop]``, its columns grouped by the
+    eigenspace of ``family.spectrum(grid[0])`` that holds them, and the
+    spectrum's energies at grid indices, as two callables."""
+    spec0 = family.spectrum(grid[:1]).take(0)
+    c0 = np.asarray(evaluate_on(basis, grid[:1]), dtype=complex)[0]
     # weight[k, j] = <c_j|P_k|c_j> at grid[0]
-    weight = np.einsum("aj,kab,bj->kj", np.conj(c[0]), np.stack(spec0.take(0).projectors),
-                       c[0]).real
+    weight = np.einsum("aj,kab,bj->kj", np.conj(c0), np.stack(spec0.projectors), c0).real
     label = weight.argmax(axis=0)
     sizes = tuple(np.bincount(label, minlength=spec0.nspaces).tolist())
     if sizes != spec0.ranks or (np.abs(weight.max(axis=0) - 1.0) > 1e-6).any():
         raise ValueError("analytic basis columns do not match the eigenspace structure")
-    return c[:, :, np.argsort(label, kind="stable")], energies, spec0.ranks
+    order = np.argsort(label, kind="stable")
+
+    def columns(start, stop):
+        return np.asarray(evaluate_on(basis, grid[start:stop]), dtype=complex)[:, :, order]
+
+    def energies(index):
+        return family.spectrum(grid[index]).energies
+
+    return columns, energies, spec0.ranks
 
 
 def build_transport_frame(family, grid, basis=None):
     """Construct a transport frame ``U(s) = sum_k |chi_k(0)><chi_k(s)|``.
 
     ``basis`` is an optional callable returning the model's analytic
-    instantaneous eigenbasis as matrix columns (called once on the whole
-    grid when it is marked :func:`vectorized`); without it, a numerically
-    phase/gauge-continued eigenbasis is built (successive samples aligned
-    cluster-by-cluster via polar decomposition of the overlap).
+    instantaneous eigenbasis as matrix columns (called once per window of
+    grid samples when it is marked :func:`vectorized`); without it, a
+    numerically phase/gauge-continued eigenbasis is built (successive
+    samples aligned cluster-by-cluster via polar decomposition of the
+    overlap) and its columns and energies are kept on the whole grid.
 
     Labels are those of ``family.spectrum(grid[0])``: an analytic column
     joins the eigenspace whose projector holds it (``ValueError`` unless
     within 1e-6), a numeric continuation starts its overlap chain there.
-    A ``basis`` needs an ``analytic_spectrum`` too (``ValueError`` otherwise).
+    A ``basis`` needs an ``analytic_spectrum`` too (``ValueError`` otherwise),
+    and the grid at least three samples.
 
     Raises :class:`FrameDiscontinuity` when consecutive unitaries jump by
     more than ``_FRAME_JUMP_TOL`` in Frobenius norm, which signals a gauge
-    singularity on the sampled path.  A numeric continuation clusters
-    eigenvalues at ``family.degeneracy_tol``.
+    singularity on the sampled path; every pair is checked here, a window
+    at a time.  A numeric continuation clusters eigenvalues at
+    ``family.degeneracy_tol``.
     """
     grid = np.asarray(grid, dtype=float)
     if basis is not None and family.analytic_spectrum is None:
         raise ValueError("basis needs a family with an analytic_spectrum")
+    if len(grid) < 3:
+        raise ValueError(f"a transport frame needs at least 3 grid samples, got {len(grid)}")
     if basis is None:
-        cols, energies, ranks = _continued_columns(family, grid)
+        cols, table, ranks = _continued_columns(family, grid)
+        columns, energies = (lambda start, stop: cols[start:stop]), table.__getitem__
     else:
-        cols, energies, ranks = _grouped_analytic_columns(family, grid, basis)
-
-    c0 = cols[0]
-    n = len(grid)
-    u = c0 @ dag(cols)
-    jumps = np.linalg.norm(np.diff(u, axis=0), axis=(1, 2))
-    over = np.flatnonzero(jumps > _FRAME_JUMP_TOL)
-    if over.size:
-        i = over[0]
-        raise FrameDiscontinuity(
-            f"frame jump {jumps[i]:.3e} between s={grid[i]:.6g} and "
-            f"s={grid[i + 1]:.6g} exceeds {_FRAME_JUMP_TOL}"
-        )
-
-    du = np.gradient(u, grid, axis=0, edge_order=2)
-    # near a schedule kink the symmetric stencil mixes two smooth pieces;
-    # redo those samples one-sided (a sample exactly on a kink takes the
-    # backward value)
-    if family.breakpoints and n >= 3:
-        spacing = np.diff(grid)
-        lo = np.concatenate((grid[:1], grid[:-1]))
-        hi = np.concatenate((grid[1:], grid[-1:]))
-        near = [((lo < b) & (b < hi)) | (np.abs(b - grid) < 1e-15)
-                for b in family.breakpoints]
-        for i in np.flatnonzero(np.any(near, axis=0)):
-            b = next(b for b, hit in zip(family.breakpoints, near) if hit[i])
-            if grid[i] <= b and i >= 2:
-                h = spacing[i - 1]
-                du[i] = (3 * u[i] - 4 * u[i - 1] + u[i - 2]) / (2 * h)
-            elif i + 2 < n:
-                h = spacing[i]
-                du[i] = (-3 * u[i] + 4 * u[i + 1] - u[i + 2]) / (2 * h)
-    z = np.einsum("nij,nkj->nik", 1j * du, np.conj(u))
-    # i dU/ds U^dagger is exactly Hermitian; drop the finite-difference
-    # anti-Hermitian residue so downstream generators preserve Hermiticity
-    z = 0.5 * (z + np.conj(np.transpose(z, (0, 2, 1))))
+        columns, energies, ranks = _analytic_columns(family, grid, basis)
 
     offsets = np.cumsum((0,) + ranks)
     block_slices = tuple(slice(offsets[i], offsets[i + 1]) for i in range(len(ranks)))
-    return TransportFrame(grid, u, z, c0, block_slices, energies)
+    frame = TransportFrame(grid, columns, energies, columns(0, 1)[0], block_slices,
+                           family.breakpoints)
+    frame._check_jumps()
+    return frame

@@ -298,7 +298,7 @@ def test_criterion_10_invariants_and_autonomy(fig_element_rows,
     diag_gen = vectorized(functools.partial(
         rotated_block_generator, ctx.family, ctx.dissipator, ctx.tensor,
         ctx.frame, T, gamma, block_set="diagonal"))
-    w0 = dag(ctx.frame.basis0) @ ctx.frame.U[0]
+    w0 = dag(ctx.frame.basis0) @ ctx.frame.u(0)
     rho_hat = w0 @ ctx.rho0 @ dag(w0)
     perturbed = rho_hat.copy()
     sl_dark, sl_plus = ctx.frame.block_slices[1], ctx.frame.block_slices[2]

@@ -538,6 +538,25 @@ class TestRunner:
         assert [r["check"] for r in rows][:2] == ["direct-vs-rotated",
                                                   "gauge-equivalence"]
 
+    def test_gauge_check_keeps_checkpoint_states_only(self, monkeypatch):
+        # its three integrations hand their states to a sink, and only the
+        # ten checkpoint states of each gauge are rotated to the lab frame
+        sinks, rotated = [], []
+        for module in (runner, cli):
+            def recording(*args, propagate=module.propagate_piecewise_exp, **kwargs):
+                sinks.append(kwargs.get("sink"))
+                return propagate(*args, **kwargs)
+            monkeypatch.setattr(module, "propagate_piecewise_exp", recording)
+        to_lab = runner.RunContext.to_lab
+
+        def counting(ctx, trajectory):
+            rotated.append(trajectory.states.shape)
+            return to_lab(ctx, trajectory)
+        monkeypatch.setattr(runner.RunContext, "to_lab", counting)
+        cli.gauge_check_rows(T=0.2, gamma=0.1, dt=1e-3)
+        assert len(sinks) == 3 and all(callable(sink) for sink in sinks)
+        assert rotated == [(10, 4, 4)] * 2
+
     def test_pool_bounded_by_tasks_and_cpus(self, monkeypatch):
         started = []
 

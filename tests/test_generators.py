@@ -538,7 +538,7 @@ class TestFrameLabelsAndGaps:
         frame = build_transport_frame(fam, np.linspace(0.0, 1.0, 2 * int(round(T / dt)) + 1))
         s = frame.grid
         exact = np.stack([-1.0 - s, np.full_like(s, 0.2), 1.0 + 2.0 * s], axis=-1)
-        assert np.abs(frame.energies - exact).max() <= 1e-12
+        assert np.abs(frame.energies(slice(None)) - exact).max() <= 1e-12
         rho0 = model.initial_density()
         gen = vectorized(functools.partial(rotated_block_generator, fam, diss, tensor,
                                            frame, T, gamma, block_set="all"))
@@ -651,3 +651,30 @@ class TestChoi:
                 channel[:, j * d + i] = vec(unit.T)
         min_eig, ok = cp_check(channel)
         assert not ok and min_eig < -0.5
+
+
+class TestGeometricSpectraReused:
+    @pytest.mark.parametrize("model", ["north_pole", "random"])
+    @pytest.mark.parametrize("h,richardson", [(1e-4, False), (1e-3, True)])
+    def test_filter_reads_the_geometric_term_spectra(self, model, h, richardson,
+                                                     monkeypatch):
+        # a q_of_s that also returns its spectra gives the same generator
+        # bits with one family.spectrum call per evaluation, not two
+        fam, diss, tensor, s = lab_case(model)
+        plain = vectorized(lambda x: geometric_term(fam, x, h=h, richardson=richardson))
+        paired = vectorized(lambda x: geometric_term(fam, x, h=h, richardson=richardson,
+                                                     with_spectrum=True))
+        calls = []
+        spectrum = type(fam).spectrum
+        monkeypatch.setattr(type(fam), "spectrum", vectorized(
+            lambda self, x: calls.append(x) or spectrum(self, x)))
+        for x in (s, float(s[3])):
+            want = ApproximateGenerator(fam, diss, tensor, 10.0, 0.05, q_of_s=plain)(x)
+            assert len(calls) == 2
+            del calls[:]
+            assert np.array_equal(
+                ApproximateGenerator(fam, diss, tensor, 10.0, 0.05, q_of_s=paired)(x), want)
+            assert len(calls) == 1
+            del calls[:]
+        q, spec = geometric_term(fam, float(s[3]), with_spectrum=True)
+        assert q.shape == (fam.dim, fam.dim) and spec.projectors[0].shape == q.shape

@@ -101,6 +101,26 @@ class TestPiecewiseExp:
             bad = bad / np.trace(bad).real  # unit trace, indefinite
             propagate_piecewise_exp(gen, bad, 0.1, 1.0)
 
+    def test_each_distinct_initial_state_checked_once(self, monkeypatch):
+        # a pass stacks copies of one state: one eigendecomposition checks
+        # them all, and the first bad state in stack order still raises
+        calls = []
+        decompose = propagation.hermitian_eigendecompose
+        monkeypatch.setattr(propagation, "hermitian_eigendecompose",
+                            lambda m, tol: calls.append(m) or decompose(m, tol))
+        good = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
+        gen = vectorized(lambda s: np.zeros(np.shape(s) + (12, 4, 4)))
+        propagate_piecewise_exp(gen, np.stack([good] * 12), 0.1, 1.0)
+        assert len(calls) == 1
+        indefinite = np.diag([1.5, -0.5]).astype(complex)
+        for stack in ([good, indefinite, good, np.eye(2) * 0.7],
+                      [good, np.eye(2) * 0.7, indefinite]):
+            with pytest.raises(InvalidInitialState) as raised:
+                propagate_piecewise_exp(gen, np.stack(stack), 0.1, 1.0)
+            with pytest.raises(InvalidInitialState) as first:
+                propagate_piecewise_exp(gen, stack[1], 0.1, 1.0)
+            assert str(raised.value) == str(first.value)
+
     def test_step_too_large(self, qubit_rho):
         gen = lambda s: 1e4 * np.eye(4)
         with pytest.raises(StepTooLarge):
@@ -475,7 +495,7 @@ class TestRotatedDissipator:
                          for p in range(16)])
         for i in (1, 5, 12, 19):
             s = ctx.frame.grid[i]
-            w = dag(ctx.frame.basis0) @ ctx.frame.U[i]
+            w = dag(ctx.frame.basis0) @ ctx.frame.u(i)
             conj = (sandwich_superop(w, dag(w)) @ ctx.dissipator.superoperator(s)
                     @ sandwich_superop(dag(w), w))
             for make, expected in ((ctx.exact_generator, conj),

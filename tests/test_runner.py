@@ -10,6 +10,7 @@ to the ones of whole trajectories, bit for bit.
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,3 +102,23 @@ class TestOnePassPerSlot:
         runner.integrate_pairs(ctx, [0.0, 0.01])
         with pytest.raises(StepTooLarge):
             runner.integrate_pairs(ctx, [0.0, 0.01, 10.0])
+
+
+class TestMemoryBoundedByWork:
+    def test_slot_peak_grows_only_with_the_grid(self):
+        # a random slot with the six fig-sweep-random gammas, no export:
+        # the frame goes a window at a time and the pass keeps no
+        # trajectory, so only the grid's floats grow with T (about 32 B per
+        # step).  Below a few windows the slope does not show.
+        gammas = [0.0, 0.002, 0.004, 0.006, 0.008, 0.01]
+
+        def peak(T):
+            tracemalloc.start()
+            try:
+                runner.integrate_pairs(runner.random_context(7, T, 0.01), gammas)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        peak(1.0)       # one-time allocations out of the way
+        small, large = peak(80.0), peak(320.0)
+        assert (large - small) / (32_000 - 8_000) < 64

@@ -236,8 +236,8 @@ class TestTransportFrame:
         fam = constant_family(np.diag([0.0, 1.0, 2.0]))
         grid = np.linspace(0.0, 1.0, 11)
         fr = build_transport_frame(fam, grid)
-        assert max(frobenius(u - np.eye(3)) for u in fr.U) < 1e-12
-        assert max(frobenius(z) for z in fr.Z) < 1e-9
+        assert max(frobenius(u - np.eye(3)) for u in fr.u(slice(None))) < 1e-12
+        assert max(frobenius(z) for z in fr.z(slice(None))) < 1e-9
 
     def test_rotating_numeric_continuation(self, rotating):
         fam = rotating.family()
@@ -247,10 +247,10 @@ class TestTransportFrame:
         fr = build_transport_frame(fam_numeric, grid)
         assert fr.transport_defect(fam_numeric) <= 1e-8
         for i in (0, 100, 200):
-            assert frobenius(dag(fr.U[i]) @ fr.U[i] - np.eye(4)) <= 1e-9
+            assert frobenius(dag(fr.u(i)) @ fr.u(i) - np.eye(4)) <= 1e-9
         # oracle: U(s) = exp(isZ) up to block-diagonal gauge
         p0 = fam.spectrum(0.0).projectors
-        m = fr.U[100] @ dag(matrix_exponential(1j * grid[100] * rotating.z))
+        m = fr.u(100) @ dag(matrix_exponential(1j * grid[100] * rotating.z))
         for k in range(4):
             for l in range(4):
                 if k != l:
@@ -274,7 +274,7 @@ class TestTransportFrame:
             frames.append(build_transport_frame(fam, grid, basis=fam.analytic_basis))
         p0 = holonomy_family(path).spectrum(0.0).projectors
         for i in (50, 120, 200):
-            m = frames[0].U[i] @ dag(frames[1].U[i])
+            m = frames[0].u(i) @ dag(frames[1].u(i))
             for k in range(3):
                 for l in range(3):
                     if k != l:
@@ -296,8 +296,10 @@ class TestTransportFrame:
         grid = np.linspace(0.0, 1.0, 401)
         marked = build_transport_frame(fam, grid, basis=fam.analytic_basis)
         plain = build_transport_frame(fam, grid, basis=lambda s: fam.analytic_basis(s))
-        for name in ("U", "Z", "basis0"):
-            assert np.array_equal(getattr(marked, name), getattr(plain, name))
+        assert np.array_equal(marked.basis0, plain.basis0)
+        for name in ("u", "z", "energies"):
+            assert np.array_equal(getattr(marked, name)(slice(None)),
+                                  getattr(plain, name)(slice(None)))
 
 
     def test_basis_needs_analytic_spectrum(self, rotating):
@@ -321,12 +323,12 @@ class TestFrameLabelsAndEnergies:
         grid = np.linspace(0.0, 1.0, 301)
         want = fam.spectrum(grid).energies
         frame = build_transport_frame(fam, grid, basis=fam.analytic_basis)
-        assert np.array_equal(frame.energies, want)
-        # evaluated in slices of a few samples: the same table
-        monkeypatch.setattr(spectral, "_SPECTRUM_SLICE_BYTES", 7 * 16 * fam.dim ** 3)
+        assert np.array_equal(frame.energies(slice(None)), want)
+        # evaluated in windows of a few samples: the same table
+        monkeypatch.setattr(spectral, "_window_length", lambda dim: 7)
         sliced = build_transport_frame(fam, grid, basis=fam.analytic_basis)
-        assert np.array_equal(sliced.energies, want)
-        assert np.array_equal(sliced.U, frame.U)
+        assert np.array_equal(sliced.energies(slice(None)), want)
+        assert np.array_equal(sliced.u(slice(None)), frame.u(slice(None)))
 
     @pytest.mark.parametrize("fam", shipped_families(), ids=["north_pole", "equator", "random"])
     def test_columns_grouped_by_spectrum_labels(self, fam):
@@ -337,7 +339,7 @@ class TestFrameLabelsAndEnergies:
         for k, sl in enumerate(frame.block_slices):
             cols = frame.basis0[:, sl]
             assert frobenius(p0[k] @ cols - cols) <= 1e-12
-        assert np.array_equal(frame.energies[:, ::-1], fam.spectrum(grid).energies)
+        assert np.array_equal(frame.energies(slice(None))[:, ::-1], fam.spectrum(grid).energies)
 
     def test_basis_across_eigenspaces_rejected(self):
         fam = make_random_model(7).family()
@@ -381,5 +383,119 @@ class TestFrameLookups:
         s = uneven.grid[[3, 0, 40]]
         w = uneven.rotation(s)
         assert np.array_equal(w, np.stack([uneven.rotation(float(x)) for x in s]))
-        assert np.array_equal(w[1], dag(uneven.basis0) @ uneven.U[0])
+        assert np.array_equal(w[1], dag(uneven.basis0) @ uneven.u(0))
 
+
+
+def whole_grid_frame(family, grid, frame):
+    """``U``, ``Z`` and the energies on the whole grid, as a frame held them
+    before it went a window at a time: the basis on every sample at once,
+    ``np.gradient`` and the one-sided kink stencils."""
+    c = np.asarray(family.analytic_basis(grid), dtype=complex)
+    # the frame's column grouping: basis0 is the basis at grid[0], regrouped
+    order = [next(j for j in range(frame.dim) if np.array_equal(c[0, :, j], col))
+             for col in frame.basis0.T]
+    u = frame.basis0 @ dag(c[:, :, order])
+    du = np.gradient(u, grid, axis=0, edge_order=2)
+    n, spacing = len(grid), np.diff(grid)
+    lo = np.concatenate((grid[:1], grid[:-1]))
+    hi = np.concatenate((grid[1:], grid[-1:]))
+    near = [((lo < b) & (b < hi)) | (np.abs(b - grid) < 1e-15) for b in family.breakpoints]
+    for i in np.flatnonzero(np.any(near, axis=0)) if near else ():
+        b = next(b for b, hit in zip(family.breakpoints, near) if hit[i])
+        if grid[i] <= b and i >= 2:
+            du[i] = (3 * u[i] - 4 * u[i - 1] + u[i - 2]) / (2 * spacing[i - 1])
+        elif i + 2 < n:
+            du[i] = (-3 * u[i] + 4 * u[i + 1] - u[i + 2]) / (2 * spacing[i])
+    z = np.einsum("nij,nkj->nik", 1j * du, np.conj(u))
+    z = 0.5 * (z + np.conj(np.transpose(z, (0, 2, 1))))
+    return u, z, family.spectrum(grid).energies
+
+
+def kinked_family():
+    # the gate's path at T = 10: kinks at s = 0.4 and 0.6, and 0.8 with
+    # split (0.4, 0.2, 0.2, 0.2)
+    return holonomy_family(build_orange_path(np.pi / 4, 10.0, (0.4, 0.2, 0.2, 0.2)))
+
+
+class TestWindowedFrame:
+    """The frame goes a window of samples at a time and gives the bits of
+    the whole-grid construction whatever the window size and lookup order."""
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 6, 7, None])
+    @pytest.mark.parametrize("model", ["holonomy", "random"])
+    @pytest.mark.parametrize("steps", [250, 1024])
+    def test_window_sizes_give_whole_grid_bits(self, model, steps, length, monkeypatch):
+        # 250 steps: spacings that differ in the last bit, np.gradient's
+        # non-uniform branch; 1,024 steps: bit-equal spacings, its uniform one
+        fam = kinked_family() if model == "holonomy" else make_random_model(7).family()
+        grid = np.linspace(0.0, 1.0, 2 * steps + 1)
+        spacing = np.diff(grid)
+        assert (spacing == spacing[0]).all() == (steps == 1024)
+        if length is not None:
+            monkeypatch.setattr(spectral, "_window_length", lambda dim: length)
+        frame = build_transport_frame(fam, grid, basis=fam.analytic_basis)
+        u, z, e = whole_grid_frame(fam, grid, frame)
+        assert np.array_equal(frame.u(slice(None)), u)
+        assert np.array_equal(frame.z(slice(None)), z)
+        assert np.array_equal(frame.energies(slice(None)), e)
+
+    @pytest.mark.parametrize("offset", [-2, -1, 0, 1, 2])
+    def test_kink_on_a_window_boundary(self, offset, monkeypatch):
+        # windows start at the first index a lookup misses: ascending
+        # lookups from 0 put a boundary at every multiple of the length
+        fam = kinked_family()
+        grid = np.linspace(0.0, 1.0, 2 * 250 + 1)
+        kink = int(np.argmin(np.abs(grid - fam.breakpoints[0])))
+        monkeypatch.setattr(spectral, "_window_length", lambda dim: kink + offset)
+        frame = build_transport_frame(fam, grid, basis=fam.analytic_basis)
+        u, z, e = whole_grid_frame(fam, grid, frame)
+        assert np.array_equal(frame.z(slice(None)), z)
+        assert np.array_equal(frame.u(slice(None)), u)
+
+    def test_pass_lookup_order(self, monkeypatch):
+        # a pass: Z, energies and U at a chunk's midpoints, then U at its
+        # states, chunk after chunk; and lookups in any order
+        fam = kinked_family()
+        grid = np.linspace(0.0, 1.0, 2 * 300 + 1)
+        monkeypatch.setattr(spectral, "_window_length", lambda dim: 37)
+        frame = build_transport_frame(fam, grid, basis=fam.analytic_basis)
+        u, z, e = whole_grid_frame(fam, grid, frame)
+        for k in range(0, 300, 16):
+            mid = np.arange(2 * k + 1, min(2 * (k + 16), 600), 2)
+            assert np.array_equal(frame.z(mid), z[mid])
+            assert np.array_equal(frame.energies(mid), e[mid])
+            assert np.array_equal(frame.u(mid), u[mid])
+            assert np.array_equal(frame.u(mid + 1), u[mid + 1])
+        idx = np.random.default_rng(0).permutation(len(grid))[:200].reshape(10, 20)
+        assert np.array_equal(frame.z(idx), z[idx])
+        assert np.array_equal(frame.u(idx), u[idx])
+        assert np.array_equal(frame.energies(-1), e[-1])
+        assert frame.z(np.array([], dtype=int)).shape == (0, 4, 4)
+
+    def test_numeric_continuation_windows(self, rotating, monkeypatch):
+        fam = rotating.family()
+        numeric = HamiltonianFamily(dim=4, evaluate=fam.evaluate, n_eigenspaces=4)
+        grid = np.linspace(0.0, 1.0, 61)
+        whole = build_transport_frame(numeric, grid)
+        monkeypatch.setattr(spectral, "_window_length", lambda dim: 3)
+        windowed = build_transport_frame(numeric, grid)
+        for name in ("u", "z", "energies"):
+            assert np.array_equal(getattr(windowed, name)(slice(None)),
+                                  getattr(whole, name)(slice(None)))
+
+    @pytest.mark.parametrize("length", [1, 5, None])
+    def test_first_jump_raised_in_s_order(self, length, monkeypatch):
+        # the equator gauge jumps where the path crosses the pole; the
+        # message names the first jumping pair whatever the window size
+        path = build_pole_crossing_path()
+        grid = np.linspace(0.0, 1.0, 801)
+        fam = holonomy_family(path, Gauge.EQUATOR_REGULAR)
+        c = fam.analytic_basis(grid)
+        jumps = np.linalg.norm(np.diff(c[0] @ dag(c), axis=0), axis=(1, 2))
+        first = np.flatnonzero(jumps > 0.5)[0]
+        if length is not None:
+            monkeypatch.setattr(spectral, "_window_length", lambda dim: length)
+        with pytest.raises(FrameDiscontinuity, match=f"between s={grid[first]:.6g} and "
+                                                     f"s={grid[first + 1]:.6g}"):
+            build_transport_frame(fam, grid, basis=fam.analytic_basis)
