@@ -9,7 +9,7 @@ Usage:
 
 Exit codes: 0 on success, 1 when an embedded assertion fails, 2 on config
 errors, a ``dt`` over the step budget or the step count budget and an
-output directory that cannot be created included.
+output directory or CSV file that cannot be created included.
 ``--workers``, or else ``ADIABAT_THREADS``, sets the worker pool size.
 
 Output files are deterministic for a fixed config and seed: rows are sorted
@@ -63,7 +63,8 @@ _MAX_DIM = 16
 # largest max(T)/dt.  An unexported T slot grows by ~32 B per step (its
 # frame goes a window at a time, its pass keeps no trajectory); an exported
 # one keeps 2 len(gamma_list) lab trajectories, 256 B per sample each at
-# d = 4, so six gammas (fig-sweep-random's) at this limit take ~1.6 GB
+# d = 4, so six gammas (fig-sweep-random's) at this limit take
+# 12 x 500,001 x 256 B, about 1.54 GB
 _MAX_STEPS = 500_000
 
 
@@ -653,10 +654,10 @@ def _execute(func, cfg, overrides):
     cfg.validate()
     workers = runner.worker_count(overrides.get("workers"))
     out_dir = overrides.get("out") or cfg.outputs
+    name = "out" if overrides.get("out") else "outputs"
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
-        name = "out" if overrides.get("out") else "outputs"
         raise ConfigInvalid(f"cannot create {name} directory {out_dir!r}: {exc.strerror}",
                             field=name) from None
     timestamp = not overrides.get("no_timestamp", False)
@@ -668,6 +669,11 @@ def _execute(func, cfg, overrides):
     except StepTooLarge as exc:
         # the step budget is a property of the config: a smaller dt meets it
         raise ConfigInvalid(f"dt={cfg.dt:g} is too large: {exc}", field="dt") from None
+    except OSError as exc:
+        if exc.filename is None:    # the only files a run opens are its CSVs
+            raise
+        raise ConfigInvalid(f"cannot open {name} file {exc.filename!r}: {exc.strerror}",
+                            field=name) from None
     return 0, rows
 
 

@@ -46,7 +46,7 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,7 +105,7 @@ def block_length(item_bytes):
 
 @dataclass
 class Trajectory:
-    """States on a parameter grid plus run metadata.
+    """States on a parameter grid.
 
     ``states`` has shape (n_samples, d, d); entry 0 is the initial state.
     A pass of ``P`` equations (:func:`propagate_piecewise_exp` of a stack
@@ -118,7 +118,6 @@ class Trajectory:
 
     grid: np.ndarray
     states: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     @property
     def dim(self):
@@ -343,7 +342,7 @@ def evolve_vector_piecewise_exp(generator, v0, dt, T, s_span=(0.0, 1.0),
 
 
 def propagate_piecewise_exp(generator, rho0, dt, T, s_span=(0.0, 1.0),
-                            metadata=None, action=False, gammas=None, sink=None):
+                            action=False, gammas=None, sink=None):
     """Propagate a density operator with the midpoint piecewise-exponential
     scheme; ``dt`` is the physical step, mapped to ``ds = dt/T`` in scaled
     time.
@@ -375,15 +374,12 @@ def propagate_piecewise_exp(generator, rho0, dt, T, s_span=(0.0, 1.0),
     sink(0, rhos[None])
     for k, chunk in chunks:
         sink(k + 1, unvec(chunk[..., 0], d))
-    meta = {"dt": dt, "T": T, "integrator": "piecewise_exp"}
-    if metadata:
-        meta.update(metadata)
     if states is not None and rho0.ndim == 2:
         states = states[0]
-    return Trajectory(grid=grid, states=states, metadata=meta)
+    return Trajectory(grid=grid, states=states)
 
 
-def propagate_rk4(generator, rho0, steps, T, s_span=(0.0, 1.0), metadata=None):
+def propagate_rk4(generator, rho0, steps, T, s_span=(0.0, 1.0)):
     """Classical fixed-step RK4 on the vectorized equation; independent
     cross-check for the exponential integrator, sampling the generator on the
     points of :func:`sample_grid` (``steps`` steps over the span) and
@@ -413,10 +409,7 @@ def propagate_rk4(generator, rho0, steps, T, s_span=(0.0, 1.0), metadata=None):
             k4 = m2 @ (v + h * k3)
             v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             states[k + j + 1] = unvec(v, d)
-    meta = {"steps": steps, "T": T, "integrator": "rk4"}
-    if metadata:
-        meta.update(metadata)
-    return Trajectory(grid=grid[::2], states=states, metadata=meta)
+    return Trajectory(grid=grid[::2], states=states)
 
 
 def piecewise_exp_propagator(generator, dt, T, s_span=(0.0, 1.0),

@@ -116,8 +116,7 @@ class RunContext:
             w = (self.frame.rotation(trajectory.grid[block]) if u is None
                  else dag(self.frame.basis0) @ u[block])
             states[..., block, :, :] = dag(w) @ trajectory.states[..., block, :, :] @ w
-        return Trajectory(grid=trajectory.grid, states=states,
-                          metadata=dict(trajectory.metadata))
+        return Trajectory(grid=trajectory.grid, states=states)
 
 
 def holonomy_context(delta_phi, split, gauge, T, dt, x, y):

@@ -396,11 +396,10 @@ class TransportFrame:
     grid samples from the first index a lookup misses, its ``U`` with a halo
     of ``_HALO`` samples either side: ``Z`` reads the samples +-1 (+-2 for
     the one-sided stencils of edges and kinks).  ``Z`` and the energies are
-    evaluated, once per window, only at the window samples of the parity
-    asked for (a pass asks at midpoints only).  Only the latest window is
-    kept.  Each sample gets the floating-point operations of
-    ``np.gradient(U, grid, axis=0, edge_order=2)`` on the whole grid (its
-    uniform branch exactly when every spacing of the grid is bit-equal), so
+    evaluated once per window, at all its samples, when first asked for.
+    Only the latest window is kept.  ``Z`` is ``np.gradient`` on the
+    window's haloed ``U`` (see :meth:`_z`), with the bits of
+    ``np.gradient(U, grid, axis=0, edge_order=2)`` on the whole grid, so
     any window size gives the same bits.
     """
 
@@ -409,7 +408,7 @@ class TransportFrame:
         self.basis0 = basis0
         self.block_slices = block_slices
         self._columns = columns         # (start, stop) -> grouped columns on grid[start:stop]
-        self._energies = energies       # index array -> (m, K) energies
+        self._energies = energies       # slice of grid indices -> (m, K) energies
         self._breakpoints = tuple(breakpoints)
         self._length = _window_length(self.dim)
         spacing = np.diff(grid)
@@ -447,12 +446,12 @@ class TransportFrame:
 
     def z(self, index):
         """``Z = i dU/ds U^dagger`` at the grid indices ``index``."""
-        return self._lookup(index, False, lambda w, i: self._per_parity(w, i, "z", self._z))
+        return self._lookup(index, False, lambda w, i: w.value("z", self._z)[i - w.start])
 
     def energies(self, index):
         """Eigenspace energies ``(K,)`` at the grid indices ``index``, or a stack."""
-        return self._lookup(index, False, lambda w, i: self._per_parity(
-            w, i, "energies", lambda w, j: self._energies(j)))
+        return self._lookup(index, False, lambda w, i: w.value(
+            "energies", lambda w: self._energies(slice(w.start, w.stop)))[i - w.start])
 
     def u_at(self, s):
         return self.u(self.index_of(s))
@@ -556,66 +555,29 @@ class TransportFrame:
             w.u = self._unitaries(w.lo, w.hi)
         return w
 
-    def _per_parity(self, w, i, name, fn):
-        """``fn(w, j)`` at the samples ``i`` of the window ``w``, evaluated
-        once per parity of index at every window sample of that parity."""
-        parity = i % 2
-        if (parity == parity[0]).all():     # one parity: no scatter
-            first, values = self._parity_values(w, parity[0], name, fn)
-            return values[(i - first) // 2]
-        out = None
-        for p in (0, 1):
-            sel = parity == p
-            first, values = self._parity_values(w, p, name, fn)
-            if out is None:
-                out = np.empty(i.shape + values.shape[1:], dtype=values.dtype)
-            out[sel] = values[(i[sel] - first) // 2]
-        return out
+    def _z(self, w):
+        """``Z`` on the samples ``[start, stop)`` of the window ``w``:
+        ``np.gradient(U, grid, axis=0, edge_order=2)`` on its haloed ``U``,
+        one-sided near kinks.
 
-    def _parity_values(self, w, p, name, fn):
-        key = (name, int(p))
-        if key not in w.cache:
-            first = w.start + (p - w.start) % 2
-            w.cache[key] = first, fn(w, np.arange(first, w.stop, 2))
-        return w.cache[key]
-
-    def _z(self, w, i):
-        """``Z`` at the samples ``i`` of the window ``w``: the stencils of
-        ``np.gradient(U, grid, axis=0, edge_order=2)``, one-sided near kinks."""
-        x, n, u, h = self.grid, len(self.grid), w.u, self._step
-        k = i - w.lo                    # window rows of the samples
-        du = np.empty((len(i),) + u.shape[1:], dtype=complex)
-        inner = (0 < i) & (i < n - 1)
-        if inner.any():
-            m = k[inner]
-            if h is not None:
-                du[inner] = (u[m + 1] - u[m - 1]) / (2. * h)
-            else:
-                dx1 = x[i[inner]] - x[i[inner] - 1]
-                dx2 = x[i[inner] + 1] - x[i[inner]]
-                a = (-(dx2) / (dx1 * (dx1 + dx2)))[:, None, None]
-                b = ((dx2 - dx1) / (dx1 * dx2))[:, None, None]
-                c = (dx1 / (dx2 * (dx1 + dx2)))[:, None, None]
-                du[inner] = a * u[m - 1] + b * u[m] + c * u[m + 1]
-        for j in np.flatnonzero(~inner):
-            if i[j] == 0:
-                if h is not None:
-                    a, b, c = -1.5 / h, 2. / h, -0.5 / h
-                else:
-                    dx1, dx2 = x[1] - x[0], x[2] - x[1]
-                    a = -(2. * dx1 + dx2) / (dx1 * (dx1 + dx2))
-                    b = (dx1 + dx2) / (dx1 * dx2)
-                    c = - dx1 / (dx2 * (dx1 + dx2))
-                du[j] = a * u[k[j]] + b * u[k[j] + 1] + c * u[k[j] + 2]
-            else:
-                if h is not None:
-                    a, b, c = 0.5 / h, -2. / h, 1.5 / h
-                else:
-                    dx1, dx2 = x[n - 2] - x[n - 3], x[n - 1] - x[n - 2]
-                    a = (dx2) / (dx1 * (dx1 + dx2))
-                    b = - (dx2 + dx1) / (dx1 * dx2)
-                    c = (2. * dx2 + dx1) / (dx2 * (dx1 + dx2))
-                du[j] = a * u[k[j] - 2] + b * u[k[j] - 1] + c * u[k[j]]
+        The window's rows get the bits of the whole-grid call: its scalar
+        step when every spacing of the grid is bit-equal, else coordinates.
+        ``np.gradient`` takes bit-equal coordinate spacings as one scalar
+        step, so a window short of the whole grid gets one more coordinate,
+        three spacings past a halo end that is not a grid end, with a copy of
+        that end's ``U``: it and its neighbour are halo rows, never read."""
+        x, n, u = self.grid, len(self.grid), w.u
+        xs, f, first = x[w.lo:w.hi], u, w.start - w.lo    # f's row of sample start
+        if self._step is not None:
+            xs = self._step
+        elif w.hi < n:
+            xs, f = np.append(xs, xs[-1] + 3 * (xs[-1] - xs[-2])), np.concatenate((u, u[-1:]))
+        elif w.lo > 0:
+            xs, f = np.insert(xs, 0, xs[0] - 3 * (xs[1] - xs[0])), np.concatenate((u[:1], u))
+            first += 1
+        du = np.gradient(f, xs, axis=0, edge_order=2)[first:first + w.stop - w.start]
+        i = np.arange(w.start, w.stop)
+        k = i - w.lo                    # rows of u
         # near a schedule kink the symmetric stencil mixes two smooth pieces;
         # redo those samples one-sided (a sample exactly on a kink takes the
         # backward value)
@@ -640,7 +602,7 @@ class TransportFrame:
 
 class _Window:
     """Grid samples ``[start, stop)`` of a frame, its ``U`` on the halo
-    range ``[lo, hi)`` and the values :meth:`TransportFrame._per_parity` made."""
+    range ``[lo, hi)`` and the values made on ``[start, stop)``."""
 
     def __init__(self, start, stop, n):
         self.start, self.stop = start, stop
@@ -651,6 +613,12 @@ class _Window:
     def holds(self, i, halo):
         """Whether sample ``i`` is in the window (its halo counts for ``U``)."""
         return (self.lo if halo else self.start) <= i < (self.hi if halo else self.stop)
+
+    def value(self, name, fn):
+        """``fn(self)``, made once per window and kept under ``name``."""
+        if name not in self.cache:
+            self.cache[name] = fn(self)
+        return self.cache[name]
 
 
 def _window_length(dim):

@@ -161,6 +161,36 @@ class TestConfigValidation:
         assert cli.main(["run", "--config", str(cfg)]) == 2
         assert "cannot create outputs directory" in capsys.readouterr().err
 
+    # a directory where a CSV should go: open fails even for root
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("fname", ["sweep.csv", "trajectory_exact_g0.1_T2.csv"])
+    def test_unopenable_csv_exits_two(self, tmp_path, capsys, fname, workers):
+        # two T slots, so that two workers make a pool and the trajectory
+        # CSV is opened in a worker process
+        cfg = write_config(tmp_path, T_list=[1.0, 2.0])
+        (tmp_path / "out" / fname).mkdir(parents=True)
+        assert cli.main(["run", "--config", str(cfg), "--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot open outputs file {str(tmp_path / 'out' / fname)!r}" in err
+        assert "Traceback" not in err
+        out = tmp_path / "o2"
+        (out / fname).mkdir(parents=True)
+        assert cli.main(["run", "--config", str(cfg), "--workers", workers,
+                         "--out", str(out)]) == 2
+        assert f"cannot open out file {str(out / fname)!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, fname", [("check-gauge", "gauge_check.csv"),
+                                             ("check-lindblad", "lindblad_check.csv")])
+    def test_unopenable_check_csv_exits_two(self, tmp_path, capsys, monkeypatch,
+                                            name, fname):
+        monkeypatch.setattr(cli, "gauge_check_rows", lambda *args: [
+            {"check": "direct-vs-rotated", "value": 0.0, "bound": 1e-8}])
+        (tmp_path / fname).mkdir()
+        assert cli.main(["check", name, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot open out file {str(tmp_path / fname)!r}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("fields", [
         pytest.param(dict(model="random_rotating", T_list=[100.0], dt=10.0), id="random"),
         pytest.param(dict(T_list=[1e300], dt=1e299), id="holonomy-huge-T"),

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from adiabat.spectral import (
     decompose_on_grid,
     geometric_term,
     projector_derivative,
+    vectorized,
 )
 
 from conftest import reversed_spectrum_family
@@ -472,6 +475,55 @@ class TestWindowedFrame:
         assert np.array_equal(frame.u(idx), u[idx])
         assert np.array_equal(frame.energies(-1), e[-1])
         assert frame.z(np.array([], dtype=int)).shape == (0, 4, 4)
+
+    def test_one_evaluation_per_window(self, monkeypatch):
+        # the basis is evaluated once per window read, on its halo range,
+        # and the spectrum at most once per window, on its samples, whatever
+        # the parity of the indices asked for
+        fam = kinked_family()
+        grid = np.linspace(0.0, 1.0, 2 * 300 + 1)
+        monkeypatch.setattr(spectral, "_window_length", lambda dim: 37)
+        windows, calls = [], {"basis": [], "spectrum": []}
+
+        class Window(spectral._Window):
+            def __init__(self, *args):
+                super().__init__(*args)
+                windows.append(self)
+
+        def counted(name, fn):
+            @vectorized
+            def call(s):        # the samples asked for, and the latest window then
+                calls[name].append((s, len(windows) - 1))
+                return fn(s)
+            return call
+
+        monkeypatch.setattr(spectral, "_Window", Window)
+        counting = dataclasses.replace(
+            fam, analytic_spectrum=counted("spectrum", fam.analytic_spectrum))
+        frame = build_transport_frame(counting, grid, basis=counted("basis", fam.analytic_basis))
+        # the build: grid[0] twice (labels and basis0), then the jump check
+        # a window at a time
+        assert len(calls["basis"]) == 2 + -(-len(grid) // 37)
+        assert len(calls["spectrum"]) == 1 and not windows
+        u, z, e = whole_grid_frame(fam, grid, frame)
+        calls = {"basis": [], "spectrum": []}
+        for k in range(0, 300, 16):
+            mid = np.arange(2 * k + 1, min(2 * (k + 16), 600), 2)
+            assert np.array_equal(frame.z(mid), z[mid])
+            assert np.array_equal(frame.energies(mid), e[mid])
+            assert np.array_equal(frame.u(mid), u[mid])
+            assert np.array_equal(frame.u(mid + 1), u[mid + 1])
+        # any order: both parities in one window
+        idx = np.random.default_rng(0).permutation(len(grid))[:200].reshape(10, 20)
+        assert np.array_equal(frame.z(idx), z[idx])
+        assert np.array_equal(frame.energies(idx), e[idx])
+        assert np.array_equal(frame.u(idx), u[idx])
+        assert [(s.tolist(), j) for s, j in calls["basis"]] == [
+            (grid[w.lo:w.hi].tolist(), j) for j, w in enumerate(windows)]
+        made = [j for _, j in calls["spectrum"]]
+        assert made == sorted(set(made))
+        assert all(np.array_equal(s, grid[windows[j].start:windows[j].stop])
+                   for s, j in calls["spectrum"])
 
     def test_numeric_continuation_windows(self, rotating, monkeypatch):
         fam = rotating.family()
