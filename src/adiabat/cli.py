@@ -8,8 +8,8 @@ Usage:
     adiabat check --all
 
 Exit codes: 0 on success, 1 when an embedded assertion fails, 2 on config
-errors, a ``dt`` over the step budget or the step count budget and an
-output directory or CSV file that cannot be created included.
+errors, a ``dt`` over a step budget or too coarse for the transport frame
+and an output directory or CSV file that cannot be created included.
 ``--workers``, or else ``ADIABAT_THREADS``, sets the worker pool size.
 
 Output files are deterministic for a fixed config and seed: rows are sorted
@@ -666,8 +666,9 @@ def _execute(func, cfg, overrides):
     except AssertionFailed as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return 1, None
-    except StepTooLarge as exc:
-        # the step budget is a property of the config: a smaller dt meets it
+    except (StepTooLarge, FrameDiscontinuity) as exc:
+        # the step budget and a frame grid that follows the eigenbasis are
+        # properties of the config: a smaller dt meets them
         raise ConfigInvalid(f"dt={cfg.dt:g} is too large: {exc}", field="dt") from None
     except OSError as exc:
         if exc.filename is None:    # the only files a run opens are its CSVs

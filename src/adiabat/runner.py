@@ -306,8 +306,9 @@ def sweep(tasks, workers=None, export=None):
     """Run tasks (one per T slot), in a worker pool when available, and
     return the metric rows sorted by (gamma, T) for stable output files.
 
-    The pool never exceeds the task count or the CPU count.  ``export`` is
-    handed to :func:`run_sweep_task`; with a pool it must pickle.
+    The pool never exceeds the task count or the CPU count and gets the
+    slots with the most steps first.  ``export`` is handed to
+    :func:`run_sweep_task`; with a pool it must pickle.
     """
     workers = min(worker_count(workers), len(tasks), os.cpu_count() or 1)
     run = functools.partial(run_sweep_task, export=export)
@@ -317,7 +318,8 @@ def sweep(tasks, workers=None, export=None):
             rows.extend(run(task))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(run, tasks):
+            longest_first = sorted(tasks, key=lambda t: t["T"] / t["dt"], reverse=True)
+            for result in pool.map(run, longest_first):
                 rows.extend(result)
     rows.sort(key=lambda r: (r["gamma"], r["T"]))
     return rows

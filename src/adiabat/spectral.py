@@ -392,15 +392,15 @@ class TransportFrame:
     indices (a number, an array or a slice); the lookups by ``s`` take a
     number or an array of grid points.
 
-    No whole-grid ``U`` or ``Z`` is held.  A window is ``_window_length``
-    grid samples from the first index a lookup misses, its ``U`` with a halo
-    of ``_HALO`` samples either side: ``Z`` reads the samples +-1 (+-2 for
-    the one-sided stencils of edges and kinks).  ``Z`` and the energies are
-    evaluated once per window, at all its samples, when first asked for.
-    Only the latest window is kept.  ``Z`` is ``np.gradient`` on the
-    window's haloed ``U`` (see :meth:`_z`), with the bits of
-    ``np.gradient(U, grid, axis=0, edge_order=2)`` on the whole grid, so
-    any window size gives the same bits.
+    No whole-grid ``U`` or ``Z`` is held.  Window ``k`` is the samples
+    ``[kL, (k+1)L)``, ``L = _window_length(d)``, its ``U`` with a halo of
+    ``_HALO`` samples either side for ``Z``'s stencils (+-1, +-2 one-sided)
+    and the jump check's pair across its end.  Index ``i`` is read from
+    window ``i // L``, and the latest two windows made are kept.  ``Z`` and
+    the energies are evaluated once per window, at all its samples.  ``Z``
+    is ``np.gradient`` on the window's haloed ``U`` (see :meth:`_z`), with
+    the bits of ``np.gradient(U, grid, axis=0, edge_order=2)`` on the whole
+    grid, so any window size gives the same bits.
     """
 
     def __init__(self, grid, columns, energies, basis0, block_slices, breakpoints):
@@ -414,7 +414,7 @@ class TransportFrame:
         spacing = np.diff(grid)
         # np.gradient's uniform branch: one scalar step, when every spacing is equal
         self._step = spacing[0] if (spacing == spacing[0]).all() else None
-        self._window = None
+        self._windows = ()
         self._max_jump = 0.0
 
     @property
@@ -442,15 +442,15 @@ class TransportFrame:
 
     def u(self, index):
         """``U`` at the grid indices ``index``: ``(d, d)``, or a stack."""
-        return self._lookup(index, True, lambda w, i: w.u[i - w.lo])
+        return self._lookup(index, lambda w, i: w.u[i - w.lo])
 
     def z(self, index):
         """``Z = i dU/ds U^dagger`` at the grid indices ``index``."""
-        return self._lookup(index, False, lambda w, i: w.value("z", self._z)[i - w.start])
+        return self._lookup(index, lambda w, i: w.value("z", self._z)[i - w.start])
 
     def energies(self, index):
         """Eigenspace energies ``(K,)`` at the grid indices ``index``, or a stack."""
-        return self._lookup(index, False, lambda w, i: w.value(
+        return self._lookup(index, lambda w, i: w.value(
             "energies", lambda w: self._energies(slice(w.start, w.stop)))[i - w.start])
 
     def u_at(self, s):
@@ -462,6 +462,8 @@ class TransportFrame:
         return dag(self.basis0) @ self.u_at(s)
 
     def max_jump(self):
+        """Largest Frobenius norm of ``U(s_{i+1}) - U(s_i)`` over the grid,
+        from the build's jump check."""
         return self._max_jump
 
     def transport_defect(self, family):
@@ -480,64 +482,51 @@ class TransportFrame:
 
     # -- windows ------------------------------------------------------------
 
-    def _unitaries(self, start, stop):
-        """``U = basis0 cols^dagger`` on ``grid[start:stop]``."""
-        return self.basis0 @ dag(self._columns(start, stop))
-
     def _check_jumps(self):
         """Raise :class:`FrameDiscontinuity` at the first consecutive pair of
-        unitaries, in ``s`` order, more than ``_FRAME_JUMP_TOL`` apart; each
-        pair is checked once, a window at a time.  Records :meth:`max_jump`."""
-        grid, last = self.grid, None
-        for start in range(0, len(grid), self._length):
-            u = self._unitaries(start, min(len(grid), start + self._length))
-            first = start if last is None else start - 1
-            if last is not None:
-                u = np.concatenate((last, u))
+        unitaries, in ``s`` order, more than ``_FRAME_JUMP_TOL`` apart.  Window
+        ``k`` checks the pairs that start on its samples, the last of them
+        reaching into its halo.  Records :meth:`max_jump`."""
+        grid = self.grid
+        for k in range(-(-len(grid) // self._length)):
+            w = self._window(k)
+            u = w.u[w.start - w.lo:w.stop - w.lo + 1]
             jumps = np.linalg.norm(np.diff(u, axis=0), axis=(1, 2))
             over = np.flatnonzero(jumps > _FRAME_JUMP_TOL)
             if over.size:
-                i = first + over[0]
+                i = w.start + over[0]
                 raise FrameDiscontinuity(
                     f"frame jump {jumps[over[0]]:.3e} between s={grid[i]:.6g} and "
                     f"s={grid[i + 1]:.6g} exceeds {_FRAME_JUMP_TOL}")
             if jumps.size:
                 self._max_jump = max(self._max_jump, float(jumps.max()))
-            last = u[-1:]
 
-    def _lookup(self, index, halo, read):
-        """``read(window, i)`` at the grid indices ``index``, in their shape:
-        each index from the window that holds it (its halo counts when
-        ``halo``), the misses, in ascending order, from new windows."""
+    def _lookup(self, index, read):
+        """``read(window, i)`` at the grid indices ``index``, in their shape,
+        each index ``i`` read from window ``i // L``, ``L`` the window length."""
         idx, first, last = self._indices(index)
-        flat = idx.ravel()
-        w = self._window
-        if not flat.size:       # no index: the shape of one sample's value
-            out = read(self._window_at(0, halo), np.zeros(1, dtype=int))[:0]
-        elif w is not None and w.holds(first, halo) and w.holds(last, halo):
-            out = read(w, flat)
+        flat, length = idx.ravel(), self._length
+        if first // length == last // length:
+            out = read(self._window(first // length), flat)
         else:
-            order = np.argsort(flat, kind="stable")
-            ranked = flat[order]
-            out, j = None, 0
-            while j < len(ranked):
-                w = self._window_at(ranked[j], halo)
-                stop = np.searchsorted(ranked, w.hi if halo else w.stop)
-                values = read(w, ranked[j:stop])
-                if out is None:
-                    out = np.empty((len(flat),) + values.shape[1:], dtype=values.dtype)
-                out[order[j:stop]] = values
-                j = stop
+            home, out = flat // length, None
+            for k in range(first // length, last // length + 1):
+                sel = np.flatnonzero(home == k)
+                if sel.size:
+                    values = read(self._window(k), flat[sel])
+                    if out is None:
+                        out = np.empty((len(flat),) + values.shape[1:], dtype=values.dtype)
+                    out[sel] = values
         return out.reshape(idx.shape + out.shape[1:])
 
     def _indices(self, index):
-        """Grid indices as an integer array, with their least and largest."""
+        """Grid indices as an integer array, their least and largest (0, 0 if none)."""
         n = len(self.grid)
         idx = np.arange(*index.indices(n)) if isinstance(index, slice) else np.asarray(index)
         if idx.dtype.kind not in "iu":
             raise IndexError(f"grid indices must be integers, got {idx.dtype}")
         if not idx.size:
-            return idx, None, None
+            return idx, 0, 0
         first, last = idx.min(), idx.max()
         if first < 0:
             idx = np.where(idx < 0, idx + n, idx)
@@ -546,13 +535,17 @@ class TransportFrame:
             raise IndexError(f"grid index out of range for {n} samples")
         return idx, first, last
 
-    def _window_at(self, i, halo):
-        """The latest window if it holds sample ``i``, else a new one from ``i``."""
-        w = self._window
-        if w is None or not w.holds(i, halo):
-            n = len(self.grid)
-            w = self._window = _Window(int(i), min(n, int(i) + self._length), n)
-            w.u = self._unitaries(w.lo, w.hi)
+    def _window(self, k):
+        """Window ``k``: the samples ``[kL, (k+1)L)`` of window length ``L``,
+        made here and nowhere else; the latest two made are kept."""
+        start = int(k) * self._length
+        for w in self._windows:
+            if w.start == start:
+                return w
+        n = len(self.grid)
+        w = _Window(start, min(n, start + self._length), n)
+        w.u = self.basis0 @ dag(self._columns(w.lo, w.hi))     # U = basis0 cols^dagger
+        self._windows = self._windows[-1:] + (w,)
         return w
 
     def _z(self, w):
@@ -601,18 +594,15 @@ class TransportFrame:
 
 
 class _Window:
-    """Grid samples ``[start, stop)`` of a frame, its ``U`` on the halo
-    range ``[lo, hi)`` and the values made on ``[start, stop)``."""
+    """Grid samples ``[start, stop)`` of a frame, ``start`` a multiple of the
+    window length, its ``U`` on the halo range ``[lo, hi)`` and the values
+    made on ``[start, stop)``."""
 
     def __init__(self, start, stop, n):
         self.start, self.stop = start, stop
         self.lo, self.hi = max(0, start - _HALO), min(n, stop + _HALO)
         self.u = None
         self.cache = {}
-
-    def holds(self, i, halo):
-        """Whether sample ``i`` is in the window (its halo counts for ``U``)."""
-        return (self.lo if halo else self.start) <= i < (self.hi if halo else self.stop)
 
     def value(self, name, fn):
         """``fn(self)``, made once per window and kept under ``name``."""

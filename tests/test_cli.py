@@ -202,6 +202,18 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "config error: dt=" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_frame_jump_exits_two(self, tmp_path, capsys, workers):
+        # at dt 0.1 the T = 1 slot's frame jumps between its first two
+        # samples, and the T = 2 slot runs; two T slots, so that two
+        # workers make a pool
+        cfg = write_config(tmp_path, model="random_rotating", dim=16, T_list=[1.0, 2.0],
+                           gamma_list=[0.0, 0.1], dt=0.1)
+        assert cli.main(["run", "--config", str(cfg), "--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert "config error: dt=0.1 is too large: frame jump" in err
+        assert "Traceback" not in err
+
     def test_step_count_over_budget_config(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(runner, "sweep", lambda *a, **k: pytest.fail("sweep ran"))
         # 6000 / 0.01 = 600,000 steps
@@ -588,7 +600,7 @@ class TestRunner:
         assert rotated == [(10, 4, 4)] * 2
 
     def test_pool_bounded_by_tasks_and_cpus(self, monkeypatch):
-        started = []
+        started, mapped = [], []
 
         class FakePool:
             def __init__(self, max_workers):
@@ -601,16 +613,21 @@ class TestRunner:
                 return False
 
             def map(self, fn, tasks):
+                mapped.append([t["T"] / t["dt"] for t in tasks])
                 return [[] for _ in tasks]
 
         monkeypatch.setattr(runner, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
-        runner.sweep([{}] * 3, workers=64)
-        runner.sweep([{}] * 10, workers=64)
-        runner.sweep([{}] * 10, workers=2)
+        task = {"T": 1.0, "dt": 0.1}
+        runner.sweep([task] * 3, workers=64)
+        runner.sweep([task] * 10, workers=64)
+        runner.sweep([task] * 10, workers=2)
         monkeypatch.setenv("ADIABAT_THREADS", "1000")
-        runner.sweep([{}] * 10)
+        runner.sweep([task] * 10)
         assert started == [3, 4, 2, 4]
+        # the slot with the most steps first
+        runner.sweep([task, {"T": 4.0, "dt": 0.1}, {"T": 2.0, "dt": 0.01}], workers=2)
+        assert mapped[-1] == [200.0, 40.0, 10.0]
 
 
 class TestRandomConfig:

@@ -445,8 +445,7 @@ class TestWindowedFrame:
 
     @pytest.mark.parametrize("offset", [-2, -1, 0, 1, 2])
     def test_kink_on_a_window_boundary(self, offset, monkeypatch):
-        # windows start at the first index a lookup misses: ascending
-        # lookups from 0 put a boundary at every multiple of the length
+        # windows sit on the multiples of the length
         fam = kinked_family()
         grid = np.linspace(0.0, 1.0, 2 * 250 + 1)
         kink = int(np.argmin(np.abs(grid - fam.breakpoints[0])))
@@ -476,24 +475,53 @@ class TestWindowedFrame:
         assert np.array_equal(frame.energies(-1), e[-1])
         assert frame.z(np.array([], dtype=int)).shape == (0, 4, 4)
 
+    def test_pass_makes_each_window_once(self, monkeypatch):
+        # a pass's lookups straddle window ends (Z, energies and U at a
+        # chunk's midpoints, then U at its states): with the latest two
+        # windows kept, each window of the grid is made once
+        fam = kinked_family()
+        grid = np.linspace(0.0, 1.0, 2 * 300 + 1)
+        monkeypatch.setattr(spectral, "_window_length", lambda dim: 37)
+        frame = build_transport_frame(fam, grid, basis=fam.analytic_basis)
+        starts = []
+
+        class Window(spectral._Window):
+            def __init__(self, start, *args):
+                super().__init__(start, *args)
+                starts.append(start)
+
+        monkeypatch.setattr(spectral, "_Window", Window)
+        for k in range(0, 300, 16):
+            mid = np.arange(2 * k + 1, min(2 * (k + 16), 600), 2)
+            frame.z(mid)
+            frame.energies(mid)
+            frame.u(mid)
+            frame.u(mid + 1)
+        assert len(starts) == 17 and starts == list(range(0, len(grid), 37))
+
     def test_one_evaluation_per_window(self, monkeypatch):
-        # the basis is evaluated once per window read, on its halo range,
+        # the basis is evaluated once per window made, on its halo range,
         # and the spectrum at most once per window, on its samples, whatever
         # the parity of the indices asked for
         fam = kinked_family()
         grid = np.linspace(0.0, 1.0, 2 * 300 + 1)
         monkeypatch.setattr(spectral, "_window_length", lambda dim: 37)
-        windows, calls = [], {"basis": [], "spectrum": []}
+        windows, current, calls = [], [-1], {"basis": [], "spectrum": []}
 
         class Window(spectral._Window):
             def __init__(self, *args):
                 super().__init__(*args)
+                self.j = current[0] = len(windows)
                 windows.append(self)
+
+            def value(self, name, fn):
+                current[0] = self.j
+                return super().value(name, fn)
 
         def counted(name, fn):
             @vectorized
-            def call(s):        # the samples asked for, and the latest window then
-                calls[name].append((s, len(windows) - 1))
+            def call(s):        # the samples asked for, and the window made or read then
+                calls[name].append((s, current[0]))
                 return fn(s)
             return call
 
@@ -502,9 +530,11 @@ class TestWindowedFrame:
             fam, analytic_spectrum=counted("spectrum", fam.analytic_spectrum))
         frame = build_transport_frame(counting, grid, basis=counted("basis", fam.analytic_basis))
         # the build: grid[0] twice (labels and basis0), then the jump check
-        # a window at a time
+        # through every window
         assert len(calls["basis"]) == 2 + -(-len(grid) // 37)
-        assert len(calls["spectrum"]) == 1 and not windows
+        assert len(calls["spectrum"]) == 1
+        assert [w.start for w in windows] == list(range(0, len(grid), 37))
+        built = len(windows)
         u, z, e = whole_grid_frame(fam, grid, frame)
         calls = {"basis": [], "spectrum": []}
         for k in range(0, 300, 16):
@@ -519,7 +549,7 @@ class TestWindowedFrame:
         assert np.array_equal(frame.energies(idx), e[idx])
         assert np.array_equal(frame.u(idx), u[idx])
         assert [(s.tolist(), j) for s, j in calls["basis"]] == [
-            (grid[w.lo:w.hi].tolist(), j) for j, w in enumerate(windows)]
+            (grid[w.lo:w.hi].tolist(), j) for j, w in enumerate(windows) if j >= built]
         made = [j for _, j in calls["spectrum"]]
         assert made == sorted(set(made))
         assert all(np.array_equal(s, grid[windows[j].start:windows[j].stop])
