@@ -61,11 +61,12 @@ SWEEP_COLUMNS = ["model", "gamma", "T", "dt", "elem11_exact", "elem11_approx",
 # largest Hilbert-space dimension a config may ask for
 _MAX_DIM = 16
 # largest max(T)/dt.  An unexported T slot grows by ~32 B per step (its
-# frame goes a window at a time, its pass keeps no trajectory); an exported
-# one keeps 2 len(gamma_list) lab trajectories, 256 B per sample each at
-# d = 4, so six gammas (fig-sweep-random's) at this limit take
-# 12 x 500,001 x 256 B, about 1.54 GB
+# frame goes a window at a time, its pass keeps no trajectory)
 _MAX_STEPS = 500_000
+# largest size of the lab trajectories that an exported T slot keeps:
+# 2 len(gamma_list) of them, 16 d^2 B per sample each.  The bound is six
+# gammas (fig-sweep-random's) at d = 4 and the step limit, about 1.54 GB
+_MAX_EXPORT_BYTES = 12 * (_MAX_STEPS + 1) * 256
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +192,12 @@ class ExperimentConfig:
         if self.dim > _MAX_DIM:
             # superoperators are dim^2 x dim^2
             raise ConfigInvalid(f"dim must be <= {_MAX_DIM}", field="dim")
+        d = 4 if self.model == "holonomy" else self.dim
+        size = 2 * len(self.gamma_list) * (round(max(self.T_list) / self.dt) + 1) * 16 * d * d
+        if size > _MAX_EXPORT_BYTES:
+            raise ConfigInvalid(f"gamma_list: {len(self.gamma_list)} gammas export "
+                                f"{size / 1e9:.3g} GB of trajectories at dim {d}, over "
+                                f"{_MAX_EXPORT_BYTES / 1e9:.3g} GB", field="gamma_list")
         if self.model == "holonomy":
             for key in ("x", "y"):
                 if key not in self.initial_state or not math.isfinite(self.initial_state[key]):
@@ -407,11 +414,10 @@ def _assert_invariants(rows):
 
 
 def _by_gamma(rows):
+    """Rows by gamma, in the (gamma, T) order of :func:`.runner.sweep`."""
     out = {}
     for row in rows:
         out.setdefault(row["gamma"], []).append(row)
-    for series in out.values():
-        series.sort(key=lambda r: r["T"])
     return out
 
 

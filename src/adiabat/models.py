@@ -146,10 +146,7 @@ class HolonomyPath:
     """Piecewise-linear schedule ``s -> (theta(s), phi(s))`` on [0, 1]."""
 
     segments: tuple
-    delta_phi: float = 0.0
-    split: tuple = ()
     runtimes: tuple = ()
-    degenerate: bool = False
 
     @property
     def breakpoints(self):
@@ -216,13 +213,7 @@ def build_orange_path(delta_phi, T, split=DEFAULT_SPLIT):
             continue
         (t0, p0), (t1, p1) = vertices[i], vertices[i + 1]
         segments.append(_Segment(bounds[i], bounds[i + 1], t0, t1, p0, p1))
-    return HolonomyPath(
-        segments=tuple(segments),
-        delta_phi=delta_phi,
-        split=split,
-        runtimes=tuple(f * T for f in split),
-        degenerate=(delta_phi == 0.0),
-    )
+    return HolonomyPath(segments=tuple(segments), runtimes=tuple(f * T for f in split))
 
 
 def build_pole_crossing_path():
@@ -348,7 +339,6 @@ class RandomRotatingModel:
     decoherence direction ``A`` (double-commutator dissipator)."""
 
     dim: int
-    seed: int
     h0: np.ndarray
     z: np.ndarray
     a: np.ndarray
@@ -418,4 +408,4 @@ def make_random_model(seed, dim=4):
     a = _random_hermitian(rng, dim)
     psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     psi = psi / np.linalg.norm(psi)
-    return RandomRotatingModel(dim=dim, seed=seed, h0=h0, z=z, a=a, psi0=psi)
+    return RandomRotatingModel(dim=dim, h0=h0, z=z, a=a, psi0=psi)

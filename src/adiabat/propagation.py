@@ -98,8 +98,8 @@ def block_length(item_bytes):
     steps (64 steps of one 16x16 generator, 16 of a sweep's pencil), of
     which the exponential holds about ten at a time: sizing chunks by bytes
     bounds memory at any dimension and number of equations, and longer ones
-    gain little.  Per-sample work takes one equation's states (1,024 of a
-    4x4 one); a block held in a few copies at once counts its items twice."""
+    gain little.  The lab pass takes every equation's states, held in a few
+    copies at once and so counted twice (85 samples of six 4x4 ones)."""
     return max(1, _CHUNK_BYTES // item_bytes)
 
 
@@ -111,9 +111,10 @@ class Trajectory:
     A pass of ``P`` equations (:func:`propagate_piecewise_exp` of a stack
     of initial states) holds ``(P, n_samples, d, d)``, and the monitors
     (:meth:`traces`, :meth:`hermiticity_defects`, :meth:`min_eigenvalues`)
-    then give one row per equation.  They go a block of samples at a time
-    and see each state alone, so a trajectory cut into blocks gives the
-    same bits block by block as whole.
+    then give one row per equation.  Each monitor is one numpy expression
+    over the states it is handed and sees each state alone, so any cut
+    gives the same bits: :class:`.runner.LabPass` hands them one block of
+    lab states at a time.
     """
 
     grid: np.ndarray
@@ -126,24 +127,14 @@ class Trajectory:
     def final_state(self):
         return self.states[..., -1, :, :]
 
-    def blocks(self):
-        """Slices of one block (:func:`block_length`) of one equation's
-        states covering the trajectory."""
-        n = block_length(16 * self.dim ** 2)
-        return [slice(i, i + n) for i in range(0, len(self.grid), n)]
-
-    def _per_block(self, fn):
-        return np.concatenate([fn(self.states[..., b, :, :]) for b in self.blocks()],
-                              axis=-1)
-
     def traces(self):
         return np.einsum("...ii->...", self.states).real
 
     def hermiticity_defects(self):
-        return self._per_block(lambda rho: np.linalg.norm(rho - dag(rho), axis=(-2, -1)))
+        return np.linalg.norm(self.states - dag(self.states), axis=(-2, -1))
 
     def min_eigenvalues(self):
-        return self._per_block(lambda rho: np.linalg.eigvalsh(0.5 * (rho + dag(rho)))[..., 0])
+        return np.linalg.eigvalsh(0.5 * (self.states + dag(self.states)))[..., 0]
 
     def purities(self):
         return np.einsum("nij,nji->n", self.states, self.states).real
@@ -379,7 +370,7 @@ def propagate_piecewise_exp(generator, rho0, dt, T, s_span=(0.0, 1.0),
     return Trajectory(grid=grid, states=states)
 
 
-def propagate_rk4(generator, rho0, steps, T, s_span=(0.0, 1.0)):
+def propagate_rk4(generator, rho0, steps, s_span=(0.0, 1.0)):
     """Classical fixed-step RK4 on the vectorized equation; independent
     cross-check for the exponential integrator, sampling the generator on the
     points of :func:`sample_grid` (``steps`` steps over the span) and
@@ -469,12 +460,9 @@ def normalized_fidelity(rho_a, rho_b, p_comp):
 
 
 def hs_error_max(traj_a, traj_b):
-    """Maximum Hilbert-Schmidt (Frobenius) distance over a shared grid,
-    a block of samples at a time (:meth:`Trajectory.blocks`)."""
+    """Maximum Hilbert-Schmidt (Frobenius) distance over a shared grid."""
     if traj_a.grid.shape != traj_b.grid.shape:
         raise GridMismatch("trajectories have different sample counts")
     if np.max(np.abs(traj_a.grid - traj_b.grid)) > 1e-12:
         raise GridMismatch("trajectories are sampled on different grids")
-    a, b = traj_a.states, traj_b.states
-    return float(np.max([np.linalg.norm(a[k] - b[k], axis=(1, 2)).max()
-                         for k in traj_a.blocks()]))
+    return float(np.linalg.norm(traj_a.states - traj_b.states, axis=(-2, -1)).max())

@@ -16,10 +16,10 @@ assembly once per T slot.  :func:`run_sweep_task` steps all the slot's
 gammas in one pass: :func:`integrate_pairs`, the sweep's one integration
 entry, steps the exact and the approximate equation of every gamma in
 lockstep, each chunk's generators given as the pieces that every gamma
-shares (``base + gamma T D^``).  Its :class:`LabPass` takes the states
-block by block, rotates them to the lab frame with the frame's ``U`` read
-chunk by chunk and keeps the endpoints and running monitors, and whole
-trajectories only for an ``export``;
+shares (``base + gamma T D^``).  Its :class:`LabPass`, the one place that
+cuts lab-frame states into blocks, rotates each block to the lab frame with
+the frame's ``U`` read chunk by chunk and keeps the endpoints and running
+monitors, and whole trajectories only for an ``export``;
 :func:`run_point` turns one gamma's into the metrics row and hands its two
 lab-frame trajectories to the ``export``, when given.  One equation alone,
 such as each of ``check-gauge``'s, steps a generator of the context's
@@ -106,17 +106,14 @@ class RunContext:
         return w0 @ self.rho0 @ dag(w0)
 
     def to_lab(self, trajectory, u=None):
-        """Rotate a component-coordinate trajectory back to the lab frame,
-        a block of samples at a time (:meth:`.Trajectory.blocks`); a pass's
-        equations, on a leading axis, go together.  ``u``, when given, is
-        the frame's ``U`` at the trajectory's samples, read while the
-        frame's window held them."""
-        states = np.empty_like(trajectory.states)
-        for block in trajectory.blocks():
-            w = (self.frame.rotation(trajectory.grid[block]) if u is None
-                 else dag(self.frame.basis0) @ u[block])
-            states[..., block, :, :] = dag(w) @ trajectory.states[..., block, :, :] @ w
-        return Trajectory(grid=trajectory.grid, states=states)
+        """Rotate a component-coordinate trajectory back to the lab frame in
+        one expression over its states; a pass's equations, on a leading
+        axis, go together.  ``u``, when given, is the frame's ``U`` at the
+        trajectory's samples, read while the frame's window held them;
+        otherwise :meth:`.TransportFrame.rotation` gives them."""
+        w = (self.frame.rotation(trajectory.grid) if u is None
+             else dag(self.frame.basis0) @ u)
+        return Trajectory(grid=trajectory.grid, states=dag(w) @ trajectory.states @ w)
 
 
 def holonomy_context(delta_phi, split, gauge, T, dt, x, y):
@@ -152,15 +149,15 @@ class LabPass:
     of the exact and the approximate equation of each of ``gammas``, pairs
     ``2 g`` and ``2 g + 1`` those of ``gammas[g]``.
 
-    It gathers the states in one buffer of half a block over all pairs
-    (:func:`.propagation.block_length`), with the frame's ``U`` at their
-    samples read as each chunk comes, while the frame's window still holds
-    them; rotates each block to the lab frame (:meth:`RunContext.to_lab`)
-    and keeps per pair the endpoint (``final``)
-    and the running worst trace, Hermiticity and positivity deviations that
-    the :class:`.Trajectory` monitors give (``invariants``), per gamma the
-    running ``max_hs_error``, and with ``keep`` the whole lab trajectories
-    (:meth:`trajectories`)."""
+    The one place where lab-frame states are cut into blocks: it gathers
+    them in one buffer of half a block over all pairs
+    (:func:`.propagation.block_length`), with the frame's ``U`` read as
+    each chunk comes, while the frame's window still holds it.  Each flushed
+    buffer goes whole to :meth:`RunContext.to_lab`, the :class:`.Trajectory`
+    monitors and :func:`.propagation.hs_error_max`, and it keeps per pair
+    the endpoint (``final``) and the running worst trace, Hermiticity and
+    positivity deviations (``invariants``), per gamma the running
+    ``max_hs_error``, and with ``keep`` the whole lab trajectories."""
 
     def __init__(self, ctx, gammas, keep=False):
         self.ctx, self.gammas = ctx, list(gammas)

@@ -453,13 +453,10 @@ class TransportFrame:
         return self._lookup(index, lambda w, i: w.value(
             "energies", lambda w: self._energies(slice(w.start, w.stop)))[i - w.start])
 
-    def u_at(self, s):
-        return self.u(self.index_of(s))
-
     def rotation(self, s):
         """``W = basis0^dagger U(s)``: maps lab-frame operators at the grid
         point(s) ``s`` to frame components, ``rho_hat = W rho W^dagger``."""
-        return dag(self.basis0) @ self.u_at(s)
+        return dag(self.basis0) @ self.u(self.index_of(s))
 
     def max_jump(self):
         """Largest Frobenius norm of ``U(s_{i+1}) - U(s_i)`` over the grid,

@@ -233,6 +233,23 @@ class TestConfigValidation:
         assert "config error: dt=" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_exported_trajectories_bounded(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(runner, "sweep", lambda *a, **k: pytest.fail("sweep ran"))
+        # six gammas at 500,000 steps: 12 lab trajectories of 16 d^2 B per
+        # sample, 24.6 GB at d = 16 and 1.54 GB, the bound, at d = 4
+        six = dict(model="random_rotating", T_list=[5000.0], dt=0.01,
+                   gamma_list=[0.0, 0.001, 0.002, 0.003, 0.004, 0.005])
+        cfg = write_config(tmp_path, dim=16, **six)
+        assert cli.main(["run", "--config", str(cfg), "--workers", "1"]) == 2
+        assert "config error: gamma_list" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        cli.ExperimentConfig.from_dict(dict(six, dim=4))
+        cli.ExperimentConfig.from_dict(dict(six, model="holonomy"))
+        for fields in (dict(six, dim=5), dict(six, gamma_list=six["gamma_list"] + [0.006])):
+            with pytest.raises(ConfigInvalid) as err:
+                cli.ExperimentConfig.from_dict(fields)
+            assert err.value.field == "gamma_list"
+
     @pytest.mark.parametrize("name, values", [
         ("T_list", [2.0, 2.0]),
         ("gamma_list", [0.01, 0.01]),

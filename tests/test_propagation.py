@@ -252,7 +252,7 @@ class TestSampleGrid:
         gen = lambda s: np.zeros((4, 4))
         grid, h = propagation.sample_grid(0.1, 1.0, (0.5, 0.5))
         assert grid.tolist() == [0.5]
-        for traj in (propagate_rk4(gen, qubit_rho, 10, 1.0, s_span=(0.5, 0.5)),
+        for traj in (propagate_rk4(gen, qubit_rho, 10, s_span=(0.5, 0.5)),
                      propagate_piecewise_exp(gen, qubit_rho, 0.1, 1.0, s_span=(0.5, 0.5))):
             assert traj.grid.tolist() == [0.5]
             assert np.array_equal(traj.states, qubit_rho[None])
@@ -262,7 +262,7 @@ class TestSampleGrid:
     @pytest.mark.parametrize("s_span", [(1.0, 0.0), (0.0, math.nan), (0.0, math.inf)])
     def test_bad_span_named(self, qubit_rho, s_span):
         gen = lambda s: np.zeros((4, 4))
-        for run in (lambda: propagate_rk4(gen, qubit_rho, 10, 1.0, s_span=s_span),
+        for run in (lambda: propagate_rk4(gen, qubit_rho, 10, s_span=s_span),
                     lambda: propagate_piecewise_exp(gen, qubit_rho, 0.1, 1.0, s_span=s_span),
                     lambda: piecewise_exp_propagator(gen, 0.1, 1.0, s_span=s_span)):
             with pytest.raises(ValueError, match="s_span"):
@@ -273,9 +273,9 @@ class TestSampleGrid:
         ("T", lambda gen, rho: propagate_piecewise_exp(gen, rho, 0.1, 0.0)),
         ("dt", lambda gen, rho: propagate_piecewise_exp(gen, rho, -0.1, 1.0)),
         ("dt", lambda gen, rho: propagate_piecewise_exp(gen, rho, math.nan, 1.0)),
-        ("steps", lambda gen, rho: propagate_rk4(gen, rho, 0, 1.0)),
-        ("steps", lambda gen, rho: propagate_rk4(gen, rho, -5, 1.0)),
-        ("steps", lambda gen, rho: propagate_rk4(gen, rho, 2.5, 1.0)),
+        ("steps", lambda gen, rho: propagate_rk4(gen, rho, 0)),
+        ("steps", lambda gen, rho: propagate_rk4(gen, rho, -5)),
+        ("steps", lambda gen, rho: propagate_rk4(gen, rho, 2.5)),
     ], ids=["dt-zero", "T-zero", "dt-negative", "dt-nan", "steps-zero",
             "steps-negative", "steps-fractional"])
     def test_bad_step_input_named(self, qubit_rho, name, run):
@@ -537,7 +537,7 @@ class TestCompletePositivity:
 
 class TestRk4:
     def test_zero_generator(self, qubit_rho):
-        traj = propagate_rk4(lambda s: np.zeros((4, 4)), qubit_rho, 10, 1.0)
+        traj = propagate_rk4(lambda s: np.zeros((4, 4)), qubit_rho, 10)
         assert max(frobenius(st - qubit_rho) for st in traj.states) == 0.0
 
     def test_samples_the_shared_grid(self, qubit_rho):
@@ -547,7 +547,7 @@ class TestRk4:
         def gen(s):
             seen.append(s)
             return np.zeros((4, 4))
-        traj = propagate_rk4(gen, qubit_rho, 10, 1.0, s_span=(0.25, 1.0))
+        traj = propagate_rk4(gen, qubit_rho, 10, s_span=(0.25, 1.0))
         grid, _ = propagation.sample_grid(0.075, 1.0, (0.25, 1.0))
         assert seen == grid.tolist()
         assert np.array_equal(traj.grid, grid[::2])
@@ -556,7 +556,7 @@ class TestRk4:
         # the exponential integrator's check: NaN is NonFinite, not a NaN state
         nan = lambda s: np.full((4, 4), np.nan)
         with pytest.raises(NonFinite):
-            propagate_rk4(nan, qubit_rho, 10, 1.0)
+            propagate_rk4(nan, qubit_rho, 10)
         with pytest.raises(NonFinite):
             propagate_piecewise_exp(nan, qubit_rho, 0.1, 1.0)
 
@@ -564,7 +564,7 @@ class TestRk4:
         # only the first step's midpoint generator is over budget
         gen = lambda s: 1e4 * np.eye(4) if s == 0.05 else np.zeros((4, 4))
         with pytest.raises(StepTooLarge):
-            propagate_rk4(gen, qubit_rho, 10, 1.0)
+            propagate_rk4(gen, qubit_rho, 10)
 
     def test_cross_validation_gate_model(self):
         # the two integrators are independent; at matched resolution they
@@ -575,7 +575,7 @@ class TestRk4:
         psi = initial_state(np.pi / 5, 3 * np.pi / 4)
         rho0 = np.outer(psi, np.conj(psi))
         t_exp = propagate_piecewise_exp(gen, rho0, 0.005, 100.0)
-        t_rk4 = propagate_rk4(gen, rho0, 20000, 100.0)
+        t_rk4 = propagate_rk4(gen, rho0, 20000)
         assert hs_error_max(t_exp, t_rk4) <= 1e-6
 
     def test_cross_validation_random_model(self):
@@ -583,7 +583,7 @@ class TestRk4:
         gen = ExactGenerator(model.family(), model.dissipator(), 160.0, 0.01)
         rho0 = model.initial_density()
         t_exp = propagate_piecewise_exp(gen, rho0, 0.01, 160.0)
-        t_rk4 = propagate_rk4(gen, rho0, 16000, 160.0)
+        t_rk4 = propagate_rk4(gen, rho0, 16000)
         assert hs_error_max(t_exp, t_rk4) <= 1e-6
 
 
@@ -598,13 +598,12 @@ class TestTrajectoryMonitors:
         assert np.all(traj.purities() <= 1.0 + 1e-9)
 
     def test_monitors_of_states_larger_than_a_block(self):
-        # one 129x129 state takes more than a block: a block is one sample
+        # one 129x129 state is larger than a block (block_length)
         rng = np.random.default_rng(5)
         a = rng.standard_normal((2, 129, 129)) + 1j * rng.standard_normal((2, 129, 129))
         rho = a @ dag(a)
         rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
         traj = Trajectory(grid=np.array([0.0, 1.0]), states=rho)
-        assert traj.blocks() == [slice(0, 1), slice(1, 2)]
         assert np.array_equal(traj.hermiticity_defects(),
                               np.linalg.norm(rho - dag(rho), axis=(1, 2)))
         assert np.array_equal(traj.min_eigenvalues(),
@@ -613,11 +612,10 @@ class TestTrajectoryMonitors:
             np.linalg.norm(rho - rho[::-1], axis=(1, 2)).max())
 
     def test_blockwise_monitors_equal_one_shot(self):
-        # 4,001 samples: three full blocks and a partial one
+        # a whole trajectory of 4,001 samples in one call
         model = make_random_model(3)
         gen = ExactGenerator(model.family(), model.dissipator(), 40.0, 0.03)
         traj = propagate_piecewise_exp(gen, model.initial_density(), 0.01, 40.0)
-        assert [b.stop for b in traj.blocks()] == [1024, 2048, 3072, 4096]
         rho = traj.states
         assert np.array_equal(traj.hermiticity_defects(),
                               np.linalg.norm(rho - dag(rho), axis=(1, 2)))

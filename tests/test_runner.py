@@ -24,14 +24,21 @@ from adiabat.propagation import hs_error_max, propagate_piecewise_exp
 from adiabat.spectral import vectorized
 
 GAMMAS = [0.0, 0.004, 0.03]
+# model, dim, gammas and LabPass block length of each pass that
+# TestBlockwiseMetrics cuts: twelve pairs at d = 2 take blocks of 170
+# samples, shorter than that pass's 256-step chunks
+PASSES = {"holonomy": ("holonomy", 4, GAMMAS, 85),
+          "random_rotating": ("random_rotating", 4, GAMMAS, 85),
+          "random_rotating_dim2": ("random_rotating", 2,
+                                   [0.0, 0.002, 0.004, 0.006, 0.008, 0.01], 170)}
 
 
-def context(model, T, dt=0.01):
+def context(model, T, dt=0.01, dim=4):
     if model == "holonomy":
         return runner.holonomy_context(math.pi / 4, (0.4, 0.2, 0.4, 0.0),
                                        Gauge.NORTH_POLE_REGULAR, T, dt,
                                        math.pi / 5, 3 * math.pi / 4)
-    return runner.random_context(3, T, dt)
+    return runner.random_context(3, T, dt, dim)
 
 
 def whole_pass(ctx, gammas):
@@ -46,19 +53,20 @@ def whole_pass(ctx, gammas):
 
 
 class TestBlockwiseMetrics:
-    @pytest.mark.parametrize("model", ["holonomy", "random_rotating"])
+    @pytest.mark.parametrize("case", PASSES)
     @pytest.mark.parametrize("T", [3.4, 4.01])
-    def test_running_metrics_equal_whole_trajectory_ones(self, model, T):
-        # six pairs take blocks of 85 samples: 341 samples leave a last
-        # block of one, 402 one of 62
-        ctx = context(model, T)
-        lab = whole_pass(ctx, GAMMAS)
-        kept = runner.integrate_pairs(ctx, GAMMAS, keep=True)
+    def test_running_metrics_equal_whole_trajectory_ones(self, case, T):
+        # blocks of 85 or 170 samples: 341 samples leave a last block of
+        # one, 402 one of 62
+        model, dim, gammas, block = PASSES[case]
+        ctx = context(model, T, dim=dim)
+        lab = whole_pass(ctx, gammas)
+        kept = runner.integrate_pairs(ctx, gammas, keep=True)
         assert np.array_equal(kept.kept, lab.states)
         # an unexported pass keeps no trajectory, only one block of states
-        done = runner.integrate_pairs(ctx, GAMMAS)
-        assert done.kept is None and done.store.shape[1] == 85
-        assert len(done.grid) % 85 in (1, 62)
+        done = runner.integrate_pairs(ctx, gammas)
+        assert done.kept is None and done.store.shape[1] == block
+        assert len(done.grid) % block in (1, 62)
         for run in (kept, done):
             assert np.array_equal(run.final, lab.states[:, -1])
             for p, states in enumerate(lab.states):
@@ -66,7 +74,7 @@ class TestBlockwiseMetrics:
                 assert tuple(run.invariants[p]) == (np.abs(one.traces() - 1.0).max(),
                                                     one.hermiticity_defects().max(),
                                                     one.min_eigenvalues().min())
-            for g in range(len(GAMMAS)):
+            for g in range(len(gammas)):
                 exact, approx = (dataclasses.replace(lab, states=lab.states[2 * g + k])
                                  for k in (0, 1))
                 assert run.max_hs_error[g] == hs_error_max(exact, approx)
