@@ -20,6 +20,7 @@ suppresses.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -60,13 +61,9 @@ SWEEP_COLUMNS = ["model", "gamma", "T", "dt", "elem11_exact", "elem11_approx",
 
 # largest Hilbert-space dimension a config may ask for
 _MAX_DIM = 16
-# largest max(T)/dt.  An unexported T slot grows by ~32 B per step (its
-# frame goes a window at a time, its pass keeps no trajectory)
+# largest max(T)/dt.  A T slot grows by ~32 B per step (its frame goes a
+# window at a time, its pass keeps no trajectory, an export streams its rows)
 _MAX_STEPS = 500_000
-# largest size of the lab trajectories that an exported T slot keeps:
-# 2 len(gamma_list) of them, 16 d^2 B per sample each.  The bound is six
-# gammas (fig-sweep-random's) at d = 4 and the step limit, about 1.54 GB
-_MAX_EXPORT_BYTES = 12 * (_MAX_STEPS + 1) * 256
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +189,6 @@ class ExperimentConfig:
         if self.dim > _MAX_DIM:
             # superoperators are dim^2 x dim^2
             raise ConfigInvalid(f"dim must be <= {_MAX_DIM}", field="dim")
-        d = 4 if self.model == "holonomy" else self.dim
-        size = 2 * len(self.gamma_list) * (round(max(self.T_list) / self.dt) + 1) * 16 * d * d
-        if size > _MAX_EXPORT_BYTES:
-            raise ConfigInvalid(f"gamma_list: {len(self.gamma_list)} gammas export "
-                                f"{size / 1e9:.3g} GB of trajectories at dim {d}, over "
-                                f"{_MAX_EXPORT_BYTES / 1e9:.3g} GB", field="gamma_list")
         if self.model == "holonomy":
             for key in ("x", "y"):
                 if key not in self.initial_state or not math.isfinite(self.initial_state[key]):
@@ -206,7 +197,7 @@ class ExperimentConfig:
             if "delta_phi" not in self.path:
                 raise ConfigInvalid("path needs delta_phi", field="path")
             try:
-                models.build_orange_path(self.path["delta_phi"], 1.0,
+                models.build_orange_path(self.path["delta_phi"],
                                          self.path.get("split", models.DEFAULT_SPLIT))
             except BadSplit as exc:
                 raise ConfigInvalid(f"path: {exc}", field="path") from None
@@ -374,24 +365,26 @@ def write_sweep_csv(rows, path, timestamp=True):
     _write_table(SWEEP_COLUMNS, [_record_lines(rows, SWEEP_COLUMNS)], path, timestamp)
 
 
-def write_trajectory_csv(trajectory, p_comp, path, timestamp=True):
-    """One row per sample: s, trace, loss, purity, then Re/Im of the
-    column-stacked state components.  The table is built and written half
-    a block of rows at a time (:func:`.propagation.block_length`):
-    formatting a block holds a few copies of its cells."""
-    grid, states = trajectory.grid, trajectory.states
-    header = ["s", "trace", "loss", "purity"] + [
-        f"{part}_{i}" for part in ("re", "im") for i in range(trajectory.dim ** 2)]
-    rows = block_length(2 * _CELLS.shape[1] * len(header))
+def _trajectory_columns(dim):
+    return ["s", "trace", "loss", "purity"] + [
+        f"{part}_{i}" for part in ("re", "im") for i in range(dim ** 2)]
 
-    def lines():
+
+def write_trajectory_csv(trajectory, p_comp, path):
+    """Append one row per sample to the trajectory CSV at ``path``: s,
+    trace, loss, purity, then Re/Im of the column-stacked state components
+    (:func:`_trajectory_columns`).  The rows are formatted half a block at
+    a time (:func:`.propagation.block_length`): formatting a block holds a
+    few copies of its cells."""
+    grid, states = trajectory.grid, trajectory.states
+    rows = block_length(2 * _CELLS.shape[1] * (4 + 2 * trajectory.dim ** 2))
+    with open(path, "ab") as fh:
         for i in range(0, len(grid), rows):
             part = Trajectory(grid[i:i + rows], states[i:i + rows])
             vecs = np.transpose(part.states, (0, 2, 1)).reshape(len(part.grid), -1)
-            yield _csv_lines(np.column_stack([
+            fh.write(_csv_lines(np.column_stack([
                 part.grid, part.traces(), intensity_loss(part.states, p_comp),
-                part.purities(), vecs.real, vecs.imag]))
-    _write_table(header, lines(), path, timestamp)
+                part.purities(), vecs.real, vecs.imag])))
 
 
 # ---------------------------------------------------------------------------
@@ -434,18 +427,56 @@ def _sweep(cfg, out_dir, timestamp, workers, export=None):
     return rows
 
 
-def _export_point(out_dir, timestamp, ctx, metrics, exact, approx):
-    """Trajectory CSVs of one point, once its invariants hold; runs in the
-    process that integrated the point."""
-    _assert_invariants([metrics])
-    for gen_name, traj in (("exact", exact), ("approx", approx)):
-        fname = f"trajectory_{gen_name}_g{metrics['gamma']:g}_T{metrics['T']:g}.csv"
-        write_trajectory_csv(traj, ctx.p_comp, os.path.join(out_dir, fname), timestamp)
+class _TrajectoryFiles:
+    """Writer of the trajectory CSVs of one T slot (see
+    :func:`.runner.run_sweep_task`), made in the process that runs it.
+
+    Each point's two files are streamed: entering creates
+    ``<name>.partial`` with the optional ``# generated`` line and the
+    header, each lab-frame block is appended to it as the pass flushes it
+    (:func:`write_trajectory_csv`), and :meth:`commit` moves a point's
+    files into place once its invariants hold, in row order.  Leaving
+    removes every ``.partial`` file left: those of the point that failed
+    its invariants and of the points after it, or of every point when the
+    pass raised."""
+
+    def __init__(self, out_dir, timestamp, ctx, gammas):
+        self.timestamp, self.p_comp = timestamp, ctx.p_comp
+        self.columns = _trajectory_columns(ctx.rho0.shape[-1])
+        self.paths = {gamma: [os.path.join(out_dir, f"trajectory_{name}_g{gamma:g}_T{ctx.T:g}.csv")
+                              for name in ("exact", "approx")] for gamma in gammas}
+
+    def __enter__(self):
+        try:
+            for paths in self.paths.values():
+                for path in paths:
+                    _write_table(self.columns, (), path + ".partial", self.timestamp)
+        except BaseException:
+            self.__exit__()
+            raise
+        return self
+
+    def __call__(self, gamma, exact, approx):
+        for trajectory, path in zip((exact, approx), self.paths[gamma]):
+            write_trajectory_csv(trajectory, self.p_comp, path + ".partial")
+
+    def commit(self, rows):
+        for row in rows:
+            _assert_invariants([row])
+            for path in self.paths.pop(row["gamma"]):
+                os.replace(path + ".partial", path)
+
+    def __exit__(self, *exc):
+        for paths in self.paths.values():
+            for path in paths:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(path + ".partial")
+        self.paths = {}
 
 
 def _config_sweep(cfg, out_dir, timestamp, workers):
     return _sweep(cfg, out_dir, timestamp, workers,
-                  export=functools.partial(_export_point, out_dir, timestamp))
+                  export=functools.partial(_TrajectoryFiles, out_dir, timestamp))
 
 
 def _preset_fig_element(cfg, out_dir, timestamp, workers):
@@ -505,7 +536,7 @@ def _lindblad_check_rows(seed=7):
     random_model = models.make_random_model(seed)
     cases = (
         ("holonomy",
-         models.holonomy_family(models.build_orange_path(math.pi / 4, 100.0)),
+         models.holonomy_family(models.build_orange_path(math.pi / 4)),
          models.holonomy_dissipator()),
         ("random_rotating", random_model.family(), random_model.dissipator()),
     )
@@ -554,7 +585,7 @@ def gauge_check_rows(T=2.0, gamma=0.1, dt=1e-4):
     # the spectrum, hence the resonance tensor, does not depend on the
     # gauge: only the frame and the generator assembly are rebuilt
     ctx_eq = dataclasses.replace(ctx_np, family=models.holonomy_family(
-        models.build_orange_path(dphi, T, split), models.Gauge.EQUATOR_REGULAR))
+        models.build_orange_path(dphi, split), models.Gauge.EQUATOR_REGULAR))
     points = ctx_np.frame.grid[::2]
     n = len(points) - 1
     checkpoints = [max(1, (n * (j + 1)) // 10) for j in range(10)]
@@ -679,8 +710,9 @@ def _execute(func, cfg, overrides):
     except OSError as exc:
         if exc.filename is None:    # the only files a run opens are its CSVs
             raise
-        raise ConfigInvalid(f"cannot open {name} file {exc.filename!r}: {exc.strerror}",
-                            field=name) from None
+        # os.replace names its target second: a trajectory CSV's final path
+        raise ConfigInvalid(f"cannot open {name} file {exc.filename2 or exc.filename!r}: "
+                            f"{exc.strerror}", field=name) from None
     return 0, rows
 
 
@@ -695,9 +727,11 @@ def run_preset(name, overrides=None):
 def run_config(path, overrides=None):
     """Execute a user-specified JSON config; returns (exit_code, rows).
 
-    Each point is integrated once; its trajectory CSVs are written as soon
-    as its invariants hold, so an assertion failure can leave the files of
-    points that passed."""
+    Each point is integrated once.  Its trajectory CSVs are streamed to
+    ``.partial`` files while its T slot's pass runs, a lab-frame block at a
+    time, and moved into place once its invariants hold, so an assertion
+    failure can leave the files of points that passed, and no ``.partial``
+    file is left when the run stops."""
     try:
         with open(path) as fh:
             data = json.load(fh)

@@ -146,7 +146,6 @@ class HolonomyPath:
     """Piecewise-linear schedule ``s -> (theta(s), phi(s))`` on [0, 1]."""
 
     segments: tuple
-    runtimes: tuple = ()
 
     @property
     def breakpoints(self):
@@ -185,14 +184,15 @@ class HolonomyPath:
 DEFAULT_SPLIT = (0.4, 0.2, 0.4, 0.0)     # run-time fractions of the four legs
 
 
-def build_orange_path(delta_phi, T, split=DEFAULT_SPLIT):
+def build_orange_path(delta_phi, split=DEFAULT_SPLIT):
     """Orange-slice loop: down the zero meridian, along the equator by
     ``delta_phi``, back up the ``delta_phi`` meridian, plus an optional
     zero-length return at the pole.
 
-    ``split`` distributes the run-time over the four legs; the default
-    weights the three circle segments by arc length and drops the fourth
-    (it degenerates to the pole point and costs no adiabaticity).
+    ``split`` distributes the run-time over the four legs, leg ``i`` taking
+    ``split[i] T`` of a run of length ``T``; the default weights the three
+    circle segments by arc length and drops the fourth (it degenerates to
+    the pole point and costs no adiabaticity).
     """
     split = tuple(float(f) for f in split)
     if (len(split) != 4 or not all(0.0 <= f < np.inf for f in split)
@@ -213,7 +213,7 @@ def build_orange_path(delta_phi, T, split=DEFAULT_SPLIT):
             continue
         (t0, p0), (t1, p1) = vertices[i], vertices[i + 1]
         segments.append(_Segment(bounds[i], bounds[i + 1], t0, t1, p0, p1))
-    return HolonomyPath(segments=tuple(segments), runtimes=tuple(f * T for f in split))
+    return HolonomyPath(segments=tuple(segments))
 
 
 def build_pole_crossing_path():
@@ -258,6 +258,11 @@ def initial_state(x, y):
     return psi
 
 
+@vectorized
+def _holonomy_energies(s):
+    return np.broadcast_to([-1.0, 0.0, 1.0], np.shape(s) + (3,)).copy()
+
+
 def _holonomy_spectrum(path):
     @vectorized
     def spectrum(s):
@@ -267,7 +272,7 @@ def _holonomy_spectrum(path):
         plus = c[..., :, 2, None] * np.conj(c[..., None, :, 2])
         minus = c[..., :, 3, None] * np.conj(c[..., None, :, 3])
         return SpectralDecomposition(
-            energies=np.broadcast_to([-1.0, 0.0, 1.0], np.shape(s) + (3,)).copy(),
+            energies=_holonomy_energies(s),
             projectors=[minus, dark, plus],
             ranks=(1, 2, 1),
         )
@@ -281,6 +286,7 @@ def holonomy_family(path, gauge=Gauge.NORTH_POLE_REGULAR):
         evaluate=vectorized(lambda s: holonomy_hamiltonian(*path.angles(s))),
         analytic_spectrum=_holonomy_spectrum(path),
         analytic_basis=vectorized(lambda s: analytic_eigenbasis(*path.angles(s), gauge)),
+        analytic_energies=_holonomy_energies,
         n_eigenspaces=3,
         breakpoints=path.breakpoints,
     )
@@ -366,10 +372,14 @@ class RandomRotatingModel:
             return r @ self.h0 @ dag(r)
 
         @vectorized
+        def energies(s):
+            return np.broadcast_to(w0, np.shape(s) + w0.shape).copy()
+
+        @vectorized
         def spectrum(s):
             r = self.rotation(s)
             return SpectralDecomposition(
-                energies=np.broadcast_to(w0, np.shape(s) + w0.shape).copy(),
+                energies=energies(s),
                 projectors=[r @ p @ dag(r) for p in projs0],
                 ranks=(1,) * self.dim,
             )
@@ -379,6 +389,7 @@ class RandomRotatingModel:
             evaluate=evaluate,
             analytic_spectrum=spectrum,
             analytic_basis=vectorized(lambda s: self.rotation(s) @ v0),
+            analytic_energies=energies,
             n_eigenspaces=self.dim,
         )
 

@@ -18,22 +18,21 @@ entry, steps the exact and the approximate equation of every gamma in
 lockstep, each chunk's generators given as the pieces that every gamma
 shares (``base + gamma T D^``).  Its :class:`LabPass`, the one place that
 cuts lab-frame states into blocks, rotates each block to the lab frame with
-the frame's ``U`` read chunk by chunk and keeps the endpoints and running
-monitors, and whole trajectories only for an ``export``;
-:func:`run_point` turns one gamma's into the metrics row and hands its two
-lab-frame trajectories to the ``export``, when given.  One equation alone,
-such as each of ``check-gauge``'s, steps a generator of the context's
-factories from :meth:`RunContext.initial_components` and is rotated by
-:meth:`RunContext.to_lab`.  Direct lab-frame integration of the same
-equations is available in :mod:`.generators` and is checked against this
-representation by the frame-equivalence tests.
+the frame's ``U`` read chunk by chunk, keeps the endpoints and running
+monitors and hands each block to the slot's writer, when an ``export``
+builds one; :func:`run_point` turns one gamma's into the metrics row.  One
+equation alone, such as each of ``check-gauge``'s, steps a generator of the
+context's factories from :meth:`RunContext.initial_components` and is
+rotated by :meth:`RunContext.to_lab`.  Direct lab-frame integration of the
+same equations is available in :mod:`.generators` and is checked against
+this representation by the frame-equivalence tests.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import inspect
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,7 +116,7 @@ class RunContext:
 
 
 def holonomy_context(delta_phi, split, gauge, T, dt, x, y):
-    family = models.holonomy_family(models.build_orange_path(delta_phi, T, split), gauge)
+    family = models.holonomy_family(models.build_orange_path(delta_phi, split), gauge)
     psi = models.initial_state(x, y)
     return RunContext(
         family=family,
@@ -156,17 +155,19 @@ class LabPass:
     buffer goes whole to :meth:`RunContext.to_lab`, the :class:`.Trajectory`
     monitors and :func:`.propagation.hs_error_max`, and it keeps per pair
     the endpoint (``final``) and the running worst trace, Hermiticity and
-    positivity deviations (``invariants``), per gamma the running
-    ``max_hs_error``, and with ``keep`` the whole lab trajectories."""
+    positivity deviations (``invariants``), and per gamma the running
+    ``max_hs_error``.  No more of a trajectory is held: ``writer``, when
+    given, gets each gamma's block once the monitors have seen it, as
+    ``writer(gamma, exact, approx)`` with two lab-frame :class:`.Trajectory`
+    blocks, in grid order."""
 
-    def __init__(self, ctx, gammas, keep=False):
-        self.ctx, self.gammas = ctx, list(gammas)
+    def __init__(self, ctx, gammas, writer=None):
+        self.ctx, self.gammas, self.writer = ctx, list(gammas), writer
         self.grid = ctx.frame.grid[::2]      # the frame's half-step grid
         pairs, d = 2 * len(self.gammas), ctx.rho0.shape[-1]
         self.block = block_length(32 * d * d * pairs)
         self.store = np.empty((pairs, self.block, d, d), dtype=complex)
         self.u = np.empty((self.block, d, d), dtype=complex)
-        self.kept = np.empty((pairs, len(self.grid), d, d), dtype=complex) if keep else None
         self.start = self.filled = 0        # grid[start:start + filled] wait in the store
         self.invariants = np.array([[0.0, 0.0, np.inf]] * pairs)
         self.max_hs_error = np.zeros(len(self.gammas))
@@ -193,27 +194,24 @@ class LabPass:
         inv[:, 0] = np.maximum(inv[:, 0], np.abs(lab.traces() - 1.0).max(axis=-1))
         inv[:, 1] = np.maximum(inv[:, 1], lab.hermiticity_defects().max(axis=-1))
         inv[:, 2] = np.minimum(inv[:, 2], lab.min_eigenvalues().min(axis=-1))
-        for g, (exact, approx) in enumerate(zip(lab.states[0::2], lab.states[1::2])):
-            self.max_hs_error[g] = np.maximum(self.max_hs_error[g], hs_error_max(
-                Trajectory(lab.grid, exact), Trajectory(lab.grid, approx)))
-        if self.kept is not None:
-            self.kept[:, window] = lab.states
+        for g, gamma in enumerate(self.gammas):
+            exact, approx = (Trajectory(lab.grid, lab.states[2 * g + k]) for k in (0, 1))
+            self.max_hs_error[g] = np.maximum(self.max_hs_error[g], hs_error_max(exact, approx))
+            if self.writer is not None:
+                self.writer(gamma, exact, approx)
         self.final = lab.final_state()
         self.start, self.filled = window.stop, 0
 
-    def trajectories(self):
-        """Every pair's whole lab-frame trajectory, in pair order (``keep`` only)."""
-        return [Trajectory(grid=self.grid, states=states) for states in self.kept]
 
-
-def integrate_pairs(ctx, gammas, keep=False):
+def integrate_pairs(ctx, gammas, writer=None):
     """Step the exact and the approximate equation of every gamma in one
     pass in the rotated frame, the gamma = 0 ones first, and return its
-    :class:`LabPass`.  Every generator is built from the same pieces
-    (:meth:`.generators.RotatedFrameGenerator.pieces`), a chunk of steps at
-    a time; with one gamma the pass steps the formed generators."""
+    :class:`LabPass`, which hands ``writer`` the lab-frame blocks.  Every
+    generator is built from the same pieces
+    (:meth:`.generators.RotatedFrameGenerator.pieces`), a chunk of steps at a
+    time; with one gamma the pass steps the formed generators."""
     gammas = sorted(gammas, key=lambda gamma: gamma != 0.0)
-    sink = LabPass(ctx, gammas, keep)
+    sink = LabPass(ctx, gammas, writer)
     # gamma = 0 pairs keep the Pade rule: the recorded gamma = 0 references
     # pin its rounding, which fidelity_norm amplifies about 1e8-fold.  This
     # split goes away once those references are re-derived.
@@ -230,15 +228,14 @@ def integrate_pairs(ctx, gammas, keep=False):
     return sink
 
 
-def run_point(ctx, gamma, done, export=None):
+def run_point(ctx, gamma, done):
     """The sweep metrics of both equations at one coupling strength, from
     the :class:`LabPass` ``done`` of the (exact, approximate) pass that
-    stepped them.  ``export(ctx, metrics, exact, approx)``, when given, receives
-    their lab-frame trajectories, which the pass then kept."""
+    stepped them."""
     g = done.gammas.index(gamma)
     e, a = 2 * g, 2 * g + 1
     rho_e, rho_a = done.final[e], done.final[a]
-    metrics = {
+    return {
         "model": ctx.model_id,
         "gamma": gamma,
         "T": ctx.T,
@@ -253,10 +250,6 @@ def run_point(ctx, gamma, done, export=None):
         "_invariants": {name: tuple(float(v) for v in done.invariants[p])
                         for name, p in (("exact", e), ("approximate", a))},
     }
-    if export is not None:
-        trajectories = done.trajectories()
-        export(ctx, metrics, trajectories[e], trajectories[a])
-    return metrics
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +262,22 @@ def run_sweep_task(task, export=None):
     ``kind``, ``gamma_list``, and every parameter of the ``kind``'s context
     factory.
 
-    ``export``, when given, is handed to :func:`run_point` and runs in the
-    process that integrated the point; only the metric rows travel back.
-    The pass keeps whole lab trajectories only then.
+    ``export``, when given, is called as ``export(ctx, gamma_list)`` in the
+    process that runs the slot, and builds its writer: a context manager
+    that :class:`LabPass` hands each lab-frame block as it is flushed, and
+    whose ``commit(rows)`` gets the metric rows once the pass is done.
+    Only the metric rows travel back.
     """
     factory = {"holonomy": holonomy_context, "random_rotating": random_context}[task["kind"]]
     # passed by position: the benchmark's tracer tells contexts apart by them
     ctx = factory(*(task[name] for name in inspect.signature(factory).parameters))
-    done = integrate_pairs(ctx, task["gamma_list"], keep=export is not None)
-    return [run_point(ctx, gamma, done, export) for gamma in task["gamma_list"]]
+    gammas = task["gamma_list"]
+    with export(ctx, gammas) if export else contextlib.nullcontext() as writer:
+        done = integrate_pairs(ctx, gammas, writer)
+        rows = [run_point(ctx, gamma, done) for gamma in gammas]
+        if writer is not None:
+            writer.commit(rows)
+    return rows
 
 
 def worker_count(requested=None):
@@ -314,6 +314,8 @@ def sweep(tasks, workers=None, export=None):
         for task in tasks:
             rows.extend(run(task))
     else:
+        # imported here: a run that starts no pool does not pay for it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             longest_first = sorted(tasks, key=lambda t: t["T"] / t["dt"], reverse=True)
             for result in pool.map(run, longest_first):

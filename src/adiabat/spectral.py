@@ -143,7 +143,9 @@ class HamiltonianFamily:
     """A family ``s -> H(s)`` with fixed eigenspace structure.
 
     ``analytic_spectrum`` / ``analytic_basis`` let a model supply closed-form
-    eigenstructure; ``breakpoints`` are parameter values where ``H`` is
+    eigenstructure, and ``analytic_energies`` its eigenspace energies alone
+    (:meth:`energies`), which a transport frame reads without building
+    projectors; ``breakpoints`` are parameter values where ``H`` is
     continuous but not smooth (piecewise-defined schedules), which the
     finite-difference helpers must not straddle.
     """
@@ -152,6 +154,7 @@ class HamiltonianFamily:
     evaluate: Callable[[float], np.ndarray]
     analytic_spectrum: Optional[Callable[[float], SpectralDecomposition]] = None
     analytic_basis: Optional[Callable[[float], np.ndarray]] = None
+    analytic_energies: Optional[Callable[[float], np.ndarray]] = None
     n_eigenspaces: Optional[int] = None
     breakpoints: tuple = ()
     degeneracy_tol: float = 1e-8
@@ -172,6 +175,13 @@ class HamiltonianFamily:
         one; stacked for a 1-D array ``s``."""
         return evaluate_on(self.analytic_spectrum or functools.partial(
             decompose_at, self, degeneracy_tol=self.degeneracy_tol), s)
+
+    def energies(self, s):
+        """The energies of :meth:`spectrum`, ``(K,)`` or ``(n, K)`` for a
+        1-D array ``s``: the model's ``analytic_energies`` when given."""
+        if self.analytic_energies is None:
+            return self.spectrum(s).energies
+        return evaluate_on(self.analytic_energies, s)
 
 
 def _cluster_eigenvalues(w, degeneracy_tol):
@@ -646,7 +656,8 @@ def _continued_columns(family, grid):
 def _analytic_columns(family, grid, basis):
     """An analytic basis on ``grid[start:stop]``, its columns grouped by the
     eigenspace of ``family.spectrum(grid[0])`` that holds them, and the
-    spectrum's energies at grid indices, as two callables."""
+    family's energies at grid indices (:meth:`HamiltonianFamily.energies`),
+    as two callables."""
     spec0 = family.spectrum(grid[:1]).take(0)
     c0 = np.asarray(evaluate_on(basis, grid[:1]), dtype=complex)[0]
     # weight[k, j] = <c_j|P_k|c_j> at grid[0]
@@ -661,7 +672,7 @@ def _analytic_columns(family, grid, basis):
         return np.asarray(evaluate_on(basis, grid[start:stop]), dtype=complex)[:, :, order]
 
     def energies(index):
-        return family.spectrum(grid[index]).energies
+        return family.energies(grid[index])
 
     return columns, energies, spec0.ranks
 

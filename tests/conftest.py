@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from adiabat import runner
+from adiabat.propagation import Trajectory
 from adiabat.spectral import HamiltonianFamily, SpectralDecomposition, vectorized
 
 
@@ -46,3 +48,17 @@ def reversed_spectrum_family(fam, basis=True):
                              analytic_spectrum=reversed_spectrum,
                              analytic_basis=fam.analytic_basis if basis else None,
                              n_eigenspaces=fam.n_eigenspaces)
+
+
+def lab_trajectories(ctx, gammas):
+    """The :class:`runner.LabPass` of ``runner.integrate_pairs(ctx, gammas)``
+    and every pair's whole lab trajectory, joined from the blocks that the
+    pass hands its writer, in the pass's pair order."""
+    blocks = {}
+
+    def writer(gamma, exact, approx):
+        blocks.setdefault(gamma, []).append((exact, approx))
+    done = runner.integrate_pairs(ctx, gammas, writer)
+    return done, [Trajectory(grid=np.concatenate([b[k].grid for b in blocks[gamma]]),
+                             states=np.concatenate([b[k].states for b in blocks[gamma]]))
+                  for gamma in done.gammas for k in (0, 1)]

@@ -98,7 +98,7 @@ def test_criterion_01_block_ode_vs_closed_form():
     for gamma in (0.0, 0.01, 0.1):
         start = time.time()
         T = 100.0
-        path = models.build_orange_path(DPHI, T, SPLIT)
+        path = models.build_orange_path(DPHI, SPLIT)
         v0 = np.array([np.cos(X / 2) ** 2,
                        0.5 * np.sin(X) * np.exp(-1j * Y),
                        0.5 * np.sin(X) * np.exp(+1j * Y),
@@ -108,7 +108,7 @@ def test_criterion_01_block_ode_vs_closed_form():
         dark = vecs[-1][:4].reshape(2, 2)
         u = models.holonomy_gate(DPHI)
         out = u @ dark @ dag(u)
-        ref = models.closed_form_output(X, Y, DPHI, gamma, *path.runtimes[:3])
+        ref = models.closed_form_output(X, Y, DPHI, gamma, *(T * f for f in SPLIT[:3]))
         worst = max(worst, float(np.abs(out - ref).max()))
         slowest = max(slowest, time.time() - start)
     report(1, "closed-form-vs-ode", worst <= 1e-6 and slowest < 5.0,
@@ -239,7 +239,7 @@ def test_criterion_08_resonance_tensor_oracle():
     """Holonomy tensor matches brute-force enumeration entry by entry and
     the delta/symmetry identities hold for both shipped models."""
     grid = np.linspace(0.0, 1.0, 201)
-    path = models.build_orange_path(DPHI, 100.0, SPLIT)
+    path = models.build_orange_path(DPHI, SPLIT)
     fam_h = models.holonomy_family(path)
     t_h = compute_resonance_tensor(fam_h.spectrum, grid)
     energies = np.array([-1.0, 0.0, 1.0])

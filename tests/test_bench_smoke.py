@@ -30,7 +30,7 @@ import pytest
 import adiabat
 import adiabat.cli
 import adiabat.runner
-from adiabat.propagation import intensity_loss
+from adiabat.propagation import Trajectory, intensity_loss
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
@@ -70,18 +70,21 @@ def test_smoke_workload_matches_reference(name, tmp_path):
 
 def test_export_bytes_are_per_value_formatting(tmp_path, monkeypatch):
     # every trajectory CSV of the holonomy-export smoke run, byte for byte
-    # against the whole table rendered a value at a time by '%.17g'
-    written = []
+    # against the whole table rendered a value at a time by '%.17g'; the
+    # blocks appended to each file are gathered by its path
+    written = {}
     write = adiabat.cli.write_trajectory_csv
 
-    def capture(trajectory, p_comp, path, timestamp=True):
-        written.append((trajectory, p_comp, path))
-        write(trajectory, p_comp, path, timestamp)
+    def capture(trajectory, p_comp, path):
+        written.setdefault(path, []).append((trajectory, p_comp))
+        write(trajectory, p_comp, path)
     monkeypatch.setattr(adiabat.cli, "write_trajectory_csv", capture)
     run_against_reference("holonomy-export", True, tmp_path)
     assert len(written) == 8
-    for traj, p_comp, path in written:
-        states = traj.states
+    for path, blocks in written.items():
+        p_comp = blocks[0][1]
+        states = np.concatenate([traj.states for traj, _ in blocks])
+        traj = Trajectory(np.concatenate([traj.grid for traj, _ in blocks]), states)
         vecs = np.transpose(states, (0, 2, 1)).reshape(len(states), -1)
         table = np.column_stack([traj.grid, traj.traces(), intensity_loss(states, p_comp),
                                  traj.purities(), vecs.real, vecs.imag])
@@ -89,7 +92,8 @@ def test_export_bytes_are_per_value_formatting(tmp_path, monkeypatch):
             f"{part}_{i}" for part in ("re", "im") for i in range(vecs.shape[1])]
         expected = "".join(",".join(cells) + "\r\n" for cells in [header] + [
             ["%.17g" % v for v in row] for row in table.tolist()])
-        with open(path, "rb") as fh:
+        assert path.endswith(".partial")
+        with open(path[:-len(".partial")], "rb") as fh:
             assert fh.read() == expected.encode()
 
 
@@ -120,3 +124,5 @@ def test_traced_smoke_workload_reports_strict_json(name, tmp_path):
         assert metrics["runner.points"] > 0
     else:       # four chunks of each gauge's rotated equation and of the lab-frame one
         assert metrics["generators.assembly_calls"] == 12
+    if name == "holonomy-export":   # 4 sweep rows, 2 x 2 trajectories of 11 + 21 rows
+        assert metrics["cli.csv_rows"] == 132

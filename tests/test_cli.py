@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import csv
 import io
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiabat import cli, models, runner
-from adiabat.errors import AssertionFailed, ConfigInvalid
+from adiabat.errors import AssertionFailed, ConfigInvalid, StepTooLarge
 from adiabat.propagation import Trajectory
 
 
@@ -233,22 +234,18 @@ class TestConfigValidation:
         assert "config error: dt=" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_exported_trajectories_bounded(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(runner, "sweep", lambda *a, **k: pytest.fail("sweep ran"))
-        # six gammas at 500,000 steps: 12 lab trajectories of 16 d^2 B per
-        # sample, 24.6 GB at d = 16 and 1.54 GB, the bound, at d = 4
+    def test_six_gammas_at_dim_16_validate(self, tmp_path, monkeypatch):
+        # an export streams its rows to disk, so the number of gammas times
+        # the steps is not bounded by memory: six gammas at 500,000 steps
+        # and d = 16 (24.6 GB of lab trajectories, were they kept) validate
+        tasks = []
+        monkeypatch.setattr(runner, "sweep", lambda t, *a, **k: tasks.extend(t) or [])
         six = dict(model="random_rotating", T_list=[5000.0], dt=0.01,
                    gamma_list=[0.0, 0.001, 0.002, 0.003, 0.004, 0.005])
         cfg = write_config(tmp_path, dim=16, **six)
-        assert cli.main(["run", "--config", str(cfg), "--workers", "1"]) == 2
-        assert "config error: gamma_list" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-        cli.ExperimentConfig.from_dict(dict(six, dim=4))
-        cli.ExperimentConfig.from_dict(dict(six, model="holonomy"))
-        for fields in (dict(six, dim=5), dict(six, gamma_list=six["gamma_list"] + [0.006])):
-            with pytest.raises(ConfigInvalid) as err:
-                cli.ExperimentConfig.from_dict(fields)
-            assert err.value.field == "gamma_list"
+        assert cli.main(["run", "--config", str(cfg), "--workers", "1"]) == 0
+        assert [(t["dim"], len(t["gamma_list"])) for t in tasks] == [(16, 6)]
+        cli.ExperimentConfig.from_dict(dict(six, dim=16, gamma_list=six["gamma_list"] + [0.006]))
 
     @pytest.mark.parametrize("name, values", [
         ("T_list", [2.0, 2.0]),
@@ -447,6 +444,41 @@ class TestRunConfig:
         assert not (tmp_path / "out" / "sweep.csv").exists()
         assert not list((tmp_path / "out").glob("trajectory_*.csv"))
 
+    def test_failed_point_leaves_no_file(self, tmp_path, monkeypatch):
+        # the point at gamma = 0.1 fails its invariants once the pass is
+        # done: the point before it is in place, none of its files is left
+        check = cli._assert_invariants
+
+        def failing(rows):
+            if any(row["gamma"] == 0.1 for row in rows):
+                raise AssertionFailed("trace[forced]", 1.0, 1e-7)
+            check(rows)
+        monkeypatch.setattr(cli, "_assert_invariants", failing)
+        path = write_config(tmp_path, T_list=[1.0], dt=0.1)
+        code, rows = cli.run_config(str(path), {"workers": 1, "no_timestamp": True})
+        assert code == 1 and rows is None
+        assert sorted(f.name for f in (tmp_path / "out").iterdir()) == [
+            "trajectory_approx_g0_T1.csv", "trajectory_exact_g0_T1.csv"]
+
+    def test_pass_stopped_leaves_no_partial_file(self, tmp_path, capsys, monkeypatch):
+        # StepTooLarge once the pass has appended its first lab block to
+        # the four .partial files: the run exits 2 naming dt, no file left
+        propagate, sizes = runner.propagate_piecewise_exp, []
+
+        def stopping(*args, sink, **kwargs):
+            def stop(i, states):
+                sink(i, states)
+                if sink.start:
+                    sizes.extend(f.stat().st_size for f in (tmp_path / "out").iterdir())
+                    raise StepTooLarge("step times generator norm is 9.9e+01")
+            return propagate(*args, sink=stop, **kwargs)
+        monkeypatch.setattr(runner, "propagate_piecewise_exp", stopping)
+        path = write_config(tmp_path, T_list=[2.0], dt=0.01)
+        assert cli.main(["run", "--config", str(path), "--workers", "1"]) == 2
+        assert "config error: dt=0.01 is too large" in capsys.readouterr().err
+        assert len(sizes) == 4 and min(sizes) > 128 * 400     # a block of 128 rows each
+        assert not list((tmp_path / "out").iterdir())
+
 
 class TestCsvFormat:
     """The bytes of the CSV tables: header order, column-stacked state
@@ -462,11 +494,15 @@ class TestCsvFormat:
         b"0,0.33333333333333331,-0.33333333333333331,0\r\n")
 
     def write_trajectory(self, path, timestamp):
+        grid = np.array([0.0, 1 / 3])
         states = np.array([[[1 / 3, 0.1], [1e-300j, -0.0]],
                            [[0.1, -1j / 3], [1j / 3, 0.9]]])
-        traj = Trajectory(grid=np.array([0.0, 1 / 3]), states=states)
-        cli.write_trajectory_csv(traj, np.diag([1.0, 0.0]).astype(complex),
-                                 str(path), timestamp=timestamp)
+        # the export's writer creates the file with its header lines, then
+        # appends each block's rows: here two blocks of one sample
+        cli._write_table(cli._trajectory_columns(2), (), str(path), timestamp)
+        for i in range(2):
+            cli.write_trajectory_csv(Trajectory(grid[i:i + 1], states[i:i + 1]),
+                                     np.diag([1.0, 0.0]).astype(complex), str(path))
         return path.read_bytes()
 
     def test_trajectory_bytes(self, tmp_path):
@@ -500,8 +536,7 @@ class TestCsvFormat:
         traj = Trajectory(grid=np.linspace(0.0, 1.0, len(states)), states=states)
         tracemalloc.start()
         try:
-            cli.write_trajectory_csv(traj, np.eye(4, dtype=complex), os.devnull,
-                                     timestamp=False)
+            cli.write_trajectory_csv(traj, np.eye(4, dtype=complex), os.devnull)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -633,7 +668,7 @@ class TestRunner:
                 mapped.append([t["T"] / t["dt"] for t in tasks])
                 return [[] for _ in tasks]
 
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
         task = {"T": 1.0, "dt": 0.1}
         runner.sweep([task] * 3, workers=64)

@@ -69,7 +69,7 @@ def constant_family(h, **kw):
 
 @pytest.fixture(scope="module")
 def holonomy_setup():
-    path = build_orange_path(np.pi / 4, 100.0)
+    path = build_orange_path(np.pi / 4)
     fam = holonomy_family(path, Gauge.EQUATOR_REGULAR)
     diss = holonomy_dissipator()
     tensor = compute_resonance_tensor(fam.spectrum, GRID)
@@ -217,7 +217,7 @@ def lab_case(model):
         fam = m.family()
         diss = m.dissipator()
     else:
-        fam = holonomy_family(build_orange_path(np.pi / 4, 10.0), Gauge(model))
+        fam = holonomy_family(build_orange_path(np.pi / 4), Gauge(model))
         diss = holonomy_dissipator()
     s = np.unique(np.concatenate([np.linspace(0.0, 1.0, 21), [1e-4, 1.0 - 1e-4],
                                   [b + d for b in fam.breakpoints
@@ -291,7 +291,7 @@ def filtered_case(name):
     """Family, dissipator and tensor of a named filtered-dissipator case."""
     if name in ("north_pole", "equator"):
         gauge = Gauge.EQUATOR_REGULAR if name == "equator" else Gauge.NORTH_POLE_REGULAR
-        fam = holonomy_family(build_orange_path(np.pi / 4, 10.0), gauge)
+        fam = holonomy_family(build_orange_path(np.pi / 4), gauge)
         diss = holonomy_dissipator()
     elif name == "single":
         rng = np.random.default_rng(5)

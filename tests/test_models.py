@@ -4,6 +4,7 @@ import pytest
 from adiabat.errors import BadSplit, GaugeSingularity
 from adiabat.linalg import dag, frobenius
 from adiabat.models import (
+    DEFAULT_SPLIT,
     Gauge,
     analytic_eigenbasis,
     approximate_block_matrix,
@@ -91,12 +92,11 @@ class TestEigenbasis:
 
 class TestOrangePath:
     def test_segment_boundaries(self):
-        path = build_orange_path(DPHI, 100.0)
+        path = build_orange_path(DPHI)
         assert path.breakpoints == pytest.approx((0.4, 0.6))
-        assert path.runtimes == pytest.approx((40.0, 20.0, 40.0, 0.0))
 
     def test_vertices_visited(self):
-        path = build_orange_path(DPHI, 100.0)
+        path = build_orange_path(DPHI)
         half_pi = np.pi / 2
         assert path.angles(0.0) == pytest.approx((0.0, 0.0))
         assert path.angles(0.4) == pytest.approx((half_pi, 0.0))
@@ -104,11 +104,11 @@ class TestOrangePath:
         assert path.angles(1.0) == pytest.approx((0.0, DPHI))
 
     def test_linear_interpolation(self):
-        path = build_orange_path(DPHI, 100.0)
+        path = build_orange_path(DPHI)
         assert path.theta(0.2) == pytest.approx(np.pi / 4)
 
     def test_continuity(self):
-        path = build_orange_path(DPHI, 50.0)
+        path = build_orange_path(DPHI)
         grid = np.linspace(0, 1, 1001)
         th = np.array([path.theta(s) for s in grid])
         ph = np.array([path.phi(s) for s in grid])
@@ -116,26 +116,26 @@ class TestOrangePath:
         assert np.abs(np.diff(ph)).max() < 0.01
 
     def test_degenerate_path(self):
-        build_orange_path(0.0, 10.0)
+        build_orange_path(0.0)
         assert np.allclose(holonomy_gate(0.0), np.eye(2))
 
     def test_bad_split(self):
         with pytest.raises(BadSplit):
-            build_orange_path(DPHI, 10.0, split=(0.5, 0.5, 0.5, 0.0))
+            build_orange_path(DPHI, split=(0.5, 0.5, 0.5, 0.0))
         with pytest.raises(BadSplit):
-            build_orange_path(DPHI, 10.0, split=(-0.1, 0.5, 0.6, 0.0))
+            build_orange_path(DPHI, split=(-0.1, 0.5, 0.6, 0.0))
         with pytest.raises(BadSplit):
-            build_orange_path(7.0, 10.0)
+            build_orange_path(7.0)
 
     @pytest.mark.parametrize("split", [(np.nan, 0.2, 0.4, 0.4), (0.4, np.inf, 0.4, 0.2),
                                        (0.4, 0.2, 0.4, -np.inf)])
     def test_non_finite_split(self, split):
         # a NaN fraction passes the sign and sum comparisons
         with pytest.raises(BadSplit):
-            build_orange_path(DPHI, 10.0, split=split)
+            build_orange_path(DPHI, split=split)
 
     def test_nonzero_fourth_segment(self):
-        path = build_orange_path(DPHI, 100.0, split=(0.35, 0.15, 0.35, 0.15))
+        path = build_orange_path(DPHI, split=(0.35, 0.15, 0.35, 0.15))
         assert path.angles(1.0) == pytest.approx((0.0, 0.0))
         assert len(path.segments) == 4
 
@@ -159,13 +159,13 @@ class TestGate:
 
 class TestBlockMatrix:
     def test_equator_point(self):
-        path = build_orange_path(DPHI, 100.0)
+        path = build_orange_path(DPHI)
         gt = 0.1 * 100.0
         m = approximate_block_matrix(path, 0.1, 100.0, 0.5)
         assert np.allclose(m, np.diag([0.0, -gt / 2, -gt / 2, 0.0, 0.0, 0.0]))
 
     def test_pole_point(self):
-        path = build_orange_path(DPHI, 100.0)
+        path = build_orange_path(DPHI)
         gt = 0.1 * 100.0
         m = approximate_block_matrix(path, 0.1, 100.0, 0.2)  # theta = pi/4 line
         m0 = approximate_block_matrix(path, 0.1, 100.0, 0.0)  # theta = 0
@@ -178,7 +178,7 @@ class TestBlockMatrix:
         # on the shipped path the azimuth only changes on the equator, so at
         # gamma = 0 the matrix vanishes there; on a slanted test path the
         # skew rotation terms survive
-        path = build_orange_path(DPHI, 100.0)
+        path = build_orange_path(DPHI)
         m = approximate_block_matrix(path, 0.0, 100.0, 0.5)
         assert np.allclose(m, 0.0)
         from adiabat.models import HolonomyPath, _Segment
@@ -204,7 +204,7 @@ class TestBlockMatrix:
 
     @pytest.mark.parametrize("gamma", [0.0, 0.1])
     def test_stack_equals_per_sample_calls(self, gamma):
-        path = build_orange_path(DPHI, 100.0)
+        path = build_orange_path(DPHI)
         s = np.concatenate([np.linspace(0.0, 1.0, 501), path.breakpoints])
         stack = approximate_block_matrix(path, gamma, 100.0, s)
         assert stack.shape == (len(s), 6, 6)
@@ -238,7 +238,7 @@ class TestClosedForm:
         # the module's central oracle: integrate the 6x6 block generator
         # over the path and compare with the closed form
         gamma, T = 0.1, 100.0
-        path = build_orange_path(DPHI, T)
+        path = build_orange_path(DPHI)
         v0 = np.array([np.cos(X / 2) ** 2,
                        0.5 * np.sin(X) * np.exp(-1j * Y),
                        0.5 * np.sin(X) * np.exp(+1j * Y),
@@ -248,7 +248,7 @@ class TestClosedForm:
         dark = vecs[-1][:4].reshape(2, 2)
         u = holonomy_gate(DPHI)
         out = u @ dark @ dag(u)
-        ref = closed_form_output(X, Y, DPHI, gamma, *path.runtimes[:3])
+        ref = closed_form_output(X, Y, DPHI, gamma, *(T * f for f in DEFAULT_SPLIT[:3]))
         assert np.abs(out - ref).max() <= 1e-6
 
 
@@ -308,7 +308,7 @@ def boundary_samples(path):
     return np.unique(np.clip(np.concatenate([np.linspace(0.0, 1.0, 37), near]), 0.0, 1.0))
 
 
-PATHS = [build_orange_path(DPHI, 10.0), build_orange_path(DPHI, 10.0, (0.3, 0.2, 0.3, 0.2))]
+PATHS = [build_orange_path(DPHI), build_orange_path(DPHI, (0.3, 0.2, 0.3, 0.2))]
 
 
 class TestArrays:

@@ -43,7 +43,7 @@ from adiabat.propagation import (
 )
 from adiabat.spectral import HamiltonianFamily, vectorized
 
-from conftest import random_density, random_hermitian
+from conftest import lab_trajectories, random_density, random_hermitian
 
 
 def fidelity_2x2_closed_form(s1, s2):
@@ -293,7 +293,7 @@ class TestSampleGrid:
             seen.append(np.atleast_1d(s))
             return pieces(s, kinds, dissipative)
         monkeypatch.setattr(ctx.generator, "pieces", record)
-        traj, _ = runner.integrate_pairs(ctx, [0.1], keep=True).trajectories()
+        _, (traj, _) = lab_trajectories(ctx, [0.1])
         assert np.array_equal(np.concatenate(seen), ctx.frame.grid[1::2])
         assert np.array_equal(traj.grid, ctx.frame.grid[::2])
 
@@ -407,7 +407,7 @@ class TestStackedPass:
         # action rule, each pair's lab-frame trajectory in order, against
         # each equation stepped alone from the context's factories
         ctx = small_context("random_rotating", 1.0, 0.01)
-        labs = runner.integrate_pairs(ctx, [0.1, 0.0], keep=True).trajectories()
+        _, labs = lab_trajectories(ctx, [0.1, 0.0])
         for (gamma, approximate), lab in zip(PASS, labs):
             factory = ctx.approximate_generator if approximate else ctx.exact_generator
             alone = ctx.to_lab(propagate_piecewise_exp(
@@ -569,7 +569,7 @@ class TestRk4:
     def test_cross_validation_gate_model(self):
         # the two integrators are independent; at matched resolution they
         # must agree at the stated preset point
-        path = build_orange_path(np.pi / 4, 100.0)
+        path = build_orange_path(np.pi / 4)
         fam = holonomy_family(path)
         gen = ExactGenerator(fam, holonomy_dissipator(), 100.0, 0.01)
         psi = initial_state(np.pi / 5, 3 * np.pi / 4)

@@ -55,7 +55,7 @@ class TestGapFunction:
             assert dpq(s) == -dqp(s)
 
     def test_holonomy_bright_gap_constant(self):
-        path = build_orange_path(np.pi / 4, 10.0)
+        path = build_orange_path(np.pi / 4)
         fam = holonomy_family(path)
         # labels ascending: 0 -> -1, 1 -> dark, 2 -> +1
         d = gap_function(fam.spectrum, 2, 0)
@@ -77,7 +77,7 @@ class TestResonanceTensor:
         assert not t.g[0, 1, 1, 0]
 
     def test_holonomy_brute_force(self):
-        path = build_orange_path(np.pi / 4, 10.0)
+        path = build_orange_path(np.pi / 4)
         fam = holonomy_family(path)
         t = compute_resonance_tensor(fam.spectrum, GRID)
         t.validate_identities()
@@ -131,7 +131,7 @@ class TestResonanceTensor:
             compute_resonance_tensor(lambda s: two if s < 0.5 else merged, GRID)
 
     def test_grid_refinement_never_flips_coupling(self):
-        for fam in (holonomy_family(build_orange_path(np.pi / 4, 10.0)),
+        for fam in (holonomy_family(build_orange_path(np.pi / 4)),
                     make_random_model(7).family()):
             coarse = compute_resonance_tensor(fam.spectrum, GRID)
             fine = compute_resonance_tensor(fam.spectrum,

@@ -54,7 +54,7 @@ class TestDecompose:
 
     @pytest.mark.parametrize("point", [(0.3, 0.9), (1.2, 4.0), (2.8, 5.5)])
     def test_holonomy_structure(self, point):
-        path = build_orange_path(np.pi / 4, 10.0)
+        path = build_orange_path(np.pi / 4)
         fam = holonomy_family(path)
         # evaluate the numeric decomposition at a synthetic family fixed to
         # the angles of interest
@@ -87,7 +87,7 @@ class TestDecompose:
             decompose_at(fam, 0.0)
 
     def test_grid_scan_label_stability(self, rotating):
-        holonomy = holonomy_family(build_orange_path(np.pi / 4, 100.0))
+        holonomy = holonomy_family(build_orange_path(np.pi / 4))
         for fam in (rotating.family(), holonomy):
             grid = np.linspace(0.0, 1.0, 41)
             decs = decompose_on_grid(fam, grid)
@@ -120,7 +120,7 @@ class TestDerivatives:
 
     def test_holonomy_equator_symbolic_oracle(self):
         # chain-rule differentiation of the closed-form eigenbasis
-        path = build_orange_path(np.pi / 4, 100.0)
+        path = build_orange_path(np.pi / 4)
         fam = holonomy_family(path, Gauge.EQUATOR_REGULAR)
         s = 0.5
         th, ph = path.angles(s)
@@ -158,7 +158,7 @@ class TestDerivatives:
         assert frobenius(q - q_ref) < 1e-6
 
     def test_holonomy_equator_hermiticity(self):
-        path = build_orange_path(np.pi / 4, 100.0)
+        path = build_orange_path(np.pi / 4)
         fam = holonomy_family(path, Gauge.EQUATOR_REGULAR)
         q = geometric_term(fam, 0.5, h=1e-5)
         assert frobenius(q - dag(q)) <= 1e-8
@@ -184,7 +184,7 @@ class TestArrayDerivatives:
         if model == "random":
             fam = make_random_model(7).family()
         else:
-            fam = holonomy_family(build_orange_path(np.pi / 4, 10.0, (0.3, 0.2, 0.3, 0.2)),
+            fam = holonomy_family(build_orange_path(np.pi / 4, (0.3, 0.2, 0.3, 0.2)),
                                   Gauge(model))
         s = kink_samples(fam, h)
         kinds = set(spectral._stencil_kinds(fam, s, h))
@@ -260,7 +260,7 @@ class TestTransportFrame:
                     assert frobenius(p0[k] @ m @ p0[l]) < 1e-8
 
     def test_transport_condition_analytic_bases(self):
-        path = build_orange_path(np.pi / 4, 10.0)
+        path = build_orange_path(np.pi / 4)
         grid = np.linspace(0.0, 1.0, 501)
         for gauge in Gauge:
             fam = holonomy_family(path, gauge)
@@ -269,7 +269,7 @@ class TestTransportFrame:
 
     def test_gauge_covariance_block_diagonal_mismatch(self):
         # two valid frames differ by unitaries commuting with every P_k(0)
-        path = build_orange_path(np.pi / 4, 10.0)
+        path = build_orange_path(np.pi / 4)
         grid = np.linspace(0.0, 1.0, 201)
         frames = []
         for gauge in Gauge:
@@ -295,7 +295,7 @@ class TestTransportFrame:
 
     @pytest.mark.parametrize("gauge", list(Gauge))
     def test_unmarked_basis_gives_same_frame(self, gauge):
-        fam = holonomy_family(build_orange_path(np.pi / 4, 10.0), gauge)
+        fam = holonomy_family(build_orange_path(np.pi / 4), gauge)
         grid = np.linspace(0.0, 1.0, 401)
         marked = build_transport_frame(fam, grid, basis=fam.analytic_basis)
         plain = build_transport_frame(fam, grid, basis=lambda s: fam.analytic_basis(s))
@@ -316,7 +316,7 @@ class TestTransportFrame:
 
 
 def shipped_families():
-    path = build_orange_path(np.pi / 4, 10.0)
+    path = build_orange_path(np.pi / 4)
     return [holonomy_family(path, gauge) for gauge in Gauge] + [make_random_model(7).family()]
 
 
@@ -418,7 +418,7 @@ def whole_grid_frame(family, grid, frame):
 def kinked_family():
     # the gate's path at T = 10: kinks at s = 0.4 and 0.6, and 0.8 with
     # split (0.4, 0.2, 0.2, 0.2)
-    return holonomy_family(build_orange_path(np.pi / 4, 10.0, (0.4, 0.2, 0.2, 0.2)))
+    return holonomy_family(build_orange_path(np.pi / 4, (0.4, 0.2, 0.2, 0.2)))
 
 
 class TestWindowedFrame:
