@@ -168,6 +168,10 @@ class ExperimentConfig:
             # a repeated value would integrate one sweep point twice (-0.0 == 0.0)
             if len(set(values)) < len(values):
                 raise ConfigInvalid(f"{name} repeats a value", field=name)
+            # two values that print alike (%g) would share a point's trajectory files
+            if len({_trajectory_name("exact", v, v) for v in values}) < len(values):
+                raise ConfigInvalid(f"{name} has two values that share a trajectory file name",
+                                    field=name)
         if any(g < 0 for g in self.gamma_list):
             raise ConfigInvalid("gamma values must be >= 0", field="gamma_list")
         if any(t <= 0 for t in self.T_list):
@@ -333,36 +337,34 @@ def _csv_lines(table):
     return cells.tobytes().translate(None, b"\0")
 
 
-def _write_table(columns, lines, path, timestamp):
+def _write_table(columns, rows, path, timestamp):
     """Write one CSV table: the optional ``# generated`` line, the header,
-    then ``lines``, an iterable of bytes from :func:`_csv_lines` or
-    :func:`_record_lines`, in order.  Every float prints as ``%.17g``
-    (enough digits to read back exactly), through :func:`_csv_lines`,
-    whose long double digits are certain outside a band of 1/64 around
-    each rounding tie and which sends that band, non-finite values and,
-    without a 64-bit long double mantissa, every nonzero value to Python's
-    own conversion.  Lines end in ``\\r\\n``, as :mod:`csv` writes them."""
+    then a line per dict row, its values in column order.  Floats print as
+    ``%.17g`` (enough digits to read back exactly), through
+    :func:`_csv_lines`, whose long double digits are certain outside a band
+    of 1/64 around each rounding tie and which sends that band, non-finite
+    values and, without a 64-bit long double mantissa, every nonzero value
+    to Python's own conversion; anything else prints as ``str`` and may
+    contain no comma or quote.  Lines end in ``\\r\\n``, as :mod:`csv`
+    writes them."""
+    records = [[row[c] for c in columns] for row in rows]
+    floats = [v for record in records for v in record if isinstance(v, float)]
+    text = iter(_csv_lines(np.reshape(floats, (-1, 1))).split(b"\r\n"))
     with open(path, "wb") as fh:
         if timestamp:
             fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n".encode())
         fh.write((",".join(columns) + "\r\n").encode())
-        for chunk in lines:
-            fh.write(chunk)
-
-
-def _record_lines(rows, columns):
-    """The CSV lines of dict rows, the values in column order: floats through
-    :func:`_csv_lines`, anything else as ``str``.  No value may contain a
-    comma or a quote."""
-    records = [[row[c] for c in columns] for row in rows]
-    floats = [v for record in records for v in record if isinstance(v, float)]
-    text = iter(_csv_lines(np.reshape(floats, (-1, 1))).split(b"\r\n"))
-    return b"".join(b",".join(next(text) if isinstance(v, float) else str(v).encode()
-                              for v in record) + b"\r\n" for record in records)
+        fh.write(b"".join(b",".join(next(text) if isinstance(v, float) else str(v).encode()
+                                    for v in record) + b"\r\n" for record in records))
 
 
 def write_sweep_csv(rows, path, timestamp=True):
-    _write_table(SWEEP_COLUMNS, [_record_lines(rows, SWEEP_COLUMNS)], path, timestamp)
+    _write_table(SWEEP_COLUMNS, rows, path, timestamp)
+
+
+def _trajectory_name(kind, gamma, T):
+    """The file name of a point's ``exact`` or ``approx`` trajectory CSV."""
+    return f"trajectory_{kind}_g{gamma:g}_T{T:g}.csv"
 
 
 def _trajectory_columns(dim):
@@ -443,8 +445,8 @@ class _TrajectoryFiles:
     def __init__(self, out_dir, timestamp, ctx, gammas):
         self.timestamp, self.p_comp = timestamp, ctx.p_comp
         self.columns = _trajectory_columns(ctx.rho0.shape[-1])
-        self.paths = {gamma: [os.path.join(out_dir, f"trajectory_{name}_g{gamma:g}_T{ctx.T:g}.csv")
-                              for name in ("exact", "approx")] for gamma in gammas}
+        self.paths = {gamma: [os.path.join(out_dir, _trajectory_name(kind, gamma, ctx.T))
+                              for kind in ("exact", "approx")] for gamma in gammas}
 
     def __enter__(self):
         try:
@@ -534,9 +536,10 @@ def _preset_fig_sweep_random(cfg, out_dir, timestamp, workers):
 def _lindblad_check_rows(seed=7):
     samples = np.linspace(0.05, 0.95, 10)
     random_model = models.make_random_model(seed)
+    gate = ExperimentConfig().path      # the sweep's gate path
     cases = (
         ("holonomy",
-         models.holonomy_family(models.build_orange_path(math.pi / 4)),
+         models.holonomy_family(models.build_orange_path(gate["delta_phi"], gate["split"])),
          models.holonomy_dissipator()),
         ("random_rotating", random_model.family(), random_model.dissipator()),
     )
@@ -555,8 +558,7 @@ def _lindblad_check_rows(seed=7):
 
 def _preset_check_lindblad(cfg, out_dir, timestamp, workers):
     rows = _lindblad_check_rows(cfg.seed)
-    columns = ["model", "s", "reconstruction_error", "lambda_min"]
-    _write_table(columns, [_record_lines(rows, columns)],
+    _write_table(["model", "s", "reconstruction_error", "lambda_min"], rows,
                  os.path.join(out_dir, "lindblad_check.csv"), timestamp)
     for row in rows:
         tag = f"{row['model']} s={row['s']:.3f}"
@@ -649,8 +651,7 @@ def gauge_check_rows(T=2.0, gamma=0.1, dt=1e-4):
 def _preset_check_gauge(cfg, out_dir, timestamp, workers):
     (T,), (gamma,) = cfg.T_list, cfg.gamma_list
     rows = gauge_check_rows(T, gamma, cfg.dt)
-    columns = ["check", "value", "bound"]
-    _write_table(columns, [_record_lines(rows, columns)],
+    _write_table(["check", "value", "bound"], rows,
                  os.path.join(out_dir, "gauge_check.csv"), timestamp)
     for row in rows:
         if isinstance(row["bound"], float):

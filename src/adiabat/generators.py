@@ -38,7 +38,6 @@ from .linalg import (
     frobenius,
     hermitian_eigendecompose,
     sandwich_superop,
-    unvec,
     vec,
 )
 from .spectral import evaluate_on, geometric_term, vectorized
@@ -55,8 +54,6 @@ __all__ = [
     "RotatedFrameGenerator",
     "rotated_block_generator",
     "block_component_indices",
-    "frame_components",
-    "frame_unpack",
     "LindbladFactorization",
     "lindblad_factorize",
     "choi_matrix",
@@ -121,9 +118,6 @@ class LindbladDissipator:
         f = (None if self.hamiltonian_part is None and self.jump_operators
              else conj(self.f_at(s)))
         return _lindblad_superop(f, [conj(v) for v in self.jumps_at(s)])
-
-    def apply(self, s, rho):
-        return unvec(self.superoperator(s) @ vec(rho), self.dim)
 
 
 def _lindblad_superop(f, jumps):
@@ -292,23 +286,10 @@ def block_component_indices(frame, block_set):
     return np.flatnonzero(_block_table(frame, block_set)[_component_labels(frame.labels)]).tolist()
 
 
-def frame_components(frame, rho_lab, s):
-    """Vectorized components ``<chi_k(0)| U rho U^dag |chi_l(0)>`` of a lab
-    state; these are the instantaneous-eigenbasis matrix elements of rho."""
-    w = frame.rotation(s)
-    return vec(w @ rho_lab @ dag(w))
-
-
-def frame_unpack(frame, component_vec, s):
-    """Inverse of :func:`frame_components`."""
-    w = frame.rotation(s)
-    return dag(w) @ unvec(component_vec, frame.dim) @ w
-
-
 @dataclass
 class RotatedFrameGenerator:
     """Rotated-frame generators of one ``(dissipator, tensor, frame, T)``
-    on the component vector of :func:`frame_components`, called as
+    on the frame components (:meth:`.TransportFrame.rotation`), called as
     ``(s, gamma, approximate)`` with ``s`` a frame grid point or an array;
     :meth:`pieces` gives the parts that every gamma shares.
 
@@ -361,12 +342,11 @@ class RotatedFrameGenerator:
                                for approx in kinds], axis=-3)
 
 
-def rotated_block_generator(family, dissipator, tensor, frame, T, gamma, s,
-                            block_set="all"):
+def rotated_block_generator(dissipator, tensor, frame, T, gamma, s, block_set="all"):
     """Approximate-equation generator in the rotated frame, restricted to a
     closed set of blocks.
 
-    Acts on the component vector of :func:`frame_components`.  Implements,
+    Acts on the frame components.  Implements,
     per block ``(k, l)`` of the selected set,
 
         d/ds rho^(kl) = -iT Delta_kl(s) rho^(kl) - i Z_k rho^(kl)
@@ -376,8 +356,8 @@ def rotated_block_generator(family, dissipator, tensor, frame, T, gamma, s,
     with ``Z_l`` the block-diagonal parts of the frame generator and
     ``D~_s`` the dissipator conjugated into the rotated frame: the
     approximate :class:`RotatedFrameGenerator` with omitted blocks zeroed,
-    so couplings forbidden by the tensor are structurally zero.  ``family``
-    is not read: labels and gaps come from ``frame``.
+    so couplings forbidden by the tensor are structurally zero.  Labels and
+    gaps come from ``frame``.
 
     Raises :class:`BlockNotClosed` if the tensor couples a selected block to
     an omitted one.
@@ -412,7 +392,6 @@ class LindbladFactorization:
     effective_hamiltonian: np.ndarray
     lindblad_ops: list
     g_eigenvalues: np.ndarray
-    g_vectors: np.ndarray
 
     def superoperator(self):
         return _lindblad_superop(self.effective_hamiltonian, self.lindblad_ops)
@@ -458,7 +437,6 @@ def lindblad_factorize(dissipator, tensor, decomp, s):
         effective_hamiltonian=sum(p @ fmat @ p for p in projs),
         lindblad_ops=ops,
         g_eigenvalues=lam,
-        g_vectors=cvecs,
     )
 
 

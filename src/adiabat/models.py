@@ -18,10 +18,10 @@ parametrized by ``s = t/T`` on [0, 1].
 Basis order for the holonomy model: ``|0>, |1>, |a>, |e>``.
 
 Arrays: :func:`holonomy_hamiltonian`, :func:`analytic_eigenbasis`,
-:meth:`HolonomyPath.angles` and :meth:`RandomRotatingModel.rotation` also
-take arrays of angles or of ``s`` and return stacks along the leading
-axes, and the families built here are marked
-:func:`.spectral.vectorized`.
+:meth:`HolonomyPath.angles` (and ``rates``),
+:meth:`RandomRotatingModel.rotation` also take arrays of angles or of
+``s`` and return stacks along the leading axes, and the families built
+here are marked :func:`.spectral.vectorized`.
 """
 from __future__ import annotations
 
@@ -163,22 +163,14 @@ class HolonomyPath:
         table = self._table
         return _Segment(*table[np.searchsorted(table[:, 0], s, side="right") - 1].T)
 
-    def theta(self, s):
-        return self.angles(s)[0]
-
-    def phi(self, s):
-        return self.angles(s)[1]
-
-    def theta_rate(self, s):
-        return self._which(s).rates()[0]
-
-    def phi_rate(self, s):
-        return self._which(s).rates()[1]
-
     def angles(self, s):
         """``(theta, phi)`` at ``s``: numbers for a number, arrays of the
         shape of ``s`` for an array, each sample on its own segment."""
         return self._which(s).angles(s)
+
+    def rates(self, s):
+        """``(dtheta/ds, dphi/ds)`` at ``s``, shaped as :meth:`angles`."""
+        return self._which(s).rates()
 
 
 DEFAULT_SPLIT = (0.4, 0.2, 0.4, 0.0)     # run-time fractions of the four legs
@@ -297,9 +289,8 @@ def approximate_block_matrix(path, gamma, T, s):
     gauge, for the component order
     ``(rho_11, rho_12, rho_21, rho_22, rho_33, rho_44)`` (dark block, then
     the two bright populations); an ``(n, 6, 6)`` stack for an array ``s``."""
-    seg = path._which(s)
-    theta, _ = seg.angles(s)
-    _, dphi = seg.rates()
+    theta, _ = path.angles(s)
+    _, dphi = path.rates(s)
     if np.any((np.abs(np.sin(theta)) < 1e-12) & (dphi != 0.0)):
         raise GaugeSingularity(
             "equator gauge is singular where the azimuth varies at a pole"
@@ -351,10 +342,8 @@ class RandomRotatingModel:
     psi0: np.ndarray
 
     def __post_init__(self):
-        wz, vz = hermitian_eigendecompose(self.z, 1e-12)
-        self._z_eig = (wz, vz)
-        w0, v0 = hermitian_eigendecompose(self.h0, 1e-12)
-        self._h0_eig = (w0, v0)
+        self._z_eig = hermitian_eigendecompose(self.z, 1e-12)
+        self._h0_eig = hermitian_eigendecompose(self.h0, 1e-12)
 
     def rotation(self, s):
         """``exp(-isZ)``; a stack ``(..., d, d)`` for an array ``s``."""

@@ -296,8 +296,8 @@ def test_criterion_10_invariants_and_autonomy(fig_element_rows,
                                   T, 0.01, X, Y)
     # one block-generator build per chunk of midpoints, not per midpoint
     diag_gen = vectorized(functools.partial(
-        rotated_block_generator, ctx.family, ctx.dissipator, ctx.tensor,
-        ctx.frame, T, gamma, block_set="diagonal"))
+        rotated_block_generator, ctx.dissipator, ctx.tensor, ctx.frame, T, gamma,
+        block_set="diagonal"))
     w0 = dag(ctx.frame.basis0) @ ctx.frame.u(0)
     rho_hat = w0 @ ctx.rho0 @ dag(w0)
     perturbed = rho_hat.copy()

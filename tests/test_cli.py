@@ -263,6 +263,20 @@ class TestConfigValidation:
             cli.ExperimentConfig.from_dict({name: values})
         assert err.value.field == name
 
+    @pytest.mark.parametrize("name, values, dt", [
+        ("gamma_list", [0.1, 0.10000001], 0.01),
+        ("T_list", [100000.0, 100000.5], 0.5),
+    ])
+    def test_values_sharing_a_file_name_exit_two(self, tmp_path, capsys, monkeypatch,
+                                                 name, values, dt):
+        # trajectory files print gamma and T with %g: these would share files
+        monkeypatch.setattr(runner, "sweep", lambda *a, **k: pytest.fail("sweep ran"))
+        cfg = write_config(tmp_path, **{"T_list": [1.0], "dt": dt, name: values})
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {name} has two values that share a trajectory file name" in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_gauge_named(self, tmp_path, capsys):
         cfg = write_config(tmp_path, gauge="south_pole")
         assert cli.main(["run", "--config", str(cfg)]) == 2

@@ -1,9 +1,11 @@
-"""The library imports only the standard library, numpy and itself.
+"""The library imports only the standard library, numpy and itself, and
+exports only names that exist.
 
 scipy and other packages may be installed next to it, so a stray import
 would pass every other test; this one reads the sources instead.
 """
 import ast
+import importlib
 import pathlib
 import sys
 
@@ -36,6 +38,15 @@ def test_imports_stdlib_numpy_or_package(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     foreign = sorted(set(imported_modules(tree)) - ALLOWED)
     assert not foreign, f"{path.name} imports {foreign}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_all_names_resolve(path):
+    # a stale entry breaks only ``from adiabat.<module> import *``
+    module = importlib.import_module(
+        "adiabat" if path.stem == "__init__" else f"adiabat.{path.stem}")
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert not missing, f"{path.name} exports {missing}"
 
 
 def test_foreign_import_detected():

@@ -22,8 +22,6 @@ from adiabat.generators import (
     cp_check,
     exact_generator,
     filtered_dissipator_superop,
-    frame_components,
-    frame_unpack,
     hamiltonian_superop,
     lindblad_factorize,
     rotated_block_generator,
@@ -89,14 +87,14 @@ class TestDissipator:
         diss = LindbladDissipator.double_commutator(a)
         rho = random_density(rng, 3)
         expected = -(a @ (a @ rho - rho @ a) - (a @ rho - rho @ a) @ a)
-        assert frobenius(diss.apply(0.0, rho) - expected) < 1e-12
+        assert frobenius(unvec(diss.superoperator(0.0) @ vec(rho)) - expected) < 1e-12
 
     def test_traceless_action(self, rng):
         v = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         diss = LindbladDissipator.constant([v], f=random_hermitian(rng, 4))
         for _ in range(5):
             rho = random_density(rng, 4)
-            assert abs(np.trace(diss.apply(0.3, rho))) < 1e-12
+            assert abs(np.trace(unvec(diss.superoperator(0.3) @ vec(rho)))) < 1e-12
 
 
 class TestExactGenerator:
@@ -274,7 +272,7 @@ class TestLabGeneratorArrays:
 def defining_sum(diss, tensor, decomp, s):
     """``sum g_abk'l' P_a D_s(P_k' E_ij P_l') P_b`` on every matrix unit
     ``E_ij``, written out term by term, as a superoperator."""
-    d, projs = decomp.dim, decomp.projectors
+    d, projs, superop = decomp.dim, decomp.projectors, diss.superoperator(s)
     out = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
         for j in range(d):
@@ -282,7 +280,7 @@ def defining_sum(diss, tensor, decomp, s):
             unit[i, j] = 1.0
             image = np.zeros((d, d), dtype=complex)
             for a, b, kp, lp in np.argwhere(tensor.g):
-                image += projs[a] @ diss.apply(s, projs[kp] @ unit @ projs[lp]) @ projs[b]
+                image += projs[a] @ unvec(superop @ vec(projs[kp] @ unit @ projs[lp])) @ projs[b]
             out[:, j * d + i] = vec(image)
     return out
 
@@ -383,7 +381,7 @@ class TestRotatedBlocks:
         order = [dk0 + 4 * dk0, dk0 + 4 * dk1, dk1 + 4 * dk0, dk1 + 4 * dk1,
                  pl + 4 * pl, mn + 4 * mn]
         for s in (0.25, 0.5):
-            g = rotated_block_generator(fam, diss, tensor, frame, T, gamma, s,
+            g = rotated_block_generator(diss, tensor, frame, T, gamma, s,
                                         "diagonal")
             got = g[np.ix_(order, order)]
             assert frobenius(got - approximate_block_matrix(path, gamma, T, s)) <= 1e-9
@@ -392,9 +390,9 @@ class TestRotatedBlocks:
         path, fam, diss, tensor, frame = slanted
         # the (dark, +) coherence couples to (-, dark); omitting it must fail
         with pytest.raises(BlockNotClosed):
-            rotated_block_generator(fam, diss, tensor, frame, 3.0, 0.2, 0.5,
+            rotated_block_generator(diss, tensor, frame, 3.0, 0.2, 0.5,
                                     [(1, 2)])
-        g = rotated_block_generator(fam, diss, tensor, frame, 3.0, 0.2, 0.5,
+        g = rotated_block_generator(diss, tensor, frame, 3.0, 0.2, 0.5,
                                     [(1, 2), (0, 1)])
         assert g.shape == (16, 16)
 
@@ -409,15 +407,15 @@ class TestRotatedBlocks:
         assert block_component_indices(frame, []) == []
         with pytest.raises(BlockNotClosed,
                            match=r"block \(1,2\) couples to omitted block \(0,1\)"):
-            rotated_block_generator(fam, diss, tensor, frame, 3.0, 0.2, 0.5, [(1, 2)])
-        g = rotated_block_generator(fam, diss, tensor, frame, 3.0, 0.2, 0.5, chosen)
+            rotated_block_generator(diss, tensor, frame, 3.0, 0.2, 0.5, [(1, 2)])
+        g = rotated_block_generator(diss, tensor, frame, 3.0, 0.2, 0.5, chosen)
         dropped = [p for p in range(d * d) if p not in expected]
         assert not g[dropped, :].any() and not g[:, dropped].any()
 
     def test_structural_autonomy(self, slanted):
         # couplings from off-diagonal into diagonal blocks are exactly zero
         path, fam, diss, tensor, frame = slanted
-        g = rotated_block_generator(fam, diss, tensor, frame, 3.0, 0.2, 0.5, "all")
+        g = rotated_block_generator(diss, tensor, frame, 3.0, 0.2, 0.5, "all")
         diag_idx = block_component_indices(frame, "diagonal")
         off_idx = [p for p in range(16) if p not in diag_idx]
         assert np.abs(g[np.ix_(diag_idx, off_idx)]).max() == 0.0
@@ -426,7 +424,7 @@ class TestRotatedBlocks:
         # Gamma = 0: each diagonal block evolves by a commutator with a
         # Hermitian Z-block, conserving its Hilbert-Schmidt norm
         path, fam, diss, tensor, frame = slanted
-        g = rotated_block_generator(fam, diss, tensor, frame, 4.0, 0.0, 0.5,
+        g = rotated_block_generator(diss, tensor, frame, 4.0, 0.0, 0.5,
                                     "diagonal")
         rho = np.zeros((4, 4), dtype=complex)
         sl = frame.block_slices[1]
@@ -443,7 +441,8 @@ class TestRotatedBlocks:
         rng = np.random.default_rng(0)
         rho = random_density(rng, 4)
         s = frame.grid[40000]
-        out = frame_unpack(frame, frame_components(frame, rho, s), s)
+        w = frame.rotation(s)
+        out = dag(w) @ (w @ rho @ dag(w)) @ w
         assert frobenius(out - rho) < 1e-12
 
 
@@ -462,7 +461,7 @@ class TestOneRotatedAssembly:
     def test_block_generator_is_the_context_generator(self, model, gamma):
         ctx = small_context(model)
         frame = ctx.frame
-        args = (ctx.family, ctx.dissipator, ctx.tensor, frame, ctx.T, gamma)
+        args = (ctx.dissipator, ctx.tensor, frame, ctx.T, gamma)
         kept = block_component_indices(frame, "diagonal")
         dropped = [p for p in range(16) if p not in kept]
         for s in frame.grid[[1, 7, 20]]:
@@ -474,7 +473,7 @@ class TestOneRotatedAssembly:
 
     def test_block_generator_on_arrays(self):
         ctx = small_context("holonomy")
-        args = (ctx.family, ctx.dissipator, ctx.tensor, ctx.frame, ctx.T, 0.2)
+        args = (ctx.dissipator, ctx.tensor, ctx.frame, ctx.T, 0.2)
         s = ctx.frame.grid[[1, 3, 19]]
         for block_set in ("all", "diagonal"):
             stack = rotated_block_generator(*args, s, block_set)
@@ -540,12 +539,13 @@ class TestFrameLabelsAndGaps:
         exact = np.stack([-1.0 - s, np.full_like(s, 0.2), 1.0 + 2.0 * s], axis=-1)
         assert np.abs(frame.energies(slice(None)) - exact).max() <= 1e-12
         rho0 = model.initial_density()
-        gen = vectorized(functools.partial(rotated_block_generator, fam, diss, tensor,
-                                           frame, T, gamma, block_set="all"))
-        _, v = evolve_vector_piecewise_exp(gen, frame_components(frame, rho0, 0.0), dt, T)
+        gen = vectorized(functools.partial(rotated_block_generator, diss, tensor, frame, T,
+                                           gamma, block_set="all"))
+        w0, w1 = frame.rotation(0.0), frame.rotation(1.0)
+        _, v = evolve_vector_piecewise_exp(gen, vec(w0 @ rho0 @ dag(w0)), dt, T)
         lab = propagate_piecewise_exp(ApproximateGenerator(fam, diss, tensor, T, gamma),
                                       rho0, dt, T)
-        assert frobenius(frame_unpack(frame, v[-1], 1.0) - lab.final_state()) <= 1e-6
+        assert frobenius(dag(w1) @ unvec(v[-1]) @ w1 - lab.final_state()) <= 1e-6
 
 
 class TestFactorization:

@@ -105,13 +105,12 @@ class TestOrangePath:
 
     def test_linear_interpolation(self):
         path = build_orange_path(DPHI)
-        assert path.theta(0.2) == pytest.approx(np.pi / 4)
+        assert path.angles(0.2)[0] == pytest.approx(np.pi / 4)
 
     def test_continuity(self):
         path = build_orange_path(DPHI)
         grid = np.linspace(0, 1, 1001)
-        th = np.array([path.theta(s) for s in grid])
-        ph = np.array([path.phi(s) for s in grid])
+        th, ph = np.array([path.angles(s) for s in grid]).T
         assert np.abs(np.diff(th)).max() < 0.01
         assert np.abs(np.diff(ph)).max() < 0.01
 

@@ -124,7 +124,7 @@ class TestDerivatives:
         fam = holonomy_family(path, Gauge.EQUATOR_REGULAR)
         s = 0.5
         th, ph = path.angles(s)
-        dth, dph = path.theta_rate(s), path.phi_rate(s)
+        dth, dph = path.rates(s)
         st, ct, sp, cp = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
         chi1 = np.array([cp, -sp, 0, 0], complex)
         dchi1 = dph * np.array([-sp, -cp, 0, 0], complex)
