@@ -74,7 +74,8 @@ def _number(name, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigInvalid(f"{name} must be a number, got {value!r}", field=name)
     try:
-        return float(value)
+        # -0.0 is 0.0, so that it prints, and names files, as 0 does
+        return float(value) or 0.0
     except OverflowError:   # an integer beyond the float range
         raise ConfigInvalid(f"{name} is out of range", field=name) from None
 
@@ -592,7 +593,7 @@ def gauge_check_rows(T=2.0, gamma=0.1, dt=1e-4):
     n = len(points) - 1
     checkpoints = [max(1, (n * (j + 1)) // 10) for j in range(10)]
 
-    def checkpoint_states(integrate, generator, rho0, action):
+    def checkpoint_states(integrate, generator, rho0, gammas=None):
         """The states of one integration at the checkpoints only."""
         kept = np.empty((len(checkpoints),) + rho0.shape, dtype=complex)
 
@@ -600,13 +601,14 @@ def gauge_check_rows(T=2.0, gamma=0.1, dt=1e-4):
             for j, idx in enumerate(checkpoints):
                 if i <= idx < i + len(states):
                     kept[j] = states[idx - i, 0]
-        integrate(generator, rho0, dt, T, action=action, sink=sink)
+        integrate(generator, rho0, dt, T, gammas=gammas, sink=sink)
         return kept
 
     # under runner's name, where the benchmark tracer counts rotated-frame integrations
     approx_np, approx_eq = (ctx.to_lab(Trajectory(points[checkpoints], checkpoint_states(
-        runner.propagate_piecewise_exp, ctx.approximate_generator(gamma),
-        ctx.initial_components(), gamma != 0.0))).states for ctx in (ctx_np, ctx_eq))
+        runner.propagate_piecewise_exp,
+        functools.partial(ctx.generator.pieces, kinds=(True,), dissipative=gamma != 0.0),
+        ctx.initial_components(), gammas=[gamma]))).states for ctx in (ctx_np, ctx_eq))
 
     fam = ctx_np.family
     # the geometric term's spectra at s serve the dissipator filter too
@@ -614,7 +616,7 @@ def gauge_check_rows(T=2.0, gamma=0.1, dt=1e-4):
                                           with_spectrum=True))
     gen_lab = ApproximateGenerator(fam, ctx_np.dissipator, ctx_np.tensor, T, gamma,
                                    q_of_s=q_of_s)
-    lab = checkpoint_states(propagate_piecewise_exp, gen_lab, ctx_np.rho0, False)
+    lab = checkpoint_states(propagate_piecewise_exp, gen_lab, ctx_np.rho0)
 
     worst_direct = 0.0
     worst_gauge = 0.0
@@ -725,6 +727,16 @@ def run_preset(name, overrides=None):
     return _execute(func, make_cfg(), overrides)
 
 
+def _unique_members(pairs):
+    """A JSON object's members; a name given twice is an error, not its last value."""
+    members = {}
+    for name, value in pairs:
+        if name in members:
+            raise ConfigInvalid(f"config gives {name!r} twice", field=name)
+        members[name] = value
+    return members
+
+
 def run_config(path, overrides=None):
     """Execute a user-specified JSON config; returns (exit_code, rows).
 
@@ -734,10 +746,14 @@ def run_config(path, overrides=None):
     failure can leave the files of points that passed, and no ``.partial``
     file is left when the run stops."""
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:    # JSON text is UTF-8 (RFC 8259 8.1)
+            data = json.loads(fh.read().decode("utf-8"), object_pairs_hook=_unique_members)
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config: {exc}", field="config")
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalid(f"config is not UTF-8 at byte {exc.start}", field="config")
+    except RecursionError:
+        raise ConfigInvalid("config is nested too deeply", field="config")
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"config is not valid JSON: line {exc.lineno}: {exc.msg}",
                             field="config")

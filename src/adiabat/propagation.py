@@ -13,28 +13,24 @@ discrete flow inherits both properties up to rounding.
 
 One loop steps every entry point: one equation, a pass of ``P`` equations
 stacked on one grid, or the flow map started from the identity at ``s0``.
-It goes in chunks whose length the stack's size fixes before the first step
-(64 steps of one ``D = 16`` equation; see :func:`block_length`): a chunk's
-generators are built as one ``(n, P, D, D)`` stack, and each step's
-``h ||M||`` is checked against ``_STEP_NORM_BUDGET``.  A pass may instead
-give a pencil, the pieces ``b`` and ``d`` of ``K`` kinds of equation, each
-``(n, K, D, D)``, shared by the equations ``b + gamma d`` of every gamma
-(see :func:`_stepped`); its chunks are sized by those pieces.
-The Pade rule (the default) exponentiates the chunk's step generators in one
-batched :func:`.linalg.matrix_exponential` call; the action rule
-(``action=True``, or gamma > 0 in a pencil) applies
+It steps a pencil: the pieces ``b`` and ``d`` of ``K`` kinds of equation,
+each ``(n, K, D, D)``, shared by the equations ``b + gamma d`` of every
+gamma (see :func:`_stepped`); a plain generator ``s -> M(s)`` is the
+gamma = 0 pencil ``(M, None)``.  It goes in chunks whose length the
+pieces' size fixes before the first step (64 steps of one ``D = 16``
+equation; see :func:`block_length`), and checks each step's ``h ||M||``
+against ``_STEP_NORM_BUDGET``.  The gamma = 0 equations, which come first,
+take the Pade rule, one batched :func:`.linalg.matrix_exponential` call
+per chunk; those at gamma > 0 take the action rule,
 :func:`.linalg.expm_action`, whose Taylor degree comes from the chunk's
-largest ``||h M||_1``, or for a pencil from the bound
-``||h b||_1 + max(gamma) ||h d||_1``.  Each step moves the whole stack at
-once, each equation by its own rule, the Pade-rule ones, which come first,
-as one slice and the action-rule ones as another.  The states go, a chunk
-at a time, into the trajectory or to a ``sink`` that keeps what it needs.
-A generator marked ``vectorized`` (the rotated-frame ones that
-:class:`.runner.RunContext` hands out from its
-:class:`.generators.RotatedFrameGenerator`, and the lab-frame
-:class:`.generators.ExactGenerator` and
-:class:`.generators.ApproximateGenerator`) takes the array of midpoints at
-once; any other callable ``s -> M(s)`` is called once per midpoint.  A
+bound ``||h b||_1 + max(gamma) ||h d||_1``, so that their outputs depend on
+the chunk length at the rounding level.  Each step moves the whole stack
+at once, each rule a slice of it.  The states go, a chunk at a time, into
+the trajectory or to a ``sink`` that keeps what it needs.  A plain
+generator marked ``vectorized`` (:class:`.generators.ExactGenerator`,
+:class:`.generators.ApproximateGenerator` and those that
+:class:`.runner.RunContext` hands out) takes the array of midpoints at
+once, as a pencil does; any other is called once per midpoint.  A
 classical fixed-step fourth-order Runge-Kutta integrator is provided as an
 independent cross-check; it samples the same grid and passes the same
 step-size check.
@@ -243,88 +239,79 @@ def _one_norm(a):
     return np.abs(a).sum(axis=-2).max()
 
 
-def _stepped(generator, v0, dt, T, s_span, action=False, gammas=None):
+def _pade_pencil(generator, equations):
+    """A plain generator ``s -> M(s)`` of ``equations`` stacked equations as
+    the gamma = 0 pencil ``(M, None)``: the Pade rule steps it."""
+    def pencil(s):
+        b = np.asarray(evaluate_on(generator, s))
+        return b.reshape((len(b), equations) + b.shape[-2:]), None
+    return pencil
+
+
+def _stepped(pencil, gammas, v0, dt, T, s_span):
     """The step loop of every piecewise-exponential entry point: steps a
     stack ``v0`` of ``P`` states ``(P, D, c)`` (``c = 1`` for vectors,
-    ``c = D`` for flow maps) over :func:`sample_grid`, each equation by the
-    step rule ``action`` picks for it (see the module docstring).  The
-    Pade-rule equations come first, so that each rule steps a slice of the
-    stack.
+    ``c = D`` for flow maps) over :func:`sample_grid`.
 
-    With ``gammas`` (``G`` values), ``generator`` is a pencil: called with
-    an array of ``n`` midpoints it returns the pieces ``(b, d)``, each
-    ``(n, K, D, D)`` with ``K = P / G`` (``d`` may be None when every gamma
-    is 0), and equation ``g K + k`` is ``b[:, k] + gammas[g] d[:, k]``.  Its
-    rule is the Pade rule at gamma = 0, which only the first gamma may be,
-    and the action rule otherwise, its generators formed a few steps at a
-    time.
+    Called with an array of ``n`` midpoints, ``pencil`` returns the pieces
+    ``(b, d)``, each ``(n, K, D, D)`` with ``K = P / G`` for the ``G``
+    values of ``gammas`` (``d`` may be None when every gamma is 0), and
+    equation ``g K + k`` is ``b[:, k] + gammas[g] d[:, k]``.  Its rule is
+    the Pade rule at gamma = 0, which only the first gamma may be, and the
+    action rule otherwise, its generators formed a few steps at a time
+    (see the module docstring).
 
     Returns the step points and an iterator yielding ``(k, states)`` per
     chunk, ``states[j]`` the stack at ``points[k + j + 1]``."""
     grid, h = sample_grid(dt, T, s_span)
     mid = grid[1::2]
     _keep_chunk_heap()
-    if gammas is None:
-        act, stacks = np.broadcast_to(action, len(v0)), len(v0)
-    else:
-        gammas = np.asarray(gammas, dtype=float)
-        kinds = len(v0) // len(gammas)
-        act = np.repeat(gammas != 0.0, kinds)
-        stacks = kinds * (2 if act.any() else 1)
-        rows = gammas[int(not act[0]):, None, None, None]   # the action-rule ones
-    npade = len(act) - np.count_nonzero(act)
-    if act[:npade].any() or (gammas is not None and 0.0 in gammas[1:]):
+    gammas = np.asarray(gammas, dtype=float)
+    if 0.0 in gammas[1:]:
         raise ValueError("the Pade-rule equations (gamma = 0) must come first")
-    n = block_length(16 * stacks * v0.shape[1] ** 2)
-    # a pencil's action-rule generators are formed m steps at a time, in at
-    # most the bytes of its base pieces
-    m = n if gammas is None else max(1, n // max(1, len(rows)))
+    kinds = len(v0) // len(gammas)
+    npade = kinds if gammas[0] == 0.0 else 0
+    rows = gammas[int(npade > 0):, None, None, None]    # the action-rule ones
+    n = block_length(16 * kinds * (2 if len(rows) else 1) * v0.shape[1] ** 2)
+    # the action-rule generators are formed m steps at a time, in at most
+    # the bytes of the base pieces
+    m = max(1, n // max(1, len(rows)))
 
     def chunks(x):
         for k in range(0, len(mid), n):
-            if gammas is None:
-                b, d = np.asarray(evaluate_on(generator, mid[k:k + n])), None
-                b = b.reshape((len(b), len(act)) + b.shape[-2:])
-            else:
-                b, d = generator(mid[k:k + n])
+            b, d = pencil(mid[k:k + n])
             _check_step_sizes(h, b, d, gammas)
             hb = h * b
             if npade:       # maps[j, p]: step j of equation p
-                maps = matrix_exponential(hb[:, :npade].reshape((-1,) + hb.shape[-2:]))
-                maps = maps.reshape(hb[:, :npade].shape)
-            if npade < len(act):
-                degree = taylor_degree(_one_norm(hb[:, npade:]) if d is None else
-                                       _one_norm(hb) + h * np.abs(rows).max() * _one_norm(d))
+                maps = matrix_exponential(hb.reshape((-1,) + hb.shape[-2:])).reshape(hb.shape)
+            if len(rows):
+                degree = taylor_degree(_one_norm(hb) + h * np.abs(rows).max() * _one_norm(d))
             out = np.empty((len(hb),) + x.shape, dtype=complex)
             for j in range(len(hb)):
                 if npade:
                     out[j, :npade] = maps[j] @ x[:npade]
-                if npade < len(act):
+                if len(rows):
                     if j % m == 0:      # the action-rule generators of steps j..j+m
-                        a = hb[j:j + m, npade:] if d is None else (
-                            hb[j:j + m, None] + h * rows * d[j:j + m, None]).reshape(
-                                (-1, len(act) - npade) + hb.shape[-2:])
+                        a = (hb[j:j + m, None] + h * rows * d[j:j + m, None]).reshape(
+                            (-1, len(x) - npade) + hb.shape[-2:])
                     out[j, npade:] = expm_action(a[j % m], x[npade:], degree)
                 x = out[j]
             yield k, out
     return grid[::2], chunks(v0)
 
 
-def evolve_vector_piecewise_exp(generator, v0, dt, T, s_span=(0.0, 1.0),
-                                action=False):
+def evolve_vector_piecewise_exp(generator, v0, dt, T, s_span=(0.0, 1.0)):
     """Raw piecewise-exponential engine for any linear system
-    ``dv/ds = M(s) v``.  Returns ``(grid, vectors)``.
+    ``dv/ds = M(s) v``, stepped by the Pade rule.  Returns ``(grid, vectors)``.
 
     A stack ``v0`` of ``P`` vectors ``(P, D)`` steps ``P`` equations
     together: the generator then returns ``(n, P, D, D)`` at ``n``
-    midpoints, and ``vectors`` is ``(P, n_samples, D)``.  ``action``, one
-    boolean per equation (the Pade-rule ones first) or one for all, picks
-    each equation's step rule, the Pade rule (False) or the action rule
-    (True) of the module docstring.
+    midpoints, and ``vectors`` is ``(P, n_samples, D)``.
     """
     v0 = np.asarray(v0, dtype=complex)
     stack = np.atleast_2d(v0)
-    grid, chunks = _stepped(generator, stack[:, :, None], dt, T, s_span, action)
+    grid, chunks = _stepped(_pade_pencil(generator, len(stack)), [0.0],
+                            stack[:, :, None], dt, T, s_span)
     out = np.empty((len(stack), len(grid), stack.shape[1]), dtype=complex)
     out[:, 0] = stack
     for k, states in chunks:
@@ -333,16 +320,15 @@ def evolve_vector_piecewise_exp(generator, v0, dt, T, s_span=(0.0, 1.0),
 
 
 def propagate_piecewise_exp(generator, rho0, dt, T, s_span=(0.0, 1.0),
-                            action=False, gammas=None, sink=None):
+                            gammas=None, sink=None):
     """Propagate a density operator with the midpoint piecewise-exponential
     scheme; ``dt`` is the physical step, mapped to ``ds = dt/T`` in scaled
     time.
 
     A stack ``rho0`` of ``P`` initial states ``(P, d, d)`` steps ``P``
-    equations together, with ``action`` their step rules (see
-    :func:`evolve_vector_piecewise_exp`), or with ``gammas`` those of a
-    pencil generator (see :func:`_stepped`); ``states`` is then
-    ``(P, n_samples, d, d)``.
+    equations together, of a plain generator (see
+    :func:`evolve_vector_piecewise_exp`) or, with ``gammas``, of a pencil
+    (see :func:`_stepped`); ``states`` is then ``(P, n_samples, d, d)``.
 
     ``sink(i, states)``, when given, receives the states as they are made,
     a block ``(m, P, d, d)`` at the points ``grid[i:i + m]`` at a time, the
@@ -354,8 +340,10 @@ def propagate_piecewise_exp(generator, rho0, dt, T, s_span=(0.0, 1.0),
     # each distinct state once, in stack order: a pass repeats one state
     for rho in {rho.tobytes(): rho for rho in rhos}.values():
         _check_density(rho)
-    grid, chunks = _stepped(generator, np.stack([vec(rho)[:, None] for rho in rhos]),
-                            dt, T, s_span, action, gammas)
+    if gammas is None:
+        generator, gammas = _pade_pencil(generator, len(rhos)), [0.0]
+    grid, chunks = _stepped(generator, gammas, np.stack([vec(rho)[:, None] for rho in rhos]),
+                            dt, T, s_span)
     states = None
     if sink is None:
         states = np.empty((len(rhos), len(grid), d, d), dtype=complex)
@@ -416,7 +404,7 @@ def piecewise_exp_propagator(generator, dt, T, s_span=(0.0, 1.0),
     if wanted and not points[0] - 1e-12 <= wanted[0] <= wanted[-1] <= points[-1] + 1e-12:
         raise ValueError(f"checkpoints must lie in s_span {tuple(s_span)}, got {wanted}")
     eye = np.eye(np.shape(evaluate_on(generator, grid[:1]))[-1], dtype=complex)
-    _, chunks = _stepped(generator, eye[None], dt, T, s_span)
+    _, chunks = _stepped(_pade_pencil(generator, 1), [0.0], eye[None], dt, T, s_span)
     flow = ((s, prop) for k, props in chunks for s, prop in zip(points[k + 1:], props[:, 0]))
     out = []
     for s, prop in itertools.chain([(points[0], eye)], flow):

@@ -21,8 +21,8 @@ cuts lab-frame states into blocks, rotates each block to the lab frame with
 the frame's ``U`` read chunk by chunk, keeps the endpoints and running
 monitors and hands each block to the slot's writer, when an ``export``
 builds one; :func:`run_point` turns one gamma's into the metrics row.  One
-equation alone, such as each of ``check-gauge``'s, steps a generator of the
-context's factories from :meth:`RunContext.initial_components` and is
+equation alone, such as each of ``check-gauge``'s, steps as the one-gamma
+pencil of its kind from :meth:`RunContext.initial_components` and is
 rotated by :meth:`RunContext.to_lab`.  Direct lab-frame integration of the
 same equations is available in :mod:`.generators` and is checked against
 this representation by the frame-equivalence tests.
@@ -209,22 +209,16 @@ def integrate_pairs(ctx, gammas, writer=None):
     :class:`LabPass`, which hands ``writer`` the lab-frame blocks.  Every
     generator is built from the same pieces
     (:meth:`.generators.RotatedFrameGenerator.pieces`), a chunk of steps at a
-    time; with one gamma the pass steps the formed generators."""
+    time, and stepped as that pencil: by the Pade rule at gamma = 0 and by
+    the action rule at gamma > 0."""
     gammas = sorted(gammas, key=lambda gamma: gamma != 0.0)
     sink = LabPass(ctx, gammas, writer)
     # gamma = 0 pairs keep the Pade rule: the recorded gamma = 0 references
     # pin its rounding, which fidelity_norm amplifies about 1e8-fold.  This
     # split goes away once those references are re-derived.
     pieces = functools.partial(ctx.generator.pieces, kinds=(False, True), dissipative=any(gammas))
-    generator, rule = pieces, {"gammas": gammas}
-    if len(gammas) == 1:    # one gamma shares no pieces: step its own generators
-        def generator(s):
-            base, dhat = pieces(s)
-            return base if dhat is None else base + gammas[0] * dhat
-        rule = {"action": gammas[0] != 0.0}
-    propagate_piecewise_exp(
-        vectorized(generator), np.stack([ctx.initial_components()] * 2 * len(gammas)),
-        ctx.dt, ctx.T, sink=sink, **rule)
+    propagate_piecewise_exp(pieces, np.stack([ctx.initial_components()] * 2 * len(gammas)),
+                            ctx.dt, ctx.T, gammas=gammas, sink=sink)
     return sink
 
 

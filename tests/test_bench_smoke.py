@@ -122,7 +122,7 @@ def test_traced_smoke_workload_reports_strict_json(name, tmp_path):
     assert counts == TRACED_COUNTS[name]
     if name != "check-gauge":       # the two sweep workloads
         assert metrics["runner.points"] > 0
-    else:       # four chunks of each gauge's rotated equation and of the lab-frame one
-        assert metrics["generators.assembly_calls"] == 12
+    else:   # the lab-frame equation's four chunks; the rotated pencils' pieces are not wrapped
+        assert metrics["generators.assembly_calls"] == 4
     if name == "holonomy-export":   # 4 sweep rows, 2 x 2 trajectories of 11 + 21 rows
         assert metrics["cli.csv_rows"] == 132

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adiabat import cli, models, runner
+from adiabat import cli, models, propagation, runner, spectral
 from adiabat.errors import AssertionFailed, ConfigInvalid, StepTooLarge
+from adiabat.generators import RotatedFrameGenerator
 from adiabat.propagation import Trajectory
 
 
@@ -85,6 +86,37 @@ class TestConfigValidation:
         path.write_text("{not json")
         with pytest.raises(ConfigInvalid):
             cli.run_config(str(path))
+
+    @pytest.mark.parametrize("text, field, message", [
+        pytest.param(b'{"model": "holo\xffnomy"}', "config",
+                     "config is not UTF-8 at byte 15", id="non-utf8-byte"),
+        pytest.param(b"[" * 100_000, "config", "config is nested too deeply",
+                     id="deep-nesting"),
+        pytest.param(b'{"model": "holonomy", "T_list": [1.0], "dt": 0.1, "model": "x"}',
+                     "model", "config gives 'model' twice", id="duplicate-name"),
+    ])
+    def test_malformed_config_text_exits_two(self, tmp_path, capsys, monkeypatch, text,
+                                             field, message):
+        monkeypatch.setattr(runner, "sweep", lambda *a, **k: pytest.fail("sweep ran"))
+        path = tmp_path / "cfg.json"
+        path.write_bytes(text)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {message}" in err and "Traceback" not in err
+        with pytest.raises(ConfigInvalid) as exc:
+            cli.run_config(str(path))
+        assert exc.value.field == field
+
+    def test_negative_zero_gamma_runs_as_zero(self, tmp_path):
+        # -0.0 would print as -0 in sweep.csv and in the file names
+        files = []
+        for gamma in (0.0, -0.0):
+            out = tmp_path / repr(gamma)
+            path = write_config(tmp_path, T_list=[1.0], dt=0.1, gamma_list=[gamma])
+            assert cli.main(["run", "--config", str(path), "--out", str(out),
+                             "--no-timestamp", "--workers", "1"]) == 0
+            files.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert files[0] == files[1]
 
     def test_exit_code_two_from_main(self, tmp_path):
         path = write_config(tmp_path, bogus=1)
@@ -494,6 +526,55 @@ class TestRunConfig:
         assert not list((tmp_path / "out").iterdir())
 
 
+# the tiling test's runs: both models, two T slots, a gamma = 0 and a
+# gamma > 0 point in each
+TILING_CONFIGS = {model: dict(model=model, seed=3, T_list=[1.0, 2.0], gamma_list=[0.0, 0.1],
+                              dt=0.01) for model in ("holonomy", "random_rotating")}
+
+
+def tiled_outputs(tmp_path):
+    """Every file of the tiling runs by path, and the gauge check's rows."""
+    files = {}
+    for model, config in TILING_CONFIGS.items():
+        out = tmp_path / model
+        path = write_config(tmp_path, outputs=str(out), **config)
+        assert cli.main(["run", "--config", str(path), "--no-timestamp",
+                         "--workers", "1"]) == 0
+        files.update({f"{model}/{f.name}": f.read_bytes() for f in out.iterdir()})
+    return files, cli.gauge_check_rows(T=0.2, gamma=0.1, dt=1e-3)
+
+
+@pytest.fixture(scope="module")
+def default_tiling(tmp_path_factory):
+    return tiled_outputs(tmp_path_factory.mktemp("tiling"))
+
+
+@pytest.mark.parametrize("module, name, scale", [
+    (spectral, "_WINDOW_BYTES", 1 / 8), (spectral, "_WINDOW_BYTES", 4),
+    (propagation, "_CHUNK_BYTES", 1 / 32), (propagation, "_CHUNK_BYTES", 4)])
+def test_outputs_do_not_depend_on_tiling(tmp_path, monkeypatch, default_tiling, module,
+                                         name, scale):
+    # frame windows change no byte.  Chunks change none at gamma = 0, but
+    # the action rule takes its Taylor degree from each chunk's largest
+    # norm, so gamma > 0 values move at the rounding level: chunks x4 move
+    # both holonomy trajectory_exact_g0.1 files
+    monkeypatch.setattr(module, name, int(getattr(module, name) * scale))
+    files, rows = tiled_outputs(tmp_path)
+    want_files, want_rows = default_tiling
+    assert sorted(files) == sorted(want_files)
+    exact = module is spectral
+    for path, data in files.items():
+        if exact or "_g0_" in path:
+            assert data == want_files[path], path
+            continue
+        tables = [list(csv.reader(io.StringIO(text.decode()))) for text in (data, want_files[path])]
+        for row, want in zip(*tables, strict=True):
+            for cell, want_cell in zip(row, want, strict=True):
+                assert cell == want_cell or abs(float(cell) - float(want_cell)) <= 1e-15, path
+    for row, want in zip(rows, want_rows, strict=True):
+        assert row == want if exact else abs(row["value"] - want["value"]) <= 1e-15
+
+
 class TestCsvFormat:
     """The bytes of the CSV tables: header order, column-stacked state
     components, 17 significant digits, csv's line ends, and the timestamp
@@ -627,22 +708,24 @@ class TestRunner:
                 gen(s)
 
     def test_gauge_check_integrates_only_the_approximate_equation(self, monkeypatch):
-        # each gauge steps the generator of its context's approximate factory
-        made, stepped = [], []
-        for name in ("exact_generator", "approximate_generator"):
-            def recording(ctx, gamma, name=name, factory=getattr(runner.RunContext, name)):
-                made.append((name, gamma, factory(ctx, gamma)))
-                return made[-1][-1]
-            monkeypatch.setattr(runner.RunContext, name, recording)
+        # each gauge steps its assembly's approximate pieces as the one-gamma pencil
+        assembled, stepped = [], []
+        pieces = RotatedFrameGenerator.pieces
+
+        def recording(generator, s, kinds, dissipative=True):
+            assembled.append((id(generator), tuple(kinds)))
+            return pieces(generator, s, kinds, dissipative)
+        monkeypatch.setattr(RotatedFrameGenerator, "pieces", recording)
         propagate = runner.propagate_piecewise_exp
 
         def counting(generator, *args, **kwargs):
-            stepped.append(generator)
+            stepped.append(kwargs.get("gammas"))
             return propagate(generator, *args, **kwargs)
         monkeypatch.setattr(runner, "propagate_piecewise_exp", counting)
         rows = cli.gauge_check_rows(T=0.2, gamma=0.1, dt=1e-3)
-        assert [m[:2] for m in made] == [("approximate_generator", 0.1)] * 2  # one per gauge
-        assert stepped == [m[2] for m in made]
+        assert stepped == [[0.1]] * 2       # one per gauge
+        assert {kinds for _, kinds in assembled} == {(True,)}
+        assert len({generator for generator, _ in assembled}) == 2
         assert [r["check"] for r in rows][:2] == ["direct-vs-rotated",
                                                   "gauge-equivalence"]
 

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -260,9 +262,9 @@ class TestHolonomyIndependence:
             ctx = runner.holonomy_context(dphi, (0.4, 0.2, 0.4, 0.0),
                                           Gauge.NORTH_POLE_REGULAR,
                                           50.0, 0.01, X, Y)
-            approx = propagate_piecewise_exp(ctx.approximate_generator(0.1),
-                                             ctx.initial_components(), ctx.dt, ctx.T,
-                                             action=True)
+            approx = propagate_piecewise_exp(
+                functools.partial(ctx.generator.pieces, kinds=(True,)),
+                ctx.initial_components(), ctx.dt, ctx.T, gammas=[0.1])
             comp = ctx.to_lab(approx).final_state()[:2, :2]
             u = holonomy_gate(dphi)
             outs.append(u @ comp @ dag(u))

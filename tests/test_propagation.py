@@ -22,7 +22,7 @@ from adiabat.generators import (
     cp_check,
     hamiltonian_superop,
 )
-from adiabat.linalg import dag, frobenius, matrix_exponential, sandwich_superop, vec
+from adiabat.linalg import dag, frobenius, matrix_exponential, sandwich_superop, unvec, vec
 from adiabat.models import (
     Gauge,
     build_orange_path,
@@ -366,13 +366,19 @@ class TestChunkedSteps:
 PASS = [(0.0, False), (0.0, True), (0.1, False), (0.1, True)]
 
 
-def stacked_pass(ctx, action, pairs=PASS):
-    """Every pair's vectors of one lockstep pass of ``ctx``'s equations."""
+def stacked_pass(ctx, pencil):
+    """Every pair's states of one lockstep pass of ``ctx``'s equations of
+    ``PASS``: as the runner's pencil, by the Pade rule at gamma = 0 and the
+    action rule at gamma > 0, or else each generator formed, by the Pade
+    rule."""
+    rho0 = np.stack([ctx.rho0] * len(PASS))
+    if pencil:
+        gen = functools.partial(ctx.generator.pieces, kinds=(False, True))
+        return propagate_piecewise_exp(gen, rho0, ctx.dt, ctx.T, gammas=[0.0, 0.1]).states
     gens = [functools.partial(ctx.generator, gamma=gamma, approximate=approximate)
-            for gamma, approximate in pairs]
+            for gamma, approximate in PASS]
     gen = vectorized(lambda s: np.stack([g(s) for g in gens], axis=-3))
-    v0 = np.stack([vec(ctx.rho0)] * len(pairs))
-    return evolve_vector_piecewise_exp(gen, v0, ctx.dt, ctx.T, action=action)
+    return propagate_piecewise_exp(gen, rho0, ctx.dt, ctx.T).states
 
 
 class TestStackedPass:
@@ -381,37 +387,34 @@ class TestStackedPass:
         # 157 steps: chunks of 16 steps for the pass, of 64 for one
         # equation; gamma = 0 pairs next to action-rule ones
         ctx = small_context(model, 1.57, 0.01)
-        grid, vectors = stacked_pass(ctx, [False, False, True, True])
-        assert len(grid) == 158
-        for (gamma, approximate), got in zip(PASS[:2], vectors):
+        states = stacked_pass(ctx, True)
+        assert states.shape[1] == 158
+        for (gamma, approximate), got in zip(PASS[:2], states):
             gen = (ctx.approximate_generator if approximate else ctx.exact_generator)(gamma)
             alone = evolve_vector_piecewise_exp(gen, vec(ctx.rho0), ctx.dt, ctx.T)[1]
-            assert np.array_equal(got, alone)
-            assert np.array_equal(got, step_by_step(gen, vec(ctx.rho0), ctx.dt, ctx.T))
+            assert np.array_equal(got, unvec(alone))
+            assert np.array_equal(got, unvec(step_by_step(gen, vec(ctx.rho0), ctx.dt, ctx.T)))
         # the Pade rule at gamma > 0 too, whatever else the pass holds
-        _, pade = stacked_pass(ctx, False)
-        for (gamma, approximate), got in zip(PASS, pade):
+        for (gamma, approximate), got in zip(PASS, stacked_pass(ctx, False)):
             gen = (ctx.approximate_generator if approximate else ctx.exact_generator)(gamma)
-            assert np.array_equal(got, step_by_step(gen, vec(ctx.rho0), ctx.dt, ctx.T))
+            assert np.array_equal(got, unvec(step_by_step(gen, vec(ctx.rho0), ctx.dt, ctx.T)))
 
     @pytest.mark.parametrize("model", ["holonomy", "random_rotating"])
     def test_action_rule_within_rounding_of_pade(self, model):
         ctx = small_context(model, 1.0, 0.01)
-        _, pade = stacked_pass(ctx, False)
-        _, action = stacked_pass(ctx, True)
-        for a, b in zip(action, pade):
-            assert np.abs(a - b).max() <= 1e-13
+        assert np.abs(stacked_pass(ctx, True) - stacked_pass(ctx, False)).max() <= 1e-13
 
     def test_rotated_pass_matches_lab_frame_runs(self):
         # the runner's pass: gamma = 0 by the Pade rule, gamma > 0 by the
         # action rule, each pair's lab-frame trajectory in order, against
-        # each equation stepped alone from the context's factories
+        # each equation stepped alone as its one-gamma pencil
         ctx = small_context("random_rotating", 1.0, 0.01)
         _, labs = lab_trajectories(ctx, [0.1, 0.0])
         for (gamma, approximate), lab in zip(PASS, labs):
-            factory = ctx.approximate_generator if approximate else ctx.exact_generator
+            pencil = functools.partial(ctx.generator.pieces, kinds=(approximate,),
+                                       dissipative=gamma != 0.0)
             alone = ctx.to_lab(propagate_piecewise_exp(
-                factory(gamma), ctx.initial_components(), ctx.dt, ctx.T, action=gamma != 0.0))
+                pencil, ctx.initial_components(), ctx.dt, ctx.T, gammas=[gamma]))
             assert np.array_equal(lab.grid, alone.grid)
             if gamma == 0.0:
                 assert np.array_equal(lab.states, alone.states)
@@ -432,10 +435,8 @@ class TestStackedPass:
             out[..., 1, :, :] = np.where(s[..., 0, :, :] > 0.3, bad[first], 0.0)
             return out
         gen.vectorized = True
-        for action in (False, [False, True], True):
-            with pytest.raises(error):
-                propagate_piecewise_exp(gen, np.stack([qubit_rho] * 2), 0.01, 1.0,
-                                        action=action)
+        with pytest.raises(error):
+            propagate_piecewise_exp(gen, np.stack([qubit_rho] * 2), 0.01, 1.0)
 
     @pytest.mark.parametrize("first, error", [("big", StepTooLarge), ("nan", NonFinite)])
     def test_pair_bad_only_through_its_dissipator_stops_the_pass(self, qubit_rho, first,

@@ -136,6 +136,15 @@ class TestOnePassPerSlot:
         assert len(rows) == 6 and len(calls) == 1
         assert len(calls[0].grid) == 21 and calls[0].states is None
 
+    @pytest.mark.parametrize("model", ["holonomy", "random_rotating"])
+    def test_one_gamma_steps_as_its_pairs_in_a_pass(self, model):
+        # one gamma is the pencil of one gamma: alone or next to gamma = 0,
+        # its pairs get the same bits
+        ctx = context(model, 2.0)
+        alone, both = runner.integrate_pairs(ctx, [0.1]), runner.integrate_pairs(ctx, [0.0, 0.1])
+        assert np.array_equal(alone.final, both.final[2:])
+        assert np.array_equal(alone.invariants, both.invariants[2:])
+
     def test_pair_bad_through_its_dissipator_stops_the_slot(self):
         # a dissipator that only the largest gamma makes too strong a step
         ctx = context("random_rotating", 1.0)
