@@ -8,8 +8,8 @@ Usage:
     adiabat check --all
 
 Exit codes: 0 on success, 1 when an embedded assertion fails, 2 on config
-errors, a ``dt`` over a step budget or too coarse for the transport frame
-and an output directory or CSV file that cannot be created included.
+errors, an overflowing gamma, a ``dt`` over a step budget or too coarse for
+the frame and an output directory or CSV file that cannot be made included.
 ``--workers``, or else ``ADIABAT_THREADS``, sets the worker pool size.
 
 Output files are deterministic for a fixed config and seed: rows are sorted
@@ -38,14 +38,14 @@ from .errors import (
     AssertionFailed,
     BadSplit,
     ConfigInvalid,
+    CouplingOverflow,
     FrameDiscontinuity,
     StepTooLarge,
 )
 from .generators import ApproximateGenerator, lindblad_factorize
-from .linalg import frobenius
+from .linalg import block_length, frobenius
 from .propagation import (
     Trajectory,
-    block_length,
     divides,
     intensity_loss,
     propagate_piecewise_exp,
@@ -174,9 +174,9 @@ class ExperimentConfig:
                 raise ConfigInvalid(f"{name} has two values that share a trajectory file name",
                                     field=name)
         if any(g < 0 for g in self.gamma_list):
-            raise ConfigInvalid("gamma values must be >= 0", field="gamma_list")
+            raise ConfigInvalid("gamma_list values must be >= 0", field="gamma_list")
         if any(t <= 0 for t in self.T_list):
-            raise ConfigInvalid("run-times must be positive", field="T_list")
+            raise ConfigInvalid("T_list values must be positive", field="T_list")
         if not math.isfinite(self.dt) or self.dt <= 0:
             raise ConfigInvalid("dt must be positive and finite", field="dt")
         if self.dt > min(self.T_list) / 10.0:
@@ -377,7 +377,7 @@ def write_trajectory_csv(trajectory, p_comp, path):
     """Append one row per sample to the trajectory CSV at ``path``: s,
     trace, loss, purity, then Re/Im of the column-stacked state components
     (:func:`_trajectory_columns`).  The rows are formatted half a block at
-    a time (:func:`.propagation.block_length`): formatting a block holds a
+    a time (:func:`.linalg.block_length`): formatting a block holds a
     few copies of its cells."""
     grid, states = trajectory.grid, trajectory.states
     rows = block_length(2 * _CELLS.shape[1] * (4 + 2 * trajectory.dim ** 2))
@@ -534,7 +534,7 @@ def _preset_fig_sweep_random(cfg, out_dir, timestamp, workers):
     return rows
 
 
-def _lindblad_check_rows(seed=7):
+def _lindblad_check_rows(seed):
     samples = np.linspace(0.05, 0.95, 10)
     random_model = models.make_random_model(seed)
     gate = ExperimentConfig().path      # the sweep's gate path
@@ -546,7 +546,7 @@ def _lindblad_check_rows(seed=7):
     )
     rows = []
     for model_id, fam, diss in cases:
-        tensor = compute_resonance_tensor(fam.spectrum, runner._TENSOR_GRID)
+        tensor = compute_resonance_tensor(fam.spectrum)
         for s in samples:
             decomp = fam.spectrum(s)
             fact = lindblad_factorize(diss, tensor, decomp, s)
@@ -571,7 +571,7 @@ def _preset_check_lindblad(cfg, out_dir, timestamp, workers):
     return rows
 
 
-def gauge_check_rows(T=2.0, gamma=0.1, dt=1e-4):
+def gauge_check_rows(T, gamma, dt):
     """Frame- and gauge-equivalence measurements on the gate model.
 
     Compares (a) the lab-frame approximate evolution against the rotated
@@ -706,6 +706,8 @@ def _execute(func, cfg, overrides):
     except AssertionFailed as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return 1, None
+    except CouplingOverflow as exc:
+        raise ConfigInvalid(f"gamma_list is too large: {exc}", field="gamma_list") from None
     except (StepTooLarge, FrameDiscontinuity) as exc:
         # the step budget and a frame grid that follows the eigenbasis are
         # properties of the config: a smaller dt meets them
@@ -757,6 +759,8 @@ def run_config(path, overrides=None):
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"config is not valid JSON: line {exc.lineno}: {exc.msg}",
                             field="config")
+    except ValueError:      # an integer of more digits than int() converts
+        raise ConfigInvalid("config holds a number too long to read", field="config")
     if not isinstance(data, dict):
         raise ConfigInvalid("config root must be a JSON object", field="config")
     return _execute(_config_sweep, ExperimentConfig.from_dict(data), overrides)

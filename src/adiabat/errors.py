@@ -79,6 +79,10 @@ class StepTooLarge(AdiabatError):
     """A single exponential step would exceed the stability budget."""
 
 
+class CouplingOverflow(StepTooLarge):
+    """A coupling strength makes a step generator's norm overflow."""
+
+
 class EmptySubspace(AdiabatError):
     """A projected state has numerically zero weight in the subspace."""
 

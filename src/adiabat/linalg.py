@@ -40,7 +40,19 @@ __all__ = [
     "taylor_degree",
     "expm_action",
     "psd_sqrt",
+    "block_length",
 ]
+
+_CHUNK_BYTES = 64 * 16 * 16 * 16      # read only by block_length
+
+
+def block_length(item_bytes):
+    """How many items of ``item_bytes`` bytes make one block: as many as
+    ``_CHUNK_BYTES`` holds, and at least one.  The package's one tiling
+    rule, which bounds memory at any dimension and number of equations: step
+    chunks (64 steps of one 16x16 generator), frame windows (256 samples at
+    d = 4), lab blocks (85 samples of six 4x4 pairs), RK4 slices, CSV rows."""
+    return max(1, _CHUNK_BYTES // item_bytes)
 
 
 def vec(matrix):

@@ -16,18 +16,17 @@ stacked on one grid, or the flow map started from the identity at ``s0``.
 It steps a pencil: the pieces ``b`` and ``d`` of ``K`` kinds of equation,
 each ``(n, K, D, D)``, shared by the equations ``b + gamma d`` of every
 gamma (see :func:`_stepped`); a plain generator ``s -> M(s)`` is the
-gamma = 0 pencil ``(M, None)``.  It goes in chunks whose length the
-pieces' size fixes before the first step (64 steps of one ``D = 16``
-equation; see :func:`block_length`), and checks each step's ``h ||M||``
-against ``_STEP_NORM_BUDGET``.  The gamma = 0 equations, which come first,
-take the Pade rule, one batched :func:`.linalg.matrix_exponential` call
-per chunk; those at gamma > 0 take the action rule,
-:func:`.linalg.expm_action`, whose Taylor degree comes from the chunk's
-bound ``||h b||_1 + max(gamma) ||h d||_1``, so that their outputs depend on
-the chunk length at the rounding level.  Each step moves the whole stack
-at once, each rule a slice of it.  The states go, a chunk at a time, into
-the trajectory or to a ``sink`` that keeps what it needs.  A plain
-generator marked ``vectorized`` (:class:`.generators.ExactGenerator`,
+gamma = 0 pencil ``(M, None)``.  It goes in chunks that
+:func:`.linalg.block_length` sizes by the pieces before the first step,
+and checks each step's ``h ||M||`` against ``_STEP_NORM_BUDGET``.  The
+gamma = 0 equations, which come first, take the Pade rule, one batched
+:func:`.linalg.matrix_exponential` call per chunk; those at gamma > 0 take
+the action rule, :func:`.linalg.expm_action`, whose Taylor degree comes
+from the chunk's bound ``||h b||_1 + max(gamma) ||h d||_1``, so that their
+outputs depend on the chunk length at the rounding level.  Each step moves
+the whole stack at once, each rule a slice of it.  The states go, a chunk
+at a time, into the trajectory or to a ``sink`` that keeps what it needs.
+A plain generator marked ``vectorized`` (:class:`.generators.ExactGenerator`,
 :class:`.generators.ApproximateGenerator` and those that
 :class:`.runner.RunContext` hands out) takes the array of midpoints at
 once, as a pencil does; any other is called once per midpoint.  A
@@ -47,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CouplingOverflow,
     EmptySubspace,
     GridMismatch,
     InvalidInitialState,
@@ -54,6 +54,7 @@ from .errors import (
     StepTooLarge,
 )
 from .linalg import (
+    block_length,
     dag,
     expm_action,
     frobenius,
@@ -68,7 +69,6 @@ from .spectral import evaluate_on
 
 __all__ = [
     "Trajectory",
-    "block_length",
     "divides",
     "propagate_piecewise_exp",
     "propagate_rk4",
@@ -80,23 +80,10 @@ __all__ = [
 ]
 
 _STEP_NORM_BUDGET = 20.0
-_CHUNK_BYTES = 64 * 16 * 16 * 16      # read only by block_length
 _EMPTY_TRACE = 1e-12
 _DENSITY_TOL = 1e-10    # initial states: Hermitian, unit trace, eigenvalues >= -tol
 # glibc's mallopt M_TRIM_THRESHOLD (-1) and M_MMAP_THRESHOLD (-3), see _keep_chunk_heap
 _HEAP_THRESHOLDS = {-1: 16 << 20, -3: 4 << 20}
-
-
-def block_length(item_bytes):
-    """How many items of ``item_bytes`` bytes make one block: as many as
-    ``_CHUNK_BYTES`` holds, and at least one; the package's one block rule.
-    A chunk of steps takes its generator stacks over all the equations it
-    steps (64 steps of one 16x16 generator, 16 of a sweep's pencil), of
-    which the exponential holds about ten at a time: sizing chunks by bytes
-    bounds memory at any dimension and number of equations, and longer ones
-    gain little.  The lab pass takes every equation's states, held in a few
-    copies at once and so counted twice (85 samples of six 4x4 ones)."""
-    return max(1, _CHUNK_BYTES // item_bytes)
 
 
 @dataclass
@@ -196,21 +183,25 @@ def _check_step_sizes(h, b, d=None, gammas=None):
     holding several equations'.  With the pencil pieces ``d`` and its
     ``gammas`` (see :func:`_stepped`), equation ``(g, k)`` is
     ``b[:, k] + gammas[g] d[:, k]``, whose norm comes without forming it from
-    ``||b||^2 + 2 gamma Re<b, d> + gamma^2 ||d||^2``."""
+    ``||b||^2 + 2 gamma Re<b, d> + gamma^2 ||d||^2``; when only the gamma
+    terms overflow, the step raises :class:`CouplingOverflow` naming gamma."""
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is an infinite size
         if d is None:
-            size = (h * np.linalg.norm(b, axis=(-2, -1))).ravel()
+            size = base = h * np.linalg.norm(b, axis=(-2, -1))
         else:       # Re<x, y> is the dot product of the float views
             def dot(x, y):      # (n, 1, K), against gammas (G, 1)
                 return np.einsum("...ij,...ij->...", x.view(float), y.view(float))[:, None]
-            g = np.asarray(gammas)[:, None]
+            g, base = np.asarray(gammas)[:, None], dot(b, b)
             cross = np.where(g != 0.0, g * (2.0 * dot(b, d) + g * dot(d, d)), 0.0)
-            size = (h * np.sqrt(dot(b, b) + cross)).ravel()
+            size = h * np.sqrt(base + cross)
     bad = np.flatnonzero(~(size <= _STEP_NORM_BUDGET))
-    if bad.size and np.isnan(size[bad[0]]):
-        raise NonFinite("generator contains NaN entries")
     if bad.size:
-        raise StepTooLarge(f"step times generator norm is {size[bad[0]]:.3e}, "
+        first = np.unravel_index(bad[0], size.shape)
+        if np.isnan(size[first]):
+            raise NonFinite("generator contains NaN entries")
+        if np.isinf(size[first]) and np.isfinite(base[first[0]]).all():
+            raise CouplingOverflow(f"step generator norm overflows at gamma={gammas[first[1]]:g}")
+        raise StepTooLarge(f"step times generator norm is {size[first]:.3e}, "
                            f"over {_STEP_NORM_BUDGET}")
 
 
@@ -222,8 +213,9 @@ def _keep_chunk_heap():
     thresholds only when a large ``mmap``-ed block is freed; a chunk's
     temporaries take a few MB, so with nothing larger freed before (a
     windowed frame frees nothing large) every chunk faults its pages in
-    again: a ``check-gauge`` job at the benchmark's size takes about 36,600
-    minor page faults without these thresholds and 600 with them.  Blocks
+    again: :func:`.cli.gauge_check_rows` at the benchmark's size (T 2, dt
+    8e-4) takes about 10,200 minor page faults without these thresholds
+    and 580 with them, and 47,100 against 640 at dt 2e-4.  Blocks
     up to 4 MiB then come from the heap, which keeps up to 16 MiB free.  A C
     library without ``mallopt`` is left as it is."""
     try:
@@ -302,21 +294,12 @@ def _stepped(pencil, gammas, v0, dt, T, s_span):
 
 def evolve_vector_piecewise_exp(generator, v0, dt, T, s_span=(0.0, 1.0)):
     """Raw piecewise-exponential engine for any linear system
-    ``dv/ds = M(s) v``, stepped by the Pade rule.  Returns ``(grid, vectors)``.
-
-    A stack ``v0`` of ``P`` vectors ``(P, D)`` steps ``P`` equations
-    together: the generator then returns ``(n, P, D, D)`` at ``n``
-    midpoints, and ``vectors`` is ``(P, n_samples, D)``.
+    ``dv/ds = M(s) v`` of one vector ``v0`` ``(D,)``, stepped by the Pade
+    rule.  Returns ``(grid, vectors)``, ``vectors`` ``(n_samples, D)``.
     """
     v0 = np.asarray(v0, dtype=complex)
-    stack = np.atleast_2d(v0)
-    grid, chunks = _stepped(_pade_pencil(generator, len(stack)), [0.0],
-                            stack[:, :, None], dt, T, s_span)
-    out = np.empty((len(stack), len(grid), stack.shape[1]), dtype=complex)
-    out[:, 0] = stack
-    for k, states in chunks:
-        out[:, k + 1:k + 1 + len(states)] = np.moveaxis(states[..., 0], 0, 1)
-    return grid, out[0] if v0.ndim == 1 else out
+    grid, chunks = _stepped(_pade_pencil(generator, 1), [0.0], v0[None, :, None], dt, T, s_span)
+    return grid, np.concatenate([v0[None]] + [states[:, 0, :, 0] for _, states in chunks])
 
 
 def propagate_piecewise_exp(generator, rho0, dt, T, s_span=(0.0, 1.0),
@@ -326,8 +309,8 @@ def propagate_piecewise_exp(generator, rho0, dt, T, s_span=(0.0, 1.0),
     time.
 
     A stack ``rho0`` of ``P`` initial states ``(P, d, d)`` steps ``P``
-    equations together, of a plain generator (see
-    :func:`evolve_vector_piecewise_exp`) or, with ``gammas``, of a pencil
+    equations together, of a plain generator, which then returns
+    ``(n, P, D, D)`` at ``n`` midpoints, or, with ``gammas``, of a pencil
     (see :func:`_stepped`); ``states`` is then ``(P, n_samples, d, d)``.
 
     ``sink(i, states)``, when given, receives the states as they are made,

@@ -109,8 +109,9 @@ def _bisect_root(h, lo, hi, tol=1e-6):
     return 0.5 * (lo + hi)
 
 
-def compute_resonance_tensor(decomp_at, grid):
-    """Classify every pair of gap functions over ``grid``.
+def compute_resonance_tensor(decomp_at, grid=np.linspace(0.0, 1.0, 201)):
+    """Classify every pair of gap functions over ``grid``, by default 201
+    samples of [0, 1].
 
     ``g[k, l, kp, lp]`` is 1 iff ``max_s |Delta_kl(s) - Delta_kplp(s)|``
     over the grid is at most ``_COINCIDE_TOL``.  Sign changes of the

@@ -40,10 +40,9 @@ import numpy as np
 from . import models
 from .errors import ConfigInvalid
 from .generators import RotatedFrameGenerator
-from .linalg import dag, frobenius
+from .linalg import block_length, dag, frobenius
 from .propagation import (
     Trajectory,
-    block_length,
     hs_error_max,
     intensity_loss,
     normalized_fidelity,
@@ -64,9 +63,6 @@ __all__ = [
     "sweep",
     "worker_count",
 ]
-
-_TENSOR_GRID = np.linspace(0.0, 1.0, 201)
-
 
 @dataclass
 class RunContext:
@@ -121,7 +117,7 @@ def holonomy_context(delta_phi, split, gauge, T, dt, x, y):
     return RunContext(
         family=family,
         dissipator=models.holonomy_dissipator(),
-        tensor=compute_resonance_tensor(family.spectrum, _TENSOR_GRID),
+        tensor=compute_resonance_tensor(family.spectrum),
         T=T, dt=dt,
         p_comp=models.computational_projector(),
         rho0=np.outer(psi, np.conj(psi)),
@@ -135,7 +131,7 @@ def random_context(seed, T, dt, dim=4):
     return RunContext(
         family=family,
         dissipator=model.dissipator(),
-        tensor=compute_resonance_tensor(family.spectrum, _TENSOR_GRID),
+        tensor=compute_resonance_tensor(family.spectrum),
         T=T, dt=dt,
         p_comp=np.eye(dim, dtype=complex),
         rho0=model.initial_density(),
@@ -150,7 +146,7 @@ class LabPass:
 
     The one place where lab-frame states are cut into blocks: it gathers
     them in one buffer of half a block over all pairs
-    (:func:`.propagation.block_length`), with the frame's ``U`` read as
+    (:func:`.linalg.block_length`), with the frame's ``U`` read as
     each chunk comes, while the frame's window still holds it.  Each flushed
     buffer goes whole to :meth:`RunContext.to_lab`, the :class:`.Trajectory`
     monitors and :func:`.propagation.hs_error_max`, and it keeps per pair

@@ -38,7 +38,7 @@ from .errors import (
     FrameDiscontinuity,
     NotHermitian,
 )
-from .linalg import dag, frobenius, hermitian_eigendecompose
+from .linalg import block_length, dag, frobenius, hermitian_eigendecompose
 
 __all__ = [
     "HamiltonianFamily",
@@ -54,8 +54,6 @@ __all__ = [
 ]
 
 _HERMITICITY_TOL = 1e-12
-# bytes of one frame window, four (d, d) complex stacks (256 samples at d = 4)
-_WINDOW_BYTES = 2 ** 18
 _HALO = 2                       # frame window samples either side: Z's stencils reach +-2
 _GRID_TOL = 1e-9
 _FRAME_JUMP_TOL = 0.5
@@ -619,8 +617,9 @@ class _Window:
 
 
 def _window_length(dim):
-    """Grid samples per frame window: 256 at d = 4, fewer at larger ``d``."""
-    return max(1, _WINDOW_BYTES // (64 * dim * dim))
+    """Grid samples per frame window, four ``(d, d)`` complex stacks each:
+    256 at d = 4, fewer at larger ``d``."""
+    return block_length(64 * dim * dim)
 
 
 def _polar_unitary(m):

@@ -118,7 +118,7 @@ def test_criterion_01_block_ode_vs_closed_form():
 def test_criterion_02_lindblad_refactorization():
     """Lindblad re-factorization reconstructs the filtered dissipator to
     1e-9 at ten samples for both models, with a PSD coupling spectrum."""
-    rows = cli._lindblad_check_rows()
+    rows = cli._lindblad_check_rows(cli.PRESETS["check-lindblad"][1]().seed)
     worst_err = max(r["reconstruction_error"] for r in rows)
     worst_lam = min(r["lambda_min"] for r in rows)
     report(2, "lindblad-refactorization",
@@ -155,7 +155,9 @@ def test_criterion_03_complete_positivity():
 def test_criterion_04_frame_and_gauge_equivalence():
     """Lab-frame vs rotated-block evolution and the two gauges agree on
     every projector block to 1e-8 at ten checkpoints."""
-    rows = cli.gauge_check_rows()
+    cfg = cli.PRESETS["check-gauge"][1]()
+    (T,), (gamma,) = cfg.T_list, cfg.gamma_list
+    rows = cli.gauge_check_rows(T, gamma, cfg.dt)
     by_name = {r["check"]: r for r in rows}
     direct = by_name["direct-vs-rotated"]["value"]
     gauge = by_name["gauge-equivalence"]["value"]

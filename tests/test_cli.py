@@ -6,16 +6,18 @@ import json
 import math
 import os
 import pickle
+import sys
 import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adiabat import cli, models, propagation, runner, spectral
-from adiabat.errors import AssertionFailed, ConfigInvalid, StepTooLarge
+from adiabat import cli, linalg, models, runner, spectral
+from adiabat.errors import AssertionFailed, ConfigInvalid, StepTooLarge, TangentialCrossing
 from adiabat.generators import RotatedFrameGenerator
 from adiabat.propagation import Trajectory
 
@@ -94,6 +96,8 @@ class TestConfigValidation:
                      id="deep-nesting"),
         pytest.param(b'{"model": "holonomy", "T_list": [1.0], "dt": 0.1, "model": "x"}',
                      "model", "config gives 'model' twice", id="duplicate-name"),
+        pytest.param(b'{"seed": ' + b"7" * 5000 + b"}", "config",
+                     "config holds a number too long to read", id="long-integer"),
     ])
     def test_malformed_config_text_exits_two(self, tmp_path, capsys, monkeypatch, text,
                                              field, message):
@@ -234,6 +238,59 @@ class TestConfigValidation:
         assert cli.main(["run", "--config", str(cfg), "--workers", "1"]) == 2
         err = capsys.readouterr().err
         assert "config error: dt=" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("model", ["holonomy", "random_rotating"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gamma_overflowing_the_step_norm_exits_two(self, tmp_path, capsys, model):
+        # the step check's gamma^2 ||d||^2 overflows, though the step itself
+        # is finite: no dt brings it within the budget, so gamma_list is named
+        cfg = write_config(tmp_path, model=model, T_list=[1.0], gamma_list=[0.0, 1e300],
+                           dt=0.1)
+        assert cli.main(["run", "--config", str(cfg), "--workers", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: gamma_list is too large: step generator norm overflows " \
+               "at gamma=1e+300" in err and "Traceback" not in err
+        with pytest.raises(ConfigInvalid) as exc:
+            cli.run_config(str(cfg), {"workers": 1})
+        assert exc.value.field == "gamma_list"
+
+    @pytest.mark.parametrize("argv, config, run_preset, code, message", [
+        pytest.param(["run", "--config", "CFG"], {"T_list": [0.0]}, None, 2,
+                     "config error: T_list values must be positive", id="runtime-zero"),
+        pytest.param(["run", "--config", "CFG", "--dt", "-0.01"], {}, None, 2,
+                     "config error: dt must be positive and finite", id="dt-negative"),
+        pytest.param(["run", "--config", "CFG", "--dt", "inf"], {}, None, 2,
+                     "config error: dt must be positive and finite", id="dt-infinite"),
+        pytest.param(["run", "--config", "CFG", "--seed", "-1"], {}, None, 2,
+                     "config error: seed must be >= 0", id="seed-negative"),
+        pytest.param(["run", "--config", "CFG"], None, None, 2,
+                     "config error: cannot read config", id="config-unreadable"),
+        pytest.param(["run", "--config", "CFG"], [{"model": "holonomy"}], None, 2,
+                     "config error: config root must be a JSON object", id="root-not-object"),
+        pytest.param(["check"], None, "echo", 0, "ran check-lindblad\nran check-gauge\n",
+                     id="check-runs-both"),
+        pytest.param(["run", "--preset", "check-gauge"], None, "fail", 1,
+                     "error: gap functions touch", id="library-error"),
+    ])
+    def test_exits_of_main(self, tmp_path, capsys, monkeypatch, argv, config, run_preset,
+                           code, message):
+        # each exit of main that nothing else runs: the code, the field or
+        # check named, and no traceback
+        def fake_preset(name, overrides):
+            if run_preset == "fail":    # an AdiabatError that is no config error
+                raise TangentialCrossing("gap functions touch")
+            print(f"ran {name}", file=sys.stderr)
+            return 0, []
+        monkeypatch.setattr(runner, "sweep", lambda *a, **k: pytest.fail("sweep ran"))
+        if run_preset:
+            monkeypatch.setattr(cli, "run_preset", fake_preset)
+        path = tmp_path / "cfg.json"
+        if config is not None:
+            path.write_text(json.dumps(config))
+        argv = [str(path) if arg == "CFG" else arg for arg in argv]
+        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_frame_jump_exits_two(self, tmp_path, capsys, workers):
@@ -381,6 +438,76 @@ def test_tiny_runs_end_with_an_exit_code(config):
             code = cli.main(["run", "--config", path, "--no-timestamp", "--workers", "1"])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+# one T slot of ten steps, so that no pool starts whatever --workers says
+_TINY = {"model": "random_rotating", "gamma_list": [0.0, 0.1], "T_list": [0.1], "dt": 0.01,
+         "dim": 3, "seed": 3}
+_JSON_TOKENS = ['{', '}', '[', ']', ',', ':', ' ', '"', '"model"', '"T_list"', '"dt"',
+                '"gamma_list"', '"seed"', '"holonomy"', '0', '0.1', '-0.0', '1e400', 'NaN',
+                '-Infinity', 'true', 'null', '"\\ud800"', '\u00e9', '9' * 5000]
+
+
+def run_config_bytes(config, flags=(), threads=None):
+    """``adiabat run --config`` in-process on a file holding the bytes
+    ``config``, with ``ADIABAT_THREADS`` set to ``threads`` (unset when
+    None): its exit code, argparse's usage exits included, and its stderr."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ), \
+            contextlib.redirect_stderr(err):
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "wb") as fh:
+            fh.write(config)
+        os.environ.pop("ADIABAT_THREADS", None)
+        if threads is not None:
+            os.environ["ADIABAT_THREADS"] = threads
+        try:
+            code = cli.main(["run", "--config", path, "--out", os.path.join(tmp, "out"),
+                             "--no-timestamp", *flags])
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@st.composite
+def config_bytes(draw):
+    """The bytes of a config file: any bytes, text of JSON tokens, or the
+    tiny config's text with up to three bytes replaced."""
+    tiny = bytearray(json.dumps(_TINY).encode())
+    for _ in range(draw(st.integers(0, 3))):
+        tiny[draw(st.integers(0, len(tiny) - 1))] = draw(st.integers(0, 255))
+    tokens = st.lists(st.sampled_from(_JSON_TOKENS), max_size=12).map("".join)
+    return draw(st.binary(max_size=64) | tokens.map(str.encode) | st.just(bytes(tiny)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(config_bytes())
+@example(b"9" * 5000)   # the traceback this fuzz found: int() reads at most 4,300 digits
+def test_config_bytes_end_with_an_exit_code(text):
+    # whatever the file holds, main returns 0, 1 or 2 and never lets a
+    # traceback out
+    code, err = run_config_bytes(text, ["--workers", "1"])
+    assert code in (0, 1, 2) and "Traceback" not in err
+
+
+def _flag_values(numbers):
+    return st.none() | numbers.map(str) | st.text(max_size=8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_flag_values(st.sampled_from([0.01, 0.005, 0.001])
+                   | st.floats().filter(lambda dt: not 1e-7 < dt < 1e-3)),
+       _flag_values(st.integers()), _flag_values(st.integers()),
+       _flag_values(st.integers()) | st.text(st.characters(blacklist_categories=["Cs"],
+                                                           blacklist_characters="\0")))
+def test_command_line_values_end_with_an_exit_code(dt, seed, workers, threads):
+    # --dt, --seed, --workers and ADIABAT_THREADS, each absent or any text:
+    # main returns 0, 1 or 2 and never lets a traceback out.  A dt between
+    # 1e-7 and 1e-3 could make the tiny slot a long run, so none is drawn
+    flags = [f"--{name}={value}" for name, value in
+             (("dt", dt), ("seed", seed), ("workers", workers)) if value is not None]
+    code, err = run_config_bytes(json.dumps(_TINY).encode(), flags, threads)
+    assert code in (0, 1, 2) and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")
@@ -550,15 +677,18 @@ def default_tiling(tmp_path_factory):
 
 
 @pytest.mark.parametrize("module, name, scale", [
-    (spectral, "_WINDOW_BYTES", 1 / 8), (spectral, "_WINDOW_BYTES", 4),
-    (propagation, "_CHUNK_BYTES", 1 / 32), (propagation, "_CHUNK_BYTES", 4)])
+    (spectral, "_window_length", 1 / 8), (spectral, "_window_length", 4),
+    (linalg, "_CHUNK_BYTES", 1 / 32), (linalg, "_CHUNK_BYTES", 4)])
 def test_outputs_do_not_depend_on_tiling(tmp_path, monkeypatch, default_tiling, module,
                                          name, scale):
-    # frame windows change no byte.  Chunks change none at gamma = 0, but
-    # the action rule takes its Taylor degree from each chunk's largest
-    # norm, so gamma > 0 values move at the rounding level: chunks x4 move
-    # both holonomy trajectory_exact_g0.1 files
-    monkeypatch.setattr(module, name, int(getattr(module, name) * scale))
+    # frame windows change no byte.  The chunk budget sizes the windows,
+    # lab blocks and writer rows as well as the step chunks; it changes no
+    # byte at gamma = 0, but the action rule takes its Taylor degree from
+    # each chunk's largest norm, so gamma > 0 values move at the rounding
+    # level: chunks x4 move both holonomy trajectory_exact_g0.1 files
+    old = getattr(module, name)
+    monkeypatch.setattr(module, name, int(old * scale) if module is linalg
+                        else lambda dim: int(old(dim) * scale))
     files, rows = tiled_outputs(tmp_path)
     want_files, want_rows = default_tiling
     assert sorted(files) == sorted(want_files)

@@ -22,7 +22,15 @@ from adiabat.generators import (
     cp_check,
     hamiltonian_superop,
 )
-from adiabat.linalg import dag, frobenius, matrix_exponential, sandwich_superop, unvec, vec
+from adiabat.linalg import (
+    block_length,
+    dag,
+    frobenius,
+    matrix_exponential,
+    sandwich_superop,
+    unvec,
+    vec,
+)
 from adiabat.models import (
     Gauge,
     build_orange_path,
@@ -323,7 +331,7 @@ class TestChunkedSteps:
         gen.vectorized = vectorized
         # step 30 of 100 is the first oversized one: inside the one chunk,
         # which holds every step
-        assert propagation.block_length(16 * 4 * 4) >= 99
+        assert block_length(16 * 4 * 4) >= 99
         with pytest.raises(StepTooLarge):
             propagate_piecewise_exp(gen, qubit_rho, 0.01, 1.0)
         with pytest.raises(StepTooLarge):

@@ -16,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from adiabat import cli, runner
+from adiabat import cli, runner, spectral
 from adiabat.errors import StepTooLarge
 from adiabat.generators import LindbladDissipator
 from adiabat.linalg import dag
@@ -144,6 +144,25 @@ class TestOnePassPerSlot:
         alone, both = runner.integrate_pairs(ctx, [0.1]), runner.integrate_pairs(ctx, [0.0, 0.1])
         assert np.array_equal(alone.final, both.final[2:])
         assert np.array_equal(alone.invariants, both.invariants[2:])
+
+    @pytest.mark.parametrize("gammas", [[0.01], PASSES["random_rotating_dim2"][2]],
+                             ids=["one-gamma", "six-gammas"])
+    @pytest.mark.parametrize("model, dim", [("holonomy", 4), ("random_rotating", 3),
+                                            ("random_rotating", 4)])
+    def test_pass_makes_each_frame_window_once(self, monkeypatch, model, dim, gammas):
+        # the pass reads the frame's U as each chunk comes, while the two
+        # windows kept still hold it; its lab blocks do not line up with
+        # the windows, so reading U at flush time would make some again
+        ctx = context(model, 10.0, dim=dim)
+        made = []
+
+        class Window(spectral._Window):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self.start)
+        monkeypatch.setattr(spectral, "_Window", Window)
+        runner.integrate_pairs(ctx, gammas)
+        assert made == list(range(0, len(ctx.frame.grid), spectral._window_length(dim)))
 
     def test_pair_bad_through_its_dissipator_stops_the_slot(self):
         # a dissipator that only the largest gamma makes too strong a step

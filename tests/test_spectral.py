@@ -8,7 +8,7 @@ from adiabat.errors import (
     DegeneracyChange,
     FrameDiscontinuity,
 )
-from adiabat.linalg import dag, frobenius, matrix_exponential
+from adiabat.linalg import block_length, dag, frobenius, matrix_exponential
 from adiabat.models import (
     Gauge,
     build_orange_path,
@@ -424,6 +424,13 @@ def kinked_family():
 class TestWindowedFrame:
     """The frame goes a window of samples at a time and gives the bits of
     the whole-grid construction whatever the window size and lookup order."""
+
+    def test_window_length_is_one_block_of_samples(self):
+        # four (d, d) complex stacks a sample, in the chunks' byte budget:
+        # 256 samples at d = 4, as when windows had a budget of their own
+        lengths = [spectral._window_length(d) for d in range(2, 17)]
+        assert lengths == [block_length(64 * d * d) for d in range(2, 17)]
+        assert lengths == [2 ** 18 // (64 * d * d) for d in range(2, 17)]
 
     @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 6, 7, None])
     @pytest.mark.parametrize("model", ["holonomy", "random"])
